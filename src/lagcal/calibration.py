@@ -18,6 +18,10 @@ then grid-aligned, so the limited smoothness of the bump profile there
 never crosses a difference stencil.  Radial derivatives use 4th/5th
 order stencils (antipodal continuation through the center, one-sided
 closure against the exact zero ring); angular derivatives are spectral.
+Each flow precomputes the polar factors its field evaluation reuses (the
+chain-rule factors cos, sin, sin/rho and cos/rho, the base frame rows and
+the gradient of h on the polar nodes); the field writes the 2x2 Gram
+entries out in real arithmetic.
 """
 
 import os
@@ -25,6 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.interpolate import RectBivariateSpline
 
 from .core import (
@@ -249,27 +254,37 @@ class _PolarFlow:
         self.rho = (np.arange(g_rho) + 0.5) * self.d_rho
         self.theta = np.arange(g_theta) * (2.0 * np.pi / g_theta)
         cos_t, sin_t = np.cos(self.theta), np.sin(self.theta)
-        self.e_rho = np.stack([cos_t, sin_t], axis=-1)            # (g_theta, 2)
-        self.e_theta = np.stack([-sin_t, cos_t], axis=-1)
-        self.nodes = c + self.rho[:, None, None] * self.e_rho[None]  # (g_rho, g_theta, 2)
+        e_rho = np.stack([cos_t, sin_t], axis=-1)                  # (g_theta, 2)
+        self.nodes = c + self.rho[:, None, None] * e_rho[None]     # (g_rho, g_theta, 2)
 
         flat = self.nodes.reshape(-1, 2)
         self.base = np.asarray(patch.f(flat)).reshape(g_rho, g_theta, 2)
+        # base frame rows x_k = df/du_k, one (g_rho, g_theta, 2) array each
         h = patch.steps(1)
-        frames = np.empty((g_rho, g_theta, 2, 2), dtype=complex)
+        rows = []
         for k in range(2):
             e = np.zeros(2)
             e[k] = h[k]
-            frames[..., k, :] = ((np.asarray(patch.f(flat + e)) - np.asarray(patch.f(flat - e)))
-                                 / (2.0 * h[k])).reshape(g_rho, g_theta, 2)
-        self.base_frames = frames
+            rows.append(((np.asarray(patch.f(flat + e)) - np.asarray(patch.f(flat - e)))
+                         / (2.0 * h[k])).reshape(g_rho, g_theta, 2))
+        self.base_x1, self.base_x2 = rows
 
         t = self.rho / r
         slope = spec.amplitude * bump_profile_d1(t) / r            # (g_rho,)
-        self.dh = slope[:, None, None] * self.e_rho[None]          # (g_rho, g_theta, 2)
+        self.dh1 = slope[:, None] * cos_t                          # (g_rho, g_theta)
+        self.dh2 = slope[:, None] * sin_t
 
-        # spectral angular derivative factors
-        self.ik = 1j * np.fft.fftfreq(g_theta, d=1.0 / g_theta)
+        # polar chain-rule factors, shaped to broadcast over (g_rho, g_theta, 2):
+        #   d/du_x = cos d/drho - (sin / rho) d/dtheta
+        #   d/du_y = sin d/drho + (cos / rho) d/dtheta
+        inv_rho = (1.0 / self.rho)[:, None]
+        self.cos_theta = cos_t[:, None]
+        self.sin_theta = sin_t[:, None]
+        self.msin_over_rho = (inv_rho * -sin_t)[..., None]
+        self.cos_over_rho = (inv_rho * cos_t)[..., None]
+
+        # spectral angular derivative factors, shaped (g_theta, 1)
+        self.ik = 1j * np.fft.fftfreq(g_theta, d=1.0 / g_theta)[:, None]
         # one-sided radial closures against the exact zero ring at rho = r
         off_last = np.array([-4.0, -3.0, -2.0, -1.0, 0.0, 0.5])
         off_prev = np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 1.5])
@@ -283,41 +298,41 @@ class _PolarFlow:
         ext = np.concatenate([ghost, d], axis=0)                   # rows: -2, -1, 0 .. g-1
         out = np.empty_like(d)
         # central 5-point on rows 0 .. g-3 (extended indices shift by 2)
-        idx = np.arange(0, g - 2)
-        out[idx] = (ext[idx] - 8.0 * ext[idx + 1] + 8.0 * ext[idx + 3] - ext[idx + 4]) \
-            / (12.0 * self.d_rho)
-        for row, w in ((g - 2, self.w_prev), (g - 1, self.w_last)):
-            base = row - 3 if row == g - 2 else row - 4
-            acc = np.zeros_like(d[0])
-            for j in range(5):
-                acc = acc + w[j] * d[base + j]
-            # the 6th node is the ring value, identically zero
-            out[row] = acc
+        out[:g - 2] = ((ext[:g - 2] - ext[4:g + 2]) + 8.0 * (ext[3:g + 1] - ext[1:g - 1])) \
+            * (1.0 / (12.0 * self.d_rho))
+        # one-sided closures on rows g-2, g-1 over rows g-5 .. g-1; their
+        # 6th node is the ring value, identically zero
+        window = d[g - 5:]
+        out[g - 2] = np.tensordot(self.w_prev[:5], window, axes=1)
+        out[g - 1] = np.tensordot(self.w_last[:5], window, axes=1)
         return out
 
     def _field(self, d: np.ndarray) -> np.ndarray:
         d_rho = self._d_rho_of(d)
-        d_theta = np.fft.ifft(self.ik[None, :, None] * np.fft.fft(d, axis=1), axis=1)
-        inv_rho = 1.0 / self.rho
-        du_x = d_rho * self.e_rho[None, :, 0, None] \
-            + d_theta * (inv_rho[:, None] * -np.sin(self.theta))[..., None]
-        du_y = d_rho * self.e_rho[None, :, 1, None] \
-            + d_theta * (inv_rho[:, None] * np.cos(self.theta))[..., None]
-        x1 = self.base_frames[..., 0, :] + du_x
-        x2 = self.base_frames[..., 1, :] + du_y
+        spectrum = sfft.fft(d, axis=1)
+        spectrum *= self.ik
+        d_theta = sfft.ifft(spectrum, axis=1, overwrite_x=True)
+        x1 = self.base_x1 + d_rho * self.cos_theta + d_theta * self.msin_over_rho
+        x2 = self.base_x2 + d_rho * self.sin_theta + d_theta * self.cos_over_rho
 
-        eps = self.patch.sig.eps
-        g11 = np.sum((x1 * eps) * np.conj(x1), axis=-1).real
-        g22 = np.sum((x2 * eps) * np.conj(x2), axis=-1).real
-        g12 = np.sum((x1 * eps) * np.conj(x2), axis=-1).real
+        # Gram entries g_jk = Re sum_l eps_l x_j,l conj(x_k,l), written out
+        # in real arithmetic per component l
+        x1r, x1i, x2r, x2i = x1.real, x1.imag, x2.real, x2.imag
+        a11 = x1r * x1r + x1i * x1i
+        a22 = x2r * x2r + x2i * x2i
+        a12 = x1r * x2r + x1i * x2i
+        e0, e1 = self.patch.sig.eps
+        g11 = e0 * a11[..., 0] + e1 * a11[..., 1]
+        g22 = e0 * a22[..., 0] + e1 * a22[..., 1]
+        g12 = e0 * a12[..., 0] + e1 * a12[..., 1]
         det = g11 * g22 - g12 * g12
-        scale = (np.sum(np.abs(x1) ** 2, axis=-1) * np.sum(np.abs(x2) ** 2, axis=-1))
+        scale = (a11[..., 0] + a11[..., 1]) * (a22[..., 0] + a22[..., 1])
         if np.any(np.abs(det) < 1e-10 * np.maximum(scale, 1e-300)):
             self.degenerate = True
             raise FlowDegeneracy("induced metric degenerated during the flow")
-        dh1, dh2 = self.dh[..., 0], self.dh[..., 1]
-        a1 = (g22 * dh1 - g12 * dh2) / det
-        a2 = (-g12 * dh1 + g11 * dh2) / det
+        inv_det = 1.0 / det
+        a1 = (g22 * self.dh1 - g12 * self.dh2) * inv_det
+        a2 = (g11 * self.dh2 - g12 * self.dh1) * inv_det
         grad_h = a1[..., None] * x1 + a2[..., None] * x2
         return -1j * grad_h
 

@@ -139,8 +139,13 @@ def circ_dist(a, b) -> float:
 
 
 def circ_mean(angles) -> float:
+    """Direction of the mean unit vector e^{i angle}.
+
+    The mean vector has length at most 1; below 1e-12 its direction is
+    rounding noise (e.g. equally spaced angles) and no mean exists.
+    """
     z = np.mean(np.exp(1j * np.asarray(angles, dtype=float)))
-    if abs(z) < 1e-300:
+    if abs(z) < 1e-12:
         raise DegenerateInput("circular mean of spread-out angle sample is undefined")
     return float(np.angle(z))
 

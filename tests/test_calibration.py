@@ -6,8 +6,11 @@ import pytest
 from lagcal.calibration import (
     CalibrationSample,
     DegenerateInput,
+    FlowDegeneracy,
     NonLagrangianFrame,
     PerturbationSpec,
+    _PolarFlow,
+    bump_profile_d1,
     calib_check,
     det_identity_check,
     frame_quantities,
@@ -20,6 +23,7 @@ from lagcal.calibration import (
     volume_compare,
 )
 from lagcal.core import Signature, frame_defect, hol_volume
+from lagcal.families import Catenoid, build_family
 from lagcal.immersion import interior_samples, lagrangian_defect, make_flat_patch
 
 ALL_SIGS = [Signature(p, n) for n in (1, 2, 3, 4) for p in range(n + 1)]
@@ -164,6 +168,71 @@ def test_flow_is_fourth_order_in_time():
     ratios = [errors[k] / errors[k + 1] for k in range(2)]
     for r in ratios:
         assert 10.0 < r < 26.0, ratios
+
+
+def _reference_field(flow, d):
+    """The flow field written directly: index-array radial stencil with
+    accumulated closures, numpy.fft, Gram entries as sums over components."""
+    g, spec = flow.g_rho, flow.spec
+    ghost = np.roll(d[:2], flow.g_theta // 2, axis=1)[::-1]
+    ext = np.concatenate([ghost, d], axis=0)
+    d_rho = np.empty_like(d)
+    idx = np.arange(0, g - 2)
+    d_rho[idx] = (ext[idx] - 8.0 * ext[idx + 1] + 8.0 * ext[idx + 3] - ext[idx + 4]) \
+        / (12.0 * flow.d_rho)
+    for row, w in ((g - 2, flow.w_prev), (g - 1, flow.w_last)):
+        start = row - 3 if row == g - 2 else row - 4
+        acc = np.zeros_like(d[0])
+        for j in range(5):
+            acc = acc + w[j] * d[start + j]
+        d_rho[row] = acc
+    ik = 1j * np.fft.fftfreq(flow.g_theta, d=1.0 / flow.g_theta)
+    d_theta = np.fft.ifft(ik[None, :, None] * np.fft.fft(d, axis=1), axis=1)
+
+    cos_t, sin_t = np.cos(flow.theta), np.sin(flow.theta)
+    inv_rho = 1.0 / flow.rho
+    du_x = d_rho * cos_t[None, :, None] + d_theta * (inv_rho[:, None] * -sin_t)[..., None]
+    du_y = d_rho * sin_t[None, :, None] + d_theta * (inv_rho[:, None] * cos_t)[..., None]
+    x1 = flow.base_x1 + du_x
+    x2 = flow.base_x2 + du_y
+    eps = flow.patch.sig.eps
+    g11 = np.sum((x1 * eps) * np.conj(x1), axis=-1).real
+    g22 = np.sum((x2 * eps) * np.conj(x2), axis=-1).real
+    g12 = np.sum((x1 * eps) * np.conj(x2), axis=-1).real
+    det = g11 * g22 - g12 * g12
+    slope = spec.amplitude * bump_profile_d1(flow.rho / spec.radius) / spec.radius
+    dh1, dh2 = slope[:, None] * cos_t, slope[:, None] * sin_t
+    a1 = (g22 * dh1 - g12 * dh2) / det
+    a2 = (-g12 * dh1 + g11 * dh2) / det
+    return -1j * (a1[..., None] * x1 + a2[..., None] * x2)
+
+
+@pytest.mark.parametrize("patch", [
+    make_flat_patch(Signature(1, 2)),
+    build_family(Catenoid(sig=Signature(1, 2), epsilon=1, c=1.0, sector=0)),
+], ids=["flat(1,2)", "catenoid(p=1,n=2)"])
+def test_flow_field_matches_reference(patch):
+    # eps = (-1, 1): a sign slip in the real Gram arithmetic would show
+    spec = random_perturbations(patch, 1, seed=12)[0]
+    flow = _PolarFlow(patch, spec)
+    rng = np.random.default_rng(13)
+    d = 1e-5 * (rng.standard_normal(flow.base.shape) + 1j * rng.standard_normal(flow.base.shape))
+    ref = _reference_field(flow, d)
+    assert np.max(np.abs(flow._field(d) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    at_rest = _reference_field(flow, np.zeros_like(d))
+    assert np.max(np.abs(ref - at_rest)) > 1e-3 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_flow_field_raises_on_degenerate_metric(p):
+    # d = (v_y, -v_y) makes x2 = x1 = e1 on the interior rows
+    flow = _PolarFlow(make_flat_patch(Signature(p, 2)), CENTERED, grid=(32, 32))
+    v = flow.nodes - CENTERED.center
+    d = np.stack([v[..., 1], -v[..., 1]], axis=-1).astype(complex)
+    assert not flow.degenerate
+    with pytest.raises(FlowDegeneracy):
+        flow._field(d)
+    assert flow.degenerate
 
 
 def test_volume_compare_on_flat_patch():

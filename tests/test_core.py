@@ -13,6 +13,8 @@ from lagcal.core import (
     Signature,
     apply_J,
     circ_dist,
+    circ_mean,
+    circ_spread,
     frame_defect,
     herm_form,
     herm_gram,
@@ -148,6 +150,15 @@ def test_wrap_angle_and_circ_dist():
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)
     assert circ_dist(0.1, 2 * np.pi + 0.1) == pytest.approx(0.0, abs=1e-12)
     assert circ_dist(-3.0, 3.0) == pytest.approx(2 * np.pi - 6.0)
+
+
+def test_circ_mean_rejects_balanced_angles():
+    assert circ_mean([0.1, 0.3, 2 * np.pi + 0.2]) == pytest.approx(0.2)
+    balanced = np.arange(8) * (np.pi / 4.0)
+    with pytest.raises(DegenerateInput):
+        circ_mean(balanced)
+    with pytest.raises(DegenerateInput):
+        circ_spread(balanced)
 
 
 # --- matrix exponential ------------------------------------------------------
