@@ -13,6 +13,7 @@ experiment threshold is violated.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -212,6 +213,15 @@ def _parse_plane(obj, where: str) -> np.ndarray:
     raise ConfigError(where, "planes are 'null-x1y2' or {'basis': [[z, z], [z, z]]}")
 
 
+def _chart_fields(obj: dict) -> dict:
+    """The optional quadric-chart keys of a family spec, as spec keyword arguments."""
+    return {
+        "chart_center": (np.asarray(obj["chart_center"], dtype=float)
+                         if "chart_center" in obj else None),
+        "chart_half_width": float(obj.get("chart_half_width", 0.35)),
+    }
+
+
 def parse_family(obj, sig: Signature) -> object:
     where = "family"
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -224,10 +234,7 @@ def parse_family(obj, sig: Signature) -> object:
         _check_keys(obj, {"kind", "epsilon", "gamma", "chart_center", "chart_half_width"}, where)
         return Equivariant(
             sig=sig, epsilon=int(obj.get("epsilon", 1)),
-            gamma=_parse_curve(obj["gamma"], where + ".gamma"),
-            chart_center=(np.asarray(obj["chart_center"], dtype=float)
-                          if "chart_center" in obj else None),
-            chart_half_width=float(obj.get("chart_half_width", 0.35)))
+            gamma=_parse_curve(obj["gamma"], where + ".gamma"), **_chart_fields(obj))
     if kind == "catenoid":
         _check_keys(obj, {"kind", "epsilon", "c", "sector", "chart_center",
                           "chart_half_width"}, where)
@@ -235,10 +242,7 @@ def parse_family(obj, sig: Signature) -> object:
             raise ConfigError(where + ".c", "catenoid families need the constant c")
         return Catenoid(
             sig=sig, epsilon=int(obj.get("epsilon", 1)), c=float(obj["c"]),
-            sector=int(obj.get("sector", 0)),
-            chart_center=(np.asarray(obj["chart_center"], dtype=float)
-                          if "chart_center" in obj else None),
-            chart_half_width=float(obj.get("chart_half_width", 0.35)))
+            sector=int(obj.get("sector", 0)), **_chart_fields(obj))
     if kind == "evolving-quadric":
         _check_keys(obj, {"kind", "matrix", "c", "r", "s_interval", "chart_center",
                           "chart_half_width"}, where)
@@ -251,9 +255,7 @@ def parse_family(obj, sig: Signature) -> object:
             sig=sig, matrix=matrix, c=float(obj["c"]),
             r=_parse_profile(obj.get("r"), where + ".r"),
             s_interval=_interval(obj.get("s_interval", [-0.4, 0.4]), where + ".s_interval"),
-            chart_center=(np.asarray(obj["chart_center"], dtype=float)
-                          if "chart_center" in obj else None),
-            chart_half_width=float(obj.get("chart_half_width", 0.35)))
+            **_chart_fields(obj))
     if kind == "product-null-curves":
         _check_keys(obj, {"kind", "plane", "gamma1", "gamma2"}, where)
         return ProductNullCurves(
@@ -266,14 +268,23 @@ def parse_family(obj, sig: Signature) -> object:
     raise ConfigError(where + ".kind", f"unknown family kind '{kind}'")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate one JSON run configuration."""
+def _load_document(text: str) -> dict:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("document", f"invalid JSON at line {exc.lineno}, column {exc.colno}")
     if not isinstance(raw, dict):
         raise ConfigError("document", "the configuration must be a JSON object")
+    return raw
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate one JSON run configuration."""
+    return validate_config(_load_document(text))
+
+
+def validate_config(raw: dict) -> RunConfig:
+    """Validate one decoded run configuration document."""
     _check_keys(raw, {"signature", "family", "experiment", "samples", "seed", "tol",
                       "grid", "out"}, "document")
 
@@ -290,19 +301,20 @@ def parse_config(text: str) -> RunConfig:
     if experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {', '.join(EXPERIMENTS)}")
 
+    # JSON true and false decode to bool, a subclass of int: compare exact types.
     samples = raw.get("samples", 20 if experiment == "volume-compare" else 1000)
-    if not isinstance(samples, int) or samples < 1:
+    if type(samples) is not int or samples < 1:
         raise ConfigError("samples", "must be an integer >= 1")
     if experiment == "volume-compare" and samples > 64:
         raise ConfigError("samples", "volume-compare runs at most 64 perturbations")
 
     seed = raw.get("seed", 42)
-    if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+    if type(seed) is not int or not 0 <= seed < 2 ** 64:
         raise ConfigError("seed", "must fit an unsigned 64-bit integer")
 
     tol = raw.get("tol", 1e-9)
-    if not isinstance(tol, (int, float)) or tol <= 0:
-        raise ConfigError("tol", "must be a positive number")
+    if type(tol) not in (int, float) or not 0 < tol < math.inf:
+        raise ConfigError("tol", "must be a positive finite number")
 
     grid = raw.get("grid", [])
     if not isinstance(grid, list) or not all(isinstance(g, int) and g >= 1 for g in grid):
@@ -589,25 +601,12 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("document",
-                              f"invalid JSON at line {exc.lineno}, column {exc.colno}")
-        if not isinstance(raw, dict):
-            raise ConfigError("document", "the configuration must be a JSON object")
+        raw = _load_document(text)
         raw["experiment"] = args.experiment
-        cfg = parse_config(json.dumps(raw))
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.samples is not None:
-            if cfg.experiment == "volume-compare" and args.samples > 64:
-                raise ConfigError("samples", "volume-compare runs at most 64 perturbations")
-            cfg.samples = args.samples
-        if args.tol is not None:
-            if args.tol <= 0:
-                raise ConfigError("tol", "must be a positive number")
-            cfg.tol = args.tol
+        for key in ("seed", "samples", "tol"):
+            if getattr(args, key) is not None:
+                raw[key] = getattr(args, key)
+        cfg = validate_config(raw)
         report = run_experiment(cfg)
     except (ConfigError, FamilySpecError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ circular distance.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,8 +52,15 @@ class Signature:
 
     @property
     def eps(self) -> np.ndarray:
-        """Sign vector: -1 on the first p axes, +1 on the rest."""
-        return np.where(np.arange(self.n) < self.p, -1.0, 1.0)
+        """Sign vector: -1 on the first p axes, +1 on the rest (read-only, shared)."""
+        return _sign_vector(self.p, self.n)
+
+
+@lru_cache(maxsize=64)
+def _sign_vector(p: int, n: int) -> np.ndarray:
+    eps = np.where(np.arange(n) < p, -1.0, 1.0)
+    eps.flags.writeable = False
+    return eps
 
 
 def as_cvec(z, sig: Signature | None = None) -> np.ndarray:
@@ -100,12 +108,6 @@ def herm_gram(frame, sig: Signature) -> np.ndarray:
     if frame.shape[-1] != sig.n:
         raise DimensionMismatch(f"frame vectors have length {frame.shape[-1]}, need {sig.n}")
     return frame * sig.eps @ frame.conj().swapaxes(-1, -2)
-
-
-def frame_scale(frame) -> float:
-    """Product of the Euclidean norms of the frame vectors."""
-    frame = np.asarray(frame, dtype=complex)
-    return float(np.prod(np.linalg.norm(frame, axis=-1)))
 
 
 def frame_defect(frame, sig: Signature) -> float:

@@ -259,10 +259,14 @@ def sample_quadric(M, c: float, sig: Signature, count: int, seed) -> np.ndarray:
 class QuadricChart:
     """Graph-coordinate chart of { x : <x, M x>_p = c } around a center point.
 
-    value() broadcasts over stacked chart coordinates; jacobian() and
-    hessian() are pointwise and come from implicit differentiation of
-    the defining quadratic.  The chart is oriented: the stacked real
-    determinant det(tangents, x) is positive at the center.
+    value() solves the defining quadratic for the coordinate solve_index
+    and broadcasts over stacked chart coordinates (..., n-1).  jacobian()
+    and hessian() take points x already solved by value(), shape (..., n),
+    broadcast the same way and never solve again; they come from implicit
+    differentiation of the defining quadratic.  The signed form
+    q = diag(eps) M and its blocks are built once, with the chart.  The
+    chart is oriented: the stacked real determinant det(tangents, x) is
+    positive at the center.
     """
 
     M: np.ndarray
@@ -273,35 +277,50 @@ class QuadricChart:
     branch: float
     box: np.ndarray
     flip: np.ndarray
+    q: np.ndarray = field(init=False, repr=False)
+    free: np.ndarray = field(init=False, repr=False)
+    center_coords: np.ndarray = field(init=False, repr=False)
+    _q_mf: np.ndarray = field(init=False, repr=False)
+    _q_ff: np.ndarray = field(init=False, repr=False)
+    _q_mm: float = field(init=False, repr=False)
+    _tangents: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def free(self) -> np.ndarray:
-        return np.array([j for j in range(self.sig.n) if j != self.solve_index])
-
-    @property
-    def center_coords(self) -> np.ndarray:
-        return self.center[self.free]
-
-    def _q(self) -> np.ndarray:
-        return self.sig.eps[:, None] * self.M
+    def __post_init__(self):
+        n, m = self.sig.n, self.solve_index
+        q = self.sig.eps[:, None] * self.M
+        free = np.delete(np.arange(n), m)
+        # Tangent rows without their solved column: flip_a e_{free[a]}.
+        tangents = np.zeros((n - 1, n))
+        tangents[np.arange(n - 1), free] = self.flip
+        constants = {
+            "q": q,
+            "free": free,
+            "center_coords": self.center[free],
+            "_q_mf": q[m, free],
+            "_q_ff": q[np.ix_(free, free)],
+            "_q_mm": q[m, m],
+            "_tangents": tangents,
+        }
+        for name, value in constants.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def _free_to_point(self, y) -> np.ndarray:
-        q = self._q()
         m = self.solve_index
-        free = self.free
         y = np.asarray(y, dtype=float)
-        a = q[m, m]
-        b = y @ q[m, free]
-        cc = np.einsum("...i,ij,...j->...", y, q[np.ix_(free, free)], y) - self.c
-        x = np.zeros(y.shape[:-1] + (self.sig.n,))
-        x[..., free] = y
+        a = self._q_mm
+        b = y @ self._q_mf
+        cc = np.einsum("...i,ij,...j->...", y, self._q_ff, y) - self.c
+        x = np.empty(y.shape[:-1] + (self.sig.n,))
+        x[..., self.free] = y
         if abs(a) > 1e-13:
             disc = b * b - a * cc
-            if np.any(disc <= 0.0):
+            if (disc <= 0.0).any():
                 raise FamilySpecError("quadric chart left its validity region (no real root)")
             x[..., m] = (-b + self.branch * np.sqrt(disc)) / a
         else:
-            if np.any(np.abs(b) < 1e-13):
+            if (np.abs(b) < 1e-13).any():
                 raise FamilySpecError("quadric chart degenerates (vanishing gradient)")
             x[..., m] = -cc / (2.0 * b)
         return x
@@ -311,37 +330,31 @@ class QuadricChart:
         return self.center_coords + self.flip * (t - self.center_coords)
 
     def value(self, t) -> np.ndarray:
+        """Points x(t) on the quadric, shape (..., n), from one root solve."""
         return self._free_to_point(self._to_free(t))
 
-    def jacobian(self, t) -> np.ndarray:
-        """Rows dx/dt_a, shape (n-1, n)."""
-        x = self.value(t)
-        q = self._q()
-        grad = 2.0 * q @ x
+    def jacobian(self, x) -> np.ndarray:
+        """Rows dx/dt_a at solved points x, shape (..., n-1, n)."""
+        grad = 2.0 * (x @ self.q.T)
         m = self.solve_index
-        if abs(grad[m]) < 1e-12 * max(np.linalg.norm(grad), 1e-300):
+        gm = grad[..., m]
+        scale = np.sqrt((grad * grad).sum(axis=-1))
+        if (np.abs(gm) < 1e-12 * np.maximum(scale, 1e-300)).any():
             raise FamilySpecError("quadric chart degenerates (vanishing gradient component)")
-        free = self.free
-        rows = np.zeros((self.sig.n - 1, self.sig.n))
-        slope = -grad[free] / grad[m]
-        for a in range(self.sig.n - 1):
-            rows[a, free[a]] = 1.0
-            rows[a, m] = slope[a]
-        return self.flip[:, None] * rows
+        jac = np.empty(x.shape[:-1] + self._tangents.shape)
+        jac[...] = self._tangents
+        jac[..., m] = self.flip * (-grad[..., self.free] / gm[..., None])
+        return jac
 
-    def hessian(self, t) -> np.ndarray:
-        """Array d^2 x / dt_a dt_b, shape (n-1, n-1, n)."""
-        x = self.value(t)
-        q = self._q()
-        qx = q @ x
-        m = self.solve_index
-        free = self.free
-        jac = self.jacobian(t)
-        out = np.zeros((self.sig.n - 1, self.sig.n - 1, self.sig.n))
-        for b in range(self.sig.n - 1):
-            qv = q @ jac[b]
-            num = qv[free] * qx[m] - qx[free] * qv[m]
-            out[:, b, m] = -self.flip * num / qx[m] ** 2
+    def hessian(self, x, jac) -> np.ndarray:
+        """d^2 x / dt_a dt_b at solved points x and their jacobian, shape (..., n-1, n-1, n)."""
+        m, free = self.solve_index, self.free
+        qx = x @ self.q.T
+        qv = jac @ self.q.T  # row b is q @ (dx/dt_b)
+        qx_m = qx[..., m, None, None]
+        num = qv[..., free] * qx_m - qx[..., None, free] * qv[..., m, None]
+        out = np.zeros(jac.shape[:-1] + jac.shape[-2:])
+        out[..., m] = np.swapaxes(-self.flip * num / qx_m ** 2, -1, -2)
         return out
 
 
@@ -373,7 +386,7 @@ def quadric_chart(M, c: float, sig: Signature, center,
     chart = QuadricChart(M=M, c=float(c), sig=sig, center=center, solve_index=m,
                          branch=branch, box=box, flip=np.ones(sig.n - 1))
     # Orientation: det(tangent rows, position) > 0 at the center.
-    det = np.linalg.det(np.vstack([chart.jacobian(chart.center_coords), center]))
+    det = np.linalg.det(np.vstack([chart.jacobian(chart.value(chart.center_coords)), center]))
     if abs(det) < 1e-12:
         raise FamilySpecError("chart orientation is undefined (position tangent to quadric)")
     if det < 0.0:
@@ -470,9 +483,10 @@ def _equivariant_patch(sig: Signature, gamma: Curve, chart: QuadricChart,
     def d1(u):
         t, s = u[:n - 1], u[n - 1]
         g, dg = complex(gamma.val(s)), complex(gamma.d1(s))
+        x = chart.value(t)
         rows = np.empty((n, n), dtype=complex)
-        rows[:n - 1] = g * chart.jacobian(t)
-        rows[n - 1] = dg * chart.value(t)
+        rows[:n - 1] = g * chart.jacobian(x)
+        rows[n - 1] = dg * x
         return rows
 
     def d2(u):
@@ -480,12 +494,13 @@ def _equivariant_patch(sig: Signature, gamma: Curve, chart: QuadricChart,
         g = complex(gamma.val(s))
         dg = complex(gamma.d1(s))
         ddg = complex(gamma.d2(s))
-        jac = chart.jacobian(t)
+        x = chart.value(t)
+        jac = chart.jacobian(x)
         out = np.empty((n, n, n), dtype=complex)
-        out[:n - 1, :n - 1] = g * chart.hessian(t)
+        out[:n - 1, :n - 1] = g * chart.hessian(x, jac)
         out[:n - 1, n - 1] = dg * jac
         out[n - 1, :n - 1] = dg * jac
-        out[n - 1, n - 1] = ddg * chart.value(t)
+        out[n - 1, n - 1] = ddg * x
         return out
 
     return ImmersionPatch(sig=sig, domain=domain, f=f, d1=d1, d2=d2, vectorized=True,
@@ -601,18 +616,18 @@ def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
         e = mat_exp_iMs(M, s)
         rv, rd = float(r.val(s)), float(r.d1(s))
         rows = np.empty((n, n), dtype=complex)
-        rows[:n - 1] = rv * (chart.jacobian(t) @ e.T)
+        rows[:n - 1] = rv * (chart.jacobian(x) @ e.T)
         rows[n - 1] = e @ (rd * x + 1j * rv * (M @ x))
         return rows
 
     def d2(u):
         t, s = u[:n - 1], u[n - 1]
         x = chart.value(t)
-        jac = chart.jacobian(t)
+        jac = chart.jacobian(x)
         e = mat_exp_iMs(M, s)
         rv, rd, rdd = float(r.val(s)), float(r.d1(s)), float(r.d2(s))
         out = np.empty((n, n, n), dtype=complex)
-        out[:n - 1, :n - 1] = rv * (chart.hessian(t) @ e.T)
+        out[:n - 1, :n - 1] = rv * (chart.hessian(x, jac) @ e.T)
         mixed = (rd * jac + 1j * rv * (jac @ M.T)) @ e.T
         out[:n - 1, n - 1] = mixed
         out[n - 1, :n - 1] = mixed

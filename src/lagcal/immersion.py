@@ -84,7 +84,7 @@ def _check_point(patch: ImmersionPatch, u, margin: np.ndarray | float = 0.0) -> 
         raise DimensionMismatch(f"parameter point must have shape ({patch.n},), got {u.shape}")
     lo = patch.domain[:, 0] + margin
     hi = patch.domain[:, 1] - margin
-    if np.any(u < lo) or np.any(u > hi):
+    if (u < lo).any() or (u > hi).any():
         raise BoundaryError(f"point {u} outside domain (margin {margin})")
     return u
 
@@ -182,13 +182,6 @@ def dvol(patch: ImmersionPatch, u) -> float:
     """Volume element sqrt(|det g|) at u."""
     g = induced_metric(patch, u)
     return float(np.sqrt(abs(np.linalg.det(g))))
-
-
-def frame_is_degenerate(patch: ImmersionPatch, u, tol: float = DEGENERACY_TOL) -> bool:
-    frame = tangent_frame(patch, u)
-    g = herm_gram(frame, patch.sig).real
-    scale = float(np.prod(np.linalg.norm(frame, axis=1)))
-    return np.sqrt(abs(np.linalg.det(g))) <= tol * max(scale, np.finfo(float).tiny)
 
 
 def midpoint_grid(patch: ImmersionPatch, grid) -> tuple[np.ndarray, float]:

@@ -1,5 +1,6 @@
 """Command line front end: config validation, reports, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -180,3 +181,47 @@ def test_curvature_experiment_on_hopf():
     report = run_experiment(parse_config(json.dumps(config)))
     assert report.passed
     assert report.residual < 1e-5
+
+
+@pytest.mark.parametrize("experiment, doc, args, fieldname", [
+    pytest.param("verify", {}, ["--samples", "0"], "samples", id="samples-flag-0"),
+    pytest.param("volume-compare", {}, ["--samples", "65"], "samples", id="samples-flag-65"),
+    pytest.param("verify", {}, ["--seed", "-1"], "seed", id="seed-flag-negative"),
+    pytest.param("verify", {"samples": True}, [], "samples", id="samples-true"),
+    pytest.param("verify", {"seed": True}, [], "seed", id="seed-true"),
+    pytest.param("verify", {}, ["--tol", "nan"], "tol", id="tol-flag-nan"),
+    pytest.param("verify", {"tol": float("nan")}, [], "tol", id="tol-nan"),
+])
+def test_cli_rejects_malformed_values(tmp_path, capsys, experiment, doc, args, fieldname):
+    # command line overrides and document values pass the same validation
+    path = write_config(tmp_path, {**CATENOID_CONFIG, "samples": 5, **doc})
+    code = main([experiment, "--config", str(path), "--out", str(tmp_path / "o"), *args])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {fieldname}: ")
+
+
+# sha256 of report.json and samples.csv, recorded for the p=1, n=3 catenoid at
+# 20 samples and seed 11.  The digests pin the output bits on one numpy / BLAS
+# build: a change that moves one must state the size of the numerical drift,
+# and another build may round differently and fail here with lagcal unchanged.
+OUTPUT_DIGESTS = {
+    "verify": ("9ea0352f055120df5fcc99f83736b51a63680567545acb7f7fc23edb8bd2241b",
+               "5af677bb50d097a4dee294d5041048916fb7ba72f75b4fec8042f41163131526"),
+    "angle": ("75924409263b482c7c1a24b4307db7e883cd03a732fd2e690a17f63dba79146e",
+              "6742637823834c32a33fafb8513683aa93252b177e248883ec5409fc95098ff9"),
+    "curvature": ("ef7c303fb4706b6c7fedc86194eba5f4f8d9a875c95ed02965ea152b9d6b5e19",
+                  "fb1b890595d524517624c45cc39a2cfd7cb0947164b188518626a0281a8319ba"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(OUTPUT_DIGESTS))
+def test_output_digests(tmp_path, experiment):
+    config = {"signature": {"p": 1, "n": 3},
+              "family": {"kind": "catenoid", "c": 1, "epsilon": 1, "sector": 0},
+              "experiment": experiment, "samples": 20, "seed": 11}
+    path = write_config(tmp_path, config)
+    out = tmp_path / experiment
+    assert main([experiment, "--config", str(path), "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("report.json", "samples.csv"))
+    assert digests == OUTPUT_DIGESTS[experiment]

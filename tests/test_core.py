@@ -60,6 +60,14 @@ def test_signature_validation():
         Signature(0, 0)
 
 
+def test_signature_eps_is_shared_and_read_only():
+    eps = Signature(1, 3).eps
+    with pytest.raises(ValueError):
+        eps[0] = 1.0
+    np.testing.assert_array_equal(Signature(1, 3).eps, eps)
+    np.testing.assert_array_equal(eps, [-1.0, 1.0, 1.0])
+
+
 def test_herm_form_frozen_values():
     assert herm_form(E1, E1, SIG12) == pytest.approx(-1.0)
     assert herm_form(E2, E2, SIG12) == pytest.approx(1.0)

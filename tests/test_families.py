@@ -35,6 +35,7 @@ from lagcal.families import (
     catenoid_curve,
     check_self_adjoint,
     evolving_quadric_angle,
+    find_quadric_point,
     make_flat_plane,
     mat_exp_iMs,
     quadric_chart,
@@ -51,6 +52,12 @@ from lagcal.immersion import (
 )
 
 SIG12 = Signature(1, 2)
+SIG13 = Signature(1, 3)
+# diag(eps) S with S symmetric is <.,.>_p self-adjoint; its signed form q = S
+# couples every coordinate, unlike the diagonal forms of the equivariant charts.
+COUPLED_M13 = SIG13.eps[:, None] * np.array([[1.0, 0.3, 0.0],
+                                              [0.3, 2.0, 0.5],
+                                              [0.0, 0.5, 1.5]])
 
 
 # --- matrix exponential and self-adjointness ----------------------------------
@@ -126,21 +133,79 @@ def test_quadric_chart_membership_jets_orientation(m, c, sig, center):
     vals = chart.value(pts)
     assert np.max(np.abs(quadric_rhs(m, sig, vals) - c)) < 1e-10
     for t in pts[:4]:
-        jac = chart.jacobian(t)
+        x = chart.value(t)
+        jac = chart.jacobian(x)
         h = 1e-6
         for a in range(n1):
             e = np.zeros(n1)
             e[a] = h
             fd = (chart.value(t + e) - chart.value(t - e)) / (2 * h)
             assert np.allclose(jac[a], fd, atol=1e-7)
-        hess = chart.hessian(t)
+        hess = chart.hessian(x, jac)
         for a in range(n1):
             e = np.zeros(n1)
             e[a] = h
-            fd_jac = (chart.jacobian(t + e) - chart.jacobian(t - e)) / (2 * h)
+            fd_jac = (chart.jacobian(chart.value(t + e))
+                      - chart.jacobian(chart.value(t - e))) / (2 * h)
             assert np.allclose(hess[:, a], fd_jac, atol=5e-6)
         # oriented: det(tangents, position) stays positive across the chart
-        assert np.linalg.det(np.vstack([jac, chart.value(t)])) > 0
+        assert np.linalg.det(np.vstack([jac, x])) > 0
+
+
+def _loop_jacobian(chart, x):
+    # pointwise reference: one tangent row per chart axis
+    grad = 2.0 * chart.q @ x
+    m, free = chart.solve_index, chart.free
+    rows = np.zeros((chart.sig.n - 1, chart.sig.n))
+    slope = -grad[free] / grad[m]
+    for a in range(chart.sig.n - 1):
+        rows[a, free[a]] = 1.0
+        rows[a, m] = slope[a]
+    return chart.flip[:, None] * rows
+
+
+def _loop_hessian(chart, x):
+    # pointwise reference: implicit second derivatives column by column
+    qx = chart.q @ x
+    m, free = chart.solve_index, chart.free
+    jac = _loop_jacobian(chart, x)
+    out = np.zeros((chart.sig.n - 1, chart.sig.n - 1, chart.sig.n))
+    for b in range(chart.sig.n - 1):
+        qv = chart.q @ jac[b]
+        num = qv[free] * qx[m] - qx[free] * qv[m]
+        out[:, b, m] = -chart.flip * num / qx[m] ** 2
+    return out
+
+
+@pytest.mark.parametrize("m, c, sig, center, flipped", [
+    (np.eye(3), 1.0, Signature(0, 3), [0.0, 0.0, 1.0], False),
+    (np.eye(3), 1.0, Signature(0, 3), [0.0, 1.0, 0.0], True),
+    (np.eye(3), -1.0, SIG13, [1.0, 0.0, 0.0], False),
+    (np.eye(3), 1.0, SIG13, [0.0, 1.0, 0.0], True),
+    (COUPLED_M13, 1.0, SIG13, None, True),
+])
+def test_quadric_chart_jets_broadcast_over_stacks(m, c, sig, center, flipped):
+    if center is None:
+        center = find_quadric_point(m, c, sig)
+    chart = quadric_chart(m, c, sig, np.asarray(center), half_width=0.3)
+    assert (chart.flip[0] < 0) == flipped
+    n = sig.n
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(chart.box[:, 0] + 0.02, chart.box[:, 1] - 0.02, size=(12, n - 1))
+    x = chart.value(pts)
+    jac = chart.jacobian(x)
+    hess = chart.hessian(x, jac)
+    assert x.shape == (12, n) and jac.shape == (12, n - 1, n)
+    assert hess.shape == (12, n - 1, n - 1, n)
+    for k, t in enumerate(pts):
+        xk = chart.value(t)
+        jk = chart.jacobian(xk)
+        hk = chart.hessian(xk, jk)
+        np.testing.assert_array_equal(jk, _loop_jacobian(chart, xk))
+        np.testing.assert_array_equal(hk, _loop_hessian(chart, xk))
+        np.testing.assert_allclose(x[k], xk, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(jac[k], jk, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(hess[k], hk, rtol=1e-13, atol=1e-14)
 
 
 def test_quadric_chart_rejects_off_quadric_center():
@@ -274,6 +339,24 @@ def test_evolving_quadric_angle_law_constant_offset():
                 law = evolving_quadric_angle(spec, s, x)
                 offsets.append(wrap_angle(direct - law))
         assert circ_spread(offsets) < 1e-9, spec
+
+
+def test_coupled_evolving_quadric_jets_match_finite_differences():
+    # n = 3 with a coupled form: the hessian's off-diagonal chart blocks
+    # are nonzero here, unlike on the n = 2 quadrics of the family catalog
+    from lagcal.immersion import ImmersionPatch, finite_difference_frame
+
+    patch = build_family(EvolvingQuadric(sig=SIG13, matrix=COUPLED_M13, c=1.0,
+                                         r=RadialProfile.exponential(0.3),
+                                         s_interval=(-0.3, 0.3)))
+    bare = ImmersionPatch(sig=patch.sig, domain=patch.domain, f=patch.f)
+    rng = np.random.default_rng(13)
+    for u in interior_samples(patch, 6, rng, margin=0.1):
+        assert np.allclose(tangent_frame(patch, u), finite_difference_frame(patch, u),
+                           atol=1e-7)
+        assert np.allclose(second_derivatives(patch, u), second_derivatives(bare, u),
+                           atol=5e-6)
+        assert lagrangian_defect(patch, u) < 1e-10
 
 
 def test_evolving_quadric_rejects_non_self_adjoint():
