@@ -44,6 +44,7 @@ from .core import (
 from .immersion import (
     DEGENERACY_TOL,
     ImmersionPatch,
+    fd_dvol_on_nodes,
     interior_samples,
     lagrangian_angle_at,
     midpoint_grid,
@@ -85,11 +86,13 @@ def random_lagrangian_frames(sig: Signature, count: int, rng: np.random.Generato
     preserving the symplectic form, hence the Lagrangian property.
     """
     real = rng.uniform(-1.0, 1.0, (count, sig.n, sig.n))
+    bad = np.flatnonzero(np.abs(np.linalg.det(real)) <= 0.05)
     for _ in range(100):
-        bad = np.abs(np.linalg.det(real)) <= 0.05
-        if not bad.any():
+        if not bad.size:
             break
-        real[bad] = rng.uniform(-1.0, 1.0, (int(bad.sum()), sig.n, sig.n))
+        # only the redrawn rows can change, so only they are checked again
+        real[bad] = rng.uniform(-1.0, 1.0, (bad.size, sig.n, sig.n))
+        bad = bad[np.abs(np.linalg.det(real[bad])) <= 0.05]
     else:
         raise DegenerateInput("failed to draw invertible real frames in 100 attempts")
     u = pseudo_unitary_sample(rng, sig, count)
@@ -449,20 +452,6 @@ class VolumeCompareReport:
         return float(min(slacks))
 
 
-def _dvol_and_flags(patch: ImmersionPatch, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    h = patch.steps(1)
-    frames = np.empty((nodes.shape[0], patch.n, patch.n), dtype=complex)
-    for j in range(patch.n):
-        e = np.zeros(patch.n)
-        e[j] = h[j]
-        frames[:, j, :] = (np.asarray(patch.f(nodes + e)) - np.asarray(patch.f(nodes - e))) \
-            / (2.0 * h[j])
-    gram = (frames * patch.sig.eps) @ frames.conj().swapaxes(-1, -2)
-    dv = np.sqrt(np.abs(np.linalg.det(gram.real)))
-    scale = np.prod(np.linalg.norm(frames, axis=-1), axis=-1)
-    return dv, dv <= DEGENERACY_TOL * np.maximum(scale, np.finfo(float).tiny)
-
-
 def _sampled_defect(patch: ImmersionPatch, count: int, rng: np.random.Generator) -> float:
     from .immersion import lagrangian_defect
 
@@ -479,7 +468,7 @@ def volume_compare(base: ImmersionPatch, specs, grid, sig: Signature | None = No
     report keeps per-run counts so callers can demand a quorum.
     """
     nodes, cell = midpoint_grid(base, grid)
-    base_dv, base_flags = _dvol_and_flags(base, nodes)
+    base_dv, base_flags = fd_dvol_on_nodes(base, nodes)
     if np.any(base_flags):
         raise DegenerateInput("base patch is degenerate on the quadrature grid")
     base_volume = float(np.sum(base_dv) * cell)
@@ -500,7 +489,7 @@ def volume_compare(base: ImmersionPatch, specs, grid, sig: Signature | None = No
             status = "degenerate" if isinstance(exc, FlowDegeneracy) else "diverged"
             return PerturbationResult(index=index, spec=spec, status=status,
                                       volume=None, defect_max=None, degenerate_points=0)
-        dv, flags = _dvol_and_flags(perturbed, nodes)
+        dv, flags = fd_dvol_on_nodes(perturbed, nodes)
         volume = float(np.sum(dv) * cell)
         defect_max = _sampled_defect(perturbed, 25, rng)
         bad = int(np.sum(flags))

@@ -125,21 +125,69 @@ def _check_keys(obj: dict, allowed: set, where: str):
         raise ConfigError(where, f"unknown keys {sorted(unknown)}")
 
 
+def _require(obj: dict, key: str, where: str):
+    """obj[key], or a ConfigError naming the missing field."""
+    if key not in obj:
+        raise ConfigError(f"{where}.{key}", "required field is missing")
+    return obj[key]
+
+
+def _is_real(value) -> bool:
+    # JSON true and false decode to bool, a subclass of int: compare exact types.
+    # The bound rejects nan, infinities and integers too large for a float.
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _real(value, where: str) -> float:
+    if not _is_real(value):
+        raise ConfigError(where, "must be a finite number")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise ConfigError(where, "must be an integer")
+    return value
+
+
+def _real_array(value, shape: tuple, where: str) -> np.ndarray:
+    """Nested lists of finite numbers with the given shape (None: any length)."""
+    def fits(v, dims) -> bool:
+        if not dims:
+            return _is_real(v)
+        return (isinstance(v, list) and dims[0] in (None, len(v))
+                and all(fits(x, dims[1:]) for x in v))
+
+    if not fits(value, shape):
+        dims = ", ".join("k" if d is None else str(d) for d in shape)
+        raise ConfigError(where, f"must be nested lists of finite numbers of shape "
+                                 f"({dims}{',' if len(shape) == 1 else ''})")
+    return np.array(value, dtype=float)
+
+
 def _complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_real(value):
         return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_real, value)):
         return complex(value[0], value[1])
     raise ConfigError(where, "complex values are numbers or [re, im] pairs")
 
 
 def _interval(value, where: str) -> tuple[float, float]:
-    if (not isinstance(value, list) or len(value) != 2
-            or not all(isinstance(x, (int, float)) for x in value)
+    if (not isinstance(value, list) or len(value) != 2 or not all(map(_is_real, value))
             or not value[0] < value[1]):
         raise ConfigError(where, "intervals are [lo, hi] with lo < hi")
     return float(value[0]), float(value[1])
+
+
+def _from_samples(build, s, values, where: str):
+    """A spline curve through sample values; spline errors name the curve."""
+    try:
+        return build(s, values)
+    except ValueError as exc:
+        raise ConfigError(where, f"cannot interpolate the samples: {exc}")
 
 
 def _parse_curve(obj, where: str) -> Curve:
@@ -148,19 +196,25 @@ def _parse_curve(obj, where: str) -> Curve:
     form = obj["form"]
     if form == "circle":
         _check_keys(obj, {"form", "interval"}, where)
-        return Curve.circle(_interval(obj.get("interval", [0.0, 2 * np.pi]), where))
+        return Curve.circle(_interval(obj.get("interval", [0.0, 2 * np.pi]), where + ".interval"))
     if form == "line":
         _check_keys(obj, {"form", "z0", "z1", "interval"}, where)
-        return Curve.line(_complex(obj["z0"], where), _complex(obj["z1"], where),
-                          _interval(obj["interval"], where))
+        return Curve.line(*(_complex(_require(obj, key, where), f"{where}.{key}")
+                            for key in ("z0", "z1")),
+                          _interval(_require(obj, "interval", where), where + ".interval"))
     if form == "exp":
         _check_keys(obj, {"form", "z0", "rate", "interval"}, where)
-        return Curve.exponential(_complex(obj["z0"], where), _complex(obj["rate"], where),
-                                 _interval(obj["interval"], where))
+        return Curve.exponential(*(_complex(_require(obj, key, where), f"{where}.{key}")
+                                   for key in ("z0", "rate")),
+                                 _interval(_require(obj, "interval", where), where + ".interval"))
     if form == "samples":
         _check_keys(obj, {"form", "s", "values"}, where)
-        values = [_complex(v, where) for v in obj["values"]]
-        return Curve.from_samples(obj["s"], values)
+        s = _real_array(_require(obj, "s", where), (None,), where + ".s")
+        values = _require(obj, "values", where)
+        if not isinstance(values, list):
+            raise ConfigError(where + ".values", "must be a list of complex values")
+        values = [_complex(v, where + ".values") for v in values]
+        return _from_samples(Curve.from_samples, s, values, where)
     raise ConfigError(where, f"unknown curve form '{form}'")
 
 
@@ -169,25 +223,31 @@ def _parse_profile(obj, where: str) -> RadialProfile:
         return RadialProfile.constant()
     if not isinstance(obj, dict) or "form" not in obj:
         raise ConfigError(where, "radial profiles are objects with a 'form' key")
-    if obj["form"] == "constant":
-        _check_keys(obj, {"form", "value"}, where)
-        return RadialProfile.constant(float(obj.get("value", 1.0)))
-    if obj["form"] == "exp":
-        _check_keys(obj, {"form", "rate", "scale"}, where)
-        return RadialProfile.exponential(float(obj["rate"]), float(obj.get("scale", 1.0)))
+    try:
+        if obj["form"] == "constant":
+            _check_keys(obj, {"form", "value"}, where)
+            return RadialProfile.constant(_real(obj.get("value", 1.0), where + ".value"))
+        if obj["form"] == "exp":
+            _check_keys(obj, {"form", "rate", "scale"}, where)
+            return RadialProfile.exponential(
+                _real(_require(obj, "rate", where), where + ".rate"),
+                _real(obj.get("scale", 1.0), where + ".scale"))
+    except FamilySpecError as exc:
+        raise ConfigError(where, str(exc)) from None
     raise ConfigError(where, f"unknown profile form '{obj['form']}'")
 
 
 def _parse_sphere_curve(obj, where: str) -> SphereCurve:
     if not isinstance(obj, dict) or "form" not in obj:
         raise ConfigError(where, "sphere curves are objects with a 'form' key")
+    interval = _interval(obj.get("interval", [0.0, 2 * np.pi]), where + ".interval")
     if obj["form"] == "great-circle":
         _check_keys(obj, {"form", "interval"}, where)
-        return SphereCurve.great_circle(_interval(obj.get("interval", [0.0, 2 * np.pi]), where))
+        return SphereCurve.great_circle(interval)
     if obj["form"] == "torus":
         _check_keys(obj, {"form", "alpha", "k1", "k2", "interval"}, where)
-        return SphereCurve.torus(float(obj["alpha"]), float(obj["k1"]), float(obj["k2"]),
-                                 _interval(obj.get("interval", [0.0, 2 * np.pi]), where))
+        return SphereCurve.torus(*(_real(_require(obj, key, where), f"{where}.{key}")
+                                   for key in ("alpha", "k1", "k2")), interval)
     raise ConfigError(where, f"unknown sphere curve form '{obj['form']}'")
 
 
@@ -196,29 +256,35 @@ def _parse_pair_curve(obj, where: str) -> PairCurve:
         raise ConfigError(where, "pair curves are objects with a 'form' key")
     if obj["form"] == "real-exp":
         _check_keys(obj, {"form", "c1", "c2", "interval"}, where)
-        return PairCurve.real_exponential(tuple(obj["c1"]), tuple(obj["c2"]),
-                                          _interval(obj["interval"], where))
+        return PairCurve.real_exponential(
+            *(tuple(_real_array(_require(obj, key, where), (2,), f"{where}.{key}"))
+              for key in ("c1", "c2")),
+            _interval(_require(obj, "interval", where), where + ".interval"))
     if obj["form"] == "samples":
         _check_keys(obj, {"form", "u", "values"}, where)
-        return PairCurve.from_samples(obj["u"], obj["values"])
+        u = _real_array(_require(obj, "u", where), (None,), where + ".u")
+        values = _real_array(_require(obj, "values", where), (None, 2), where + ".values")
+        return _from_samples(PairCurve.from_samples, u, values, where)
     raise ConfigError(where, f"unknown pair curve form '{obj['form']}'")
 
 
 def _parse_plane(obj, where: str) -> np.ndarray:
     if obj == "null-x1y2":
         return NULL_PLANE_BASIS
-    if isinstance(obj, dict) and set(obj) == {"basis"}:
-        basis = np.array([[_complex(z, where) for z in row] for row in obj["basis"]])
-        return basis
+    if (isinstance(obj, dict) and set(obj) == {"basis"} and isinstance(obj["basis"], list)
+            and len(obj["basis"]) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in obj["basis"])):
+        return np.array([[_complex(z, where + ".basis") for z in row] for row in obj["basis"]])
     raise ConfigError(where, "planes are 'null-x1y2' or {'basis': [[z, z], [z, z]]}")
 
 
-def _chart_fields(obj: dict) -> dict:
+def _chart_fields(obj: dict, sig: Signature, where: str) -> dict:
     """The optional quadric-chart keys of a family spec, as spec keyword arguments."""
     return {
-        "chart_center": (np.asarray(obj["chart_center"], dtype=float)
+        "chart_center": (_real_array(obj["chart_center"], (sig.n,), where + ".chart_center")
                          if "chart_center" in obj else None),
-        "chart_half_width": float(obj.get("chart_half_width", 0.35)),
+        "chart_half_width": _real(obj.get("chart_half_width", 0.35),
+                                  where + ".chart_half_width"),
     }
 
 
@@ -233,38 +299,39 @@ def parse_family(obj, sig: Signature) -> object:
     if kind == "equivariant":
         _check_keys(obj, {"kind", "epsilon", "gamma", "chart_center", "chart_half_width"}, where)
         return Equivariant(
-            sig=sig, epsilon=int(obj.get("epsilon", 1)),
-            gamma=_parse_curve(obj["gamma"], where + ".gamma"), **_chart_fields(obj))
+            sig=sig, epsilon=_integer(obj.get("epsilon", 1), where + ".epsilon"),
+            gamma=_parse_curve(_require(obj, "gamma", where), where + ".gamma"),
+            **_chart_fields(obj, sig, where))
     if kind == "catenoid":
         _check_keys(obj, {"kind", "epsilon", "c", "sector", "chart_center",
                           "chart_half_width"}, where)
-        if "c" not in obj:
-            raise ConfigError(where + ".c", "catenoid families need the constant c")
         return Catenoid(
-            sig=sig, epsilon=int(obj.get("epsilon", 1)), c=float(obj["c"]),
-            sector=int(obj.get("sector", 0)), **_chart_fields(obj))
+            sig=sig, epsilon=_integer(obj.get("epsilon", 1), where + ".epsilon"),
+            c=_real(_require(obj, "c", where), where + ".c"),
+            sector=_integer(obj.get("sector", 0), where + ".sector"),
+            **_chart_fields(obj, sig, where))
     if kind == "evolving-quadric":
         _check_keys(obj, {"kind", "matrix", "c", "r", "s_interval", "chart_center",
                           "chart_half_width"}, where)
-        matrix = np.asarray(obj["matrix"], dtype=float)
+        matrix = _real_array(_require(obj, "matrix", where), (sig.n, sig.n), where + ".matrix")
         residual = check_self_adjoint(matrix, sig)
         if residual > 1e-10:
             raise ConfigError(where + ".matrix",
                               f"matrix is not self-adjoint: residual {residual:.3e}")
         return EvolvingQuadric(
-            sig=sig, matrix=matrix, c=float(obj["c"]),
+            sig=sig, matrix=matrix, c=_real(_require(obj, "c", where), where + ".c"),
             r=_parse_profile(obj.get("r"), where + ".r"),
             s_interval=_interval(obj.get("s_interval", [-0.4, 0.4]), where + ".s_interval"),
-            **_chart_fields(obj))
+            **_chart_fields(obj, sig, where))
     if kind == "product-null-curves":
         _check_keys(obj, {"kind", "plane", "gamma1", "gamma2"}, where)
         return ProductNullCurves(
             sig=sig, plane=_parse_plane(obj.get("plane", "null-x1y2"), where + ".plane"),
-            gamma1=_parse_pair_curve(obj["gamma1"], where + ".gamma1"),
-            gamma2=_parse_pair_curve(obj["gamma2"], where + ".gamma2"))
+            gamma1=_parse_pair_curve(_require(obj, "gamma1", where), where + ".gamma1"),
+            gamma2=_parse_pair_curve(_require(obj, "gamma2", where), where + ".gamma2"))
     if kind == "hopf":
         _check_keys(obj, {"kind", "gamma"}, where)
-        return Hopf(gamma=_parse_sphere_curve(obj["gamma"], where + ".gamma"))
+        return Hopf(gamma=_parse_sphere_curve(_require(obj, "gamma", where), where + ".gamma"))
     raise ConfigError(where + ".kind", f"unknown family kind '{kind}'")
 
 
@@ -452,8 +519,8 @@ def _run_calibrate(cfg: RunConfig) -> ExperimentReport:
     slack = (q["dvol"] - th) / q["scale"]
     tight_slack = (q["dvol"] - np.abs(q["omega_det"])) / q["scale"]
     identity = np.abs(q["dvol"] - q["absdet_m"]) / q["dvol"]
-    rows = [[k, beta0[k], float(q["beta"][k]), float(q["dvol"][k]), float(th[k]),
-             float(slack[k]), float(identity[k])] for k in range(cfg.samples)]
+    columns = (beta0, q["beta"], q["dvol"], th, slack, identity)
+    rows = list(zip(range(cfg.samples), *(c.tolist() for c in columns)))
     slack_min = float(min(np.min(slack), np.min(tight_slack)))
     identity_max = float(np.max(identity))
     return ExperimentReport(

@@ -169,34 +169,68 @@ _PADE13 = np.array([
     960960.0, 16380.0, 182.0, 1.0,
 ])
 
-_EXPM_SCALE_LIMIT = 0.5
+# Lower-degree [m/m] Pade coefficients b_0 .. b_m, keyed by m.
+_PADE_LOW = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+}
+
+# Largest 1-norm for which the degree-m kernel is accurate to unit roundoff
+# in double precision (Higham 2005, table 2.3).
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
 
 
 def matrix_exp(a) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a degree-13 Pade kernel.
+    """Matrix exponential by scaling and squaring with a Pade kernel.
 
     Works on stacks of square matrices (shape (..., n, n)) and makes no
-    diagonalizability assumption.  Matrices are scaled until their 1-norm
-    drops below 0.5, which keeps the kernel far inside its accuracy region.
+    diagonalizability assumption.  The Pade degree m in {3, 5, 7, 9, 13}
+    is the smallest whose threshold theta_m bounds the largest 1-norm in
+    the stack (N. J. Higham, "The scaling and squaring method for the
+    matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005).
+    Only above theta_13 is anything scaled: each matrix by its own power of
+    two, down to theta_13, and squared back afterwards.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
     norm1 = np.abs(a).sum(axis=-2).max(axis=-1)
-    with np.errstate(divide="ignore"):
-        s = np.ceil(np.log2(norm1 / _EXPM_SCALE_LIMIT))
-    s = np.where(norm1 > _EXPM_SCALE_LIMIT, s, 0.0).astype(int)
-    scaled = a / (2.0 ** s)[..., None, None]
+    top = float(norm1.max(initial=0.0))
+    s = np.zeros(norm1.shape, dtype=int)
 
-    b = _PADE13
-    eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
-    a2 = scaled @ scaled
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = scaled @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                  + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    degree = next((m for m in (3, 5, 7, 9) if top <= _THETA[m]), 13)
+    if degree < 13:
+        # u = a (b_1 + b_3 a^2 + ... + b_m a^(m-1)),  v = b_0 + b_2 a^2 + ... + b_(m-1) a^(m-1)
+        b = _PADE_LOW[degree]
+        a2 = a @ a
+        u, v = b[3] * a2, b[2] * a2
+        power = a2
+        for k in range(2, degree // 2 + 1):
+            power = power @ a2
+            u += b[2 * k + 1] * power
+            v += b[2 * k] * power
+        diag = np.arange(a.shape[-1])
+        u[..., diag, diag] += b[1]
+        v[..., diag, diag] += b[0]
+        u = a @ u
+    else:
+        with np.errstate(divide="ignore"):
+            s = np.ceil(np.log2(norm1 / _THETA[13]))
+        s = np.where(norm1 > _THETA[13], s, 0.0).astype(int)
+        scaled = a / (2.0 ** s)[..., None, None]
+        b = _PADE13
+        eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
+        a2 = scaled @ scaled
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = scaled @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                      + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     r = np.linalg.solve(v - u, v + u)
 
     for k in range(int(s.max(initial=0))):

@@ -200,21 +200,30 @@ def midpoint_grid(patch: ImmersionPatch, grid) -> tuple[np.ndarray, float]:
     return nodes, cell
 
 
-def _batched_fd_dvol(patch: ImmersionPatch, nodes: np.ndarray) -> np.ndarray:
+def fd_dvol_on_nodes(patch: ImmersionPatch, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference volume element at nodes (N, n), with degeneracy flags.
+
+    Needs an evaluation map that broadcasts over stacked points.  A node is
+    flagged when its volume element is at most DEGENERACY_TOL times the
+    product of its frame vector norms.
+    """
     h = patch.steps(1)
     frames = np.empty((nodes.shape[0], patch.n, patch.n), dtype=complex)
     for j in range(patch.n):
         e = np.zeros(patch.n)
         e[j] = h[j]
-        frames[:, j, :] = (patch.f(nodes + e) - patch.f(nodes - e)) / (2.0 * h[j])
+        frames[:, j, :] = (np.asarray(patch.f(nodes + e)) - np.asarray(patch.f(nodes - e))) \
+            / (2.0 * h[j])
     gram = (frames * patch.sig.eps) @ frames.conj().swapaxes(-1, -2)
-    return np.sqrt(np.abs(np.linalg.det(gram.real)))
+    dv = np.sqrt(np.abs(np.linalg.det(gram.real)))
+    scale = np.prod(np.linalg.norm(frames, axis=-1), axis=-1)
+    return dv, dv <= DEGENERACY_TOL * np.maximum(scale, np.finfo(float).tiny)
 
 
 def dvol_on_nodes(patch: ImmersionPatch, nodes: np.ndarray) -> np.ndarray:
     """Volume element at many nodes, batched when the patch allows it."""
     if patch.vectorized and patch.d1 is None:
-        return _batched_fd_dvol(patch, nodes)
+        return fd_dvol_on_nodes(patch, nodes)[0]
     return np.array([dvol(patch, u) for u in nodes])
 
 

@@ -246,6 +246,7 @@ def test_criterion_08_signature_lemma(family_catalog):
     _pass(8, f"induced metric has exactly p negative directions at {checked} points")
 
 
+@pytest.mark.slow
 def test_criterion_09_volume_monotonicity():
     t0 = time.perf_counter()
     bases = [

@@ -22,7 +22,7 @@ from lagcal.calibration import (
     theta0,
     volume_compare,
 )
-from lagcal.core import Signature, frame_defect, hol_volume
+from lagcal.core import Signature, frame_defect, hol_volume, pseudo_unitary_sample
 from lagcal.families import Catenoid, build_family
 from lagcal.immersion import interior_samples, lagrangian_defect, make_flat_patch
 
@@ -44,6 +44,33 @@ def test_random_frames_are_lagrangian_and_satisfy_identity():
         assert np.max(q["defect"]) < 1e-10
         rel = np.abs(q["dvol"] - q["absdet_m"]) / q["dvol"]
         assert np.max(rel) < 1e-9
+
+
+def full_recheck_frames(sig, count, rng):
+    """Reference redraw loop that recomputes every determinant each round.
+
+    Returns the frames and the number of redraw rounds.
+    """
+    real = rng.uniform(-1.0, 1.0, (count, sig.n, sig.n))
+    rounds = 0
+    while True:
+        bad = np.abs(np.linalg.det(real)) <= 0.05
+        if not bad.any():
+            break
+        real[bad] = rng.uniform(-1.0, 1.0, (int(bad.sum()), sig.n, sig.n))
+        rounds += 1
+    u = pseudo_unitary_sample(rng, sig, count)
+    return real.astype(complex) @ u.swapaxes(-1, -2), rounds
+
+
+@pytest.mark.parametrize("p, n", [(0, 1), (1, 2), (1, 3), (2, 4)])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_redraw_of_bad_rows_matches_full_recheck(p, n, seed):
+    sig = Signature(p, n)
+    expected, rounds = full_recheck_frames(sig, 2000, np.random.default_rng(seed))
+    assert rounds >= 2  # rows redrawn once came out bad again
+    frames = random_lagrangian_frames(sig, 2000, np.random.default_rng(seed))
+    assert np.array_equal(frames, expected)
 
 
 def test_real_frame_has_zero_angle_and_tight_theta0():

@@ -200,8 +200,43 @@ def test_cli_rejects_malformed_values(tmp_path, capsys, experiment, doc, args, f
     assert capsys.readouterr().err.startswith(f"error: {fieldname}: ")
 
 
-# sha256 of report.json and samples.csv, recorded for the p=1, n=3 catenoid at
-# 20 samples and seed 11.  The digests pin the output bits on one numpy / BLAS
+EQUIVARIANT_LINE = {"kind": "equivariant", "epsilon": 1,
+                    "gamma": {"form": "line", "z0": 1, "z1": [0, 1], "interval": [-0.8, 0.8]}}
+EVOLVING_QUADRIC = {"kind": "evolving-quadric", "matrix": [[1, 0], [0, -1]], "c": 1,
+                    "chart_center": [1.0, 0.0], "chart_half_width": 0.3}
+
+
+def without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize("signature, family, fieldname", [
+    pytest.param({"p": 1, "n": 3}, {**CATENOID_CONFIG["family"], "epsilon": "a"},
+                 "family.epsilon", id="epsilon-string"),
+    pytest.param({"p": 1, "n": 3}, {**CATENOID_CONFIG["family"], "chart_center": "abc"},
+                 "family.chart_center", id="chart-center-string"),
+    pytest.param({"p": 1, "n": 3}, {**CATENOID_CONFIG["family"], "chart_center": [1, 2]},
+                 "family.chart_center", id="chart-center-short"),
+    pytest.param({"p": 0, "n": 2}, without(EVOLVING_QUADRIC, "c"),
+                 "family.c", id="evolving-quadric-without-c"),
+    pytest.param({"p": 0, "n": 2},
+                 {**EQUIVARIANT_LINE, "gamma": without(EQUIVARIANT_LINE["gamma"], "z0")},
+                 "family.gamma.z0", id="line-without-z0"),
+])
+def test_cli_names_malformed_family_fields(tmp_path, capsys, signature, family, fieldname):
+    path = write_config(tmp_path, {"signature": signature, "family": family, "samples": 5})
+    # the unbroken documents pass validation
+    good = {"family.epsilon": CATENOID_CONFIG["family"],
+            "family.chart_center": CATENOID_CONFIG["family"],
+            "family.c": EVOLVING_QUADRIC, "family.gamma.z0": EQUIVARIANT_LINE}[fieldname]
+    parse_config(json.dumps({"signature": signature, "family": good, "experiment": "verify"}))
+    code = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {fieldname}: ")
+
+
+# sha256 of report.json and samples.csv, recorded at (p, n) = (1, 3) and seed
+# 11: the catenoid experiments at 20 samples, calibrate at 200 samples.  The digests pin the output bits on one numpy / BLAS
 # build: a change that moves one must state the size of the numerical drift,
 # and another build may round differently and fail here with lagcal unchanged.
 OUTPUT_DIGESTS = {
@@ -211,14 +246,19 @@ OUTPUT_DIGESTS = {
               "6742637823834c32a33fafb8513683aa93252b177e248883ec5409fc95098ff9"),
     "curvature": ("ef7c303fb4706b6c7fedc86194eba5f4f8d9a875c95ed02965ea152b9d6b5e19",
                   "fb1b890595d524517624c45cc39a2cfd7cb0947164b188518626a0281a8319ba"),
+    "calibrate": ("e93759f7cbb1453d77bf4a22217199024c7426b9742cf603b904159b6ac53e1c",
+                  "c704f522f12ea3b040c803a8ae7b3d22613465c5df8e12c723c4a01f897fb5f1"),
 }
 
 
 @pytest.mark.parametrize("experiment", sorted(OUTPUT_DIGESTS))
 def test_output_digests(tmp_path, experiment):
-    config = {"signature": {"p": 1, "n": 3},
-              "family": {"kind": "catenoid", "c": 1, "epsilon": 1, "sector": 0},
-              "experiment": experiment, "samples": 20, "seed": 11}
+    config = {"signature": {"p": 1, "n": 3}, "experiment": experiment, "seed": 11}
+    if experiment == "calibrate":
+        config["samples"] = 200
+    else:
+        config.update(samples=20,
+                      family={"kind": "catenoid", "c": 1, "epsilon": 1, "sector": 0})
     path = write_config(tmp_path, config)
     out = tmp_path / experiment
     assert main([experiment, "--config", str(path), "--out", str(out)]) == 0

@@ -194,6 +194,51 @@ def test_matrix_exp_batched_matches_loop():
         assert np.allclose(out[k], scipy.linalg.expm(batch[k]), atol=1e-10)
 
 
+# Higham (2005), table 2.3: largest 1-norm for each Pade degree m.
+PADE_THETAS = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+               9: 2.097847961257068e0, 13: 5.371920351148152e0}
+
+
+def with_norm1(a, target):
+    """a rescaled to 1-norm target (largest absolute column sum)."""
+    return a * (target / np.abs(a).sum(axis=-2).max(axis=-1))[..., None, None]
+
+
+def assert_close_to_expm(out, a, rel=1e-12):
+    ref = np.array([scipy.linalg.expm(m) for m in a.reshape(-1, *a.shape[-2:])]).reshape(a.shape)
+    err = np.linalg.norm(out - ref, axis=(-2, -1))
+    assert np.all(err <= rel * np.linalg.norm(ref, axis=(-2, -1))), err.max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", sorted(PADE_THETAS))
+def test_matrix_exp_at_each_degree_threshold(m, n):
+    # just below theta_m runs degree m; just above, the next degree (scaled at m = 13)
+    rng = np.random.default_rng(100 * m + n)
+    base = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
+    for factor in (1.0 - 1e-9, 1.0 + 1e-9):
+        a = with_norm1(base, factor * PADE_THETAS[m])
+        assert_close_to_expm(matrix_exp(a), a)
+        assert_close_to_expm(matrix_exp(a[0]), a[0])
+
+
+def test_matrix_exp_scales_each_matrix_of_a_mixed_stack():
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(8, 3, 3)) + 1j * rng.normal(size=(8, 3, 3))
+    # the norm-40 matrices put the whole stack on degree 13; only they are
+    # scaled, and only they are squared back
+    a = with_norm1(a, np.array([1e-3, 40.0] * 4))
+    assert_close_to_expm(matrix_exp(a), a)
+
+
+def test_pseudo_unitary_stack_preserves_form():
+    rng = np.random.default_rng(10)
+    sig = Signature(1, 3)
+    u = pseudo_unitary_sample(rng, sig, 10_000)
+    form = u.conj().swapaxes(-1, -2) @ (sig.eps[:, None] * u)
+    assert np.abs(form - np.diag(sig.eps)).max() <= 1e-12
+
+
 def test_pseudo_unitary_preserves_form():
     rng = np.random.default_rng(7)
     for p, n in [(0, 2), (1, 2), (2, 3)]:
