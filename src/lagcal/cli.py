@@ -3,15 +3,17 @@
 One JSON document describes a run: the signature, a family, the
 experiment to perform and its sampling parameters.  Results land in two
 files, a JSON report with a fixed key set and a CSV table with one row
-per sample, written with LF line endings and full round-trip float
-precision so that fixed seeds reproduce byte-identical output.
+per sample, written with LF line endings so that fixed seeds reproduce
+byte-identical output.  Every table cell is a plain Python int, float or
+str and is written as its ``str``: the shortest round-trip ``repr`` for
+floats.  No column name or cell contains a comma, quote or newline, so
+no cell is quoted.
 
 Exit codes: 0 success, 1 usage or validation error, 2 when an
 experiment threshold is violated.
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -49,6 +51,7 @@ from .families import (
     PairCurve,
     ProductNullCurves,
     RadialProfile,
+    SELF_ADJOINT_TOL,
     SphereCurve,
     build_family,
     check_self_adjoint,
@@ -78,6 +81,9 @@ CURVATURE_GATE = 1e-5
 SLACK_GATE = -1e-9
 IDENTITY_GATE = 1e-10
 VOLUME_SLACK_GATE = -1e-6
+# Upper bound on samples: 10^7 frames already take gigabytes, and far larger
+# counts make numpy refuse the allocation with a bare ValueError.
+MAX_SAMPLES = 10 ** 7
 
 
 class ConfigError(ValueError):
@@ -100,7 +106,11 @@ class RunConfig:
 
 @dataclass
 class ExperimentReport:
-    """Fixed-schema result record; inapplicable scalars stay None."""
+    """Fixed-schema result record; inapplicable scalars stay None.
+
+    ``rows`` holds one sequence per sample whose cells are plain Python
+    ``int``, ``float`` or ``str`` values, never numpy scalars.
+    """
 
     config: dict
     seed: int
@@ -280,12 +290,21 @@ def _parse_plane(obj, where: str) -> np.ndarray:
 
 def _chart_fields(obj: dict, sig: Signature, where: str) -> dict:
     """The optional quadric-chart keys of a family spec, as spec keyword arguments."""
+    half_width = _real(obj.get("chart_half_width", 0.35), where + ".chart_half_width")
+    if half_width <= 0.0:
+        raise ConfigError(where + ".chart_half_width", "must be positive")
     return {
         "chart_center": (_real_array(obj["chart_center"], (sig.n,), where + ".chart_center")
                          if "chart_center" in obj else None),
-        "chart_half_width": _real(obj.get("chart_half_width", 0.35),
-                                  where + ".chart_half_width"),
+        "chart_half_width": half_width,
     }
+
+
+def _epsilon(obj: dict, where: str) -> int:
+    epsilon = _integer(obj.get("epsilon", 1), where + ".epsilon")
+    if epsilon not in (-1, 1):
+        raise ConfigError(where + ".epsilon", "must be +1 or -1")
+    return epsilon
 
 
 def parse_family(obj, sig: Signature) -> object:
@@ -299,23 +318,26 @@ def parse_family(obj, sig: Signature) -> object:
     if kind == "equivariant":
         _check_keys(obj, {"kind", "epsilon", "gamma", "chart_center", "chart_half_width"}, where)
         return Equivariant(
-            sig=sig, epsilon=_integer(obj.get("epsilon", 1), where + ".epsilon"),
+            sig=sig, epsilon=_epsilon(obj, where),
             gamma=_parse_curve(_require(obj, "gamma", where), where + ".gamma"),
             **_chart_fields(obj, sig, where))
     if kind == "catenoid":
         _check_keys(obj, {"kind", "epsilon", "c", "sector", "chart_center",
                           "chart_half_width"}, where)
-        return Catenoid(
-            sig=sig, epsilon=_integer(obj.get("epsilon", 1), where + ".epsilon"),
-            c=_real(_require(obj, "c", where), where + ".c"),
-            sector=_integer(obj.get("sector", 0), where + ".sector"),
-            **_chart_fields(obj, sig, where))
+        c = _real(_require(obj, "c", where), where + ".c")
+        if c == 0.0:
+            raise ConfigError(where + ".c", "must be nonzero")
+        sector = _integer(obj.get("sector", 0), where + ".sector")
+        if not 0 <= sector < 2 * sig.n:
+            raise ConfigError(where + ".sector", f"must lie in [0, {2 * sig.n})")
+        return Catenoid(sig=sig, epsilon=_epsilon(obj, where), c=c, sector=sector,
+                        **_chart_fields(obj, sig, where))
     if kind == "evolving-quadric":
         _check_keys(obj, {"kind", "matrix", "c", "r", "s_interval", "chart_center",
                           "chart_half_width"}, where)
         matrix = _real_array(_require(obj, "matrix", where), (sig.n, sig.n), where + ".matrix")
         residual = check_self_adjoint(matrix, sig)
-        if residual > 1e-10:
+        if residual > SELF_ADJOINT_TOL:
             raise ConfigError(where + ".matrix",
                               f"matrix is not self-adjoint: residual {residual:.3e}")
         return EvolvingQuadric(
@@ -359,9 +381,11 @@ def validate_config(raw: dict) -> RunConfig:
     if not isinstance(sig_obj, dict):
         raise ConfigError("signature", "required object with integer keys p and n")
     _check_keys(sig_obj, {"p", "n"}, "signature")
+    p, n = (_integer(_require(sig_obj, key, "signature"), f"signature.{key}")
+            for key in ("p", "n"))
     try:
-        sig = Signature(int(sig_obj["p"]), int(sig_obj["n"]))
-    except (KeyError, GeometryError) as exc:
+        sig = Signature(p, n)
+    except GeometryError as exc:
         raise ConfigError("signature", str(exc))
 
     experiment = raw.get("experiment")
@@ -370,8 +394,8 @@ def validate_config(raw: dict) -> RunConfig:
 
     # JSON true and false decode to bool, a subclass of int: compare exact types.
     samples = raw.get("samples", 20 if experiment == "volume-compare" else 1000)
-    if type(samples) is not int or samples < 1:
-        raise ConfigError("samples", "must be an integer >= 1")
+    if type(samples) is not int or not 1 <= samples <= MAX_SAMPLES:
+        raise ConfigError("samples", f"must be an integer in [1, {MAX_SAMPLES}]")
     if experiment == "volume-compare" and samples > 64:
         raise ConfigError("samples", "volume-compare runs at most 64 perturbations")
 
@@ -384,7 +408,7 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError("tol", "must be a positive finite number")
 
     grid = raw.get("grid", [])
-    if not isinstance(grid, list) or not all(isinstance(g, int) and g >= 1 for g in grid):
+    if not isinstance(grid, list) or not all(type(g) is int and g >= 1 for g in grid):
         raise ConfigError("grid", "must be a list of integers >= 1")
 
     family = raw.get("family")
@@ -436,7 +460,8 @@ def _run_verify(cfg: RunConfig) -> ExperimentReport:
         pos, neg, null = metric_signature(induced_metric(patch, u))
         if neg != p or null != 0:
             bad_signature += 1
-        rows.append([k, *u, defects[k], betas[k], dvol_at(patch, u), neg, null])
+        rows.append([k, *u.tolist(), float(defects[k]), float(betas[k]), dvol_at(patch, u),
+                     neg, null])
     report = minimality_residual(patch, min(cfg.samples, 300),
                                  np.random.default_rng(cfg.seed + 1))
     passed = (float(np.max(defects)) <= cfg.tol) and bad_signature == 0
@@ -465,7 +490,7 @@ def _run_angle(cfg: RunConfig) -> ExperimentReport:
             beta = lagrangian_angle_at(patch, u)
             law = float(np.angle(complex(gamma.d1(u[-1])) * complex(gamma.val(u[-1])) ** (n - 1)))
             offsets[k] = wrap_angle(beta - law)
-            rows.append([k, *u, beta, law, offsets[k]])
+            rows.append([k, *u.tolist(), beta, law, float(offsets[k])])
         residual = float(np.max(np.abs(offsets)))
         gate = max(cfg.tol, ANGLE_GATE_EQUIVARIANT)
     elif isinstance(spec, EvolvingQuadric):
@@ -474,7 +499,7 @@ def _run_angle(cfg: RunConfig) -> ExperimentReport:
             beta = lagrangian_angle_at(patch, u)
             law = evolving_quadric_angle(spec, u[-1], chart.value(u[:-1]))
             offsets[k] = wrap_angle(beta - law)
-            rows.append([k, *u, beta, law, offsets[k]])
+            rows.append([k, *u.tolist(), beta, law, float(offsets[k])])
         residual = circ_spread(offsets)
         gate = max(cfg.tol, ANGLE_GATE_QUADRIC)
     else:
@@ -499,7 +524,7 @@ def _run_curvature(cfg: RunConfig) -> ExperimentReport:
     for k, u in enumerate(pts):
         sample = curvature_sample(patch, u)
         worst = max(worst, sample.discrepancy)
-        rows.append([k, *u, float(np.linalg.norm(sample.H_angle)),
+        rows.append([k, *u.tolist(), float(np.linalg.norm(sample.H_angle)),
                      float(np.linalg.norm(sample.H_sff)), sample.discrepancy])
     return ExperimentReport(
         config=_config_echo(cfg), seed=cfg.seed, version=__version__,
@@ -539,8 +564,9 @@ def _run_volume_compare(cfg: RunConfig) -> ExperimentReport:
     rows = []
     volumes = [report.base_volume]
     for r in report.results:
-        rows.append([r.index, r.spec.amplitude, r.spec.radius, *r.spec.center,
-                     r.spec.steps, r.spec.step_size, r.status,
+        rows.append([r.index, float(r.spec.amplitude), float(r.spec.radius),
+                     *map(float, r.spec.center), int(r.spec.steps),
+                     float(r.spec.step_size), r.status,
                      r.volume if r.volume is not None else "",
                      r.defect_max if r.defect_max is not None else "",
                      r.degenerate_points])
@@ -608,23 +634,16 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     return _RUNNERS[cfg.experiment](cfg)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (np.integer,)):
-        return str(int(value))
-    return str(value)
-
-
 def emit_report(report: ExperimentReport, out_dir: str) -> tuple[str, str]:
     """Write report.json and samples.csv; returns the two paths."""
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "samples.csv")
+    # Cells are plain ints, floats and strs (see ExperimentReport), so "%s"
+    # gives the shortest round-trip repr of each float; lines are streamed.
+    line = ",".join(["%s"] * len(report.columns)) + "\n"
     with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(report.columns)
-        for row in report.rows:
-            writer.writerow([_fmt(v) for v in row])
+        handle.write(",".join(report.columns) + "\n")
+        handle.writelines(line % tuple(row) for row in report.rows)
 
     payload = {
         "config": report.config,

@@ -1,14 +1,26 @@
 """Command line front end: config validation, reports, exit codes."""
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lagcal.cli import ConfigError, emit_report, main, parse_config, run_experiment
+from lagcal.cli import (
+    MAX_SAMPLES,
+    ConfigError,
+    emit_report,
+    main,
+    parse_config,
+    run_experiment,
+)
 
 CATENOID_CONFIG = {
     "signature": {"p": 0, "n": 2},
@@ -235,10 +247,29 @@ def test_cli_names_malformed_family_fields(tmp_path, capsys, signature, family, 
     assert capsys.readouterr().err.startswith(f"error: {fieldname}: ")
 
 
-# sha256 of report.json and samples.csv, recorded at (p, n) = (1, 3) and seed
-# 11: the catenoid experiments at 20 samples, calibrate at 200 samples.  The digests pin the output bits on one numpy / BLAS
-# build: a change that moves one must state the size of the numerical drift,
-# and another build may round differently and fail here with lagcal unchanged.
+# Small configs of every experiment.  The catenoid experiments run at
+# (p, n) = (1, 3) with 20 samples, calibrate with 200 samples, plane-props at
+# (1, 2) and volume-compare on the README catenoid at (0, 2) with two
+# competitors on a 24 x 24 grid; all at seed 11.
+def small_config(experiment):
+    config = {"signature": {"p": 1, "n": 3}, "experiment": experiment, "seed": 11,
+              "samples": 20}
+    if experiment == "calibrate":
+        config["samples"] = 200
+    elif experiment == "plane-props":
+        config["signature"] = {"p": 1, "n": 2}
+    elif experiment == "volume-compare":
+        config.update(signature={"p": 0, "n": 2}, samples=2, grid=[24],
+                      family=CATENOID_CONFIG["family"])
+    else:
+        config["family"] = CATENOID_CONFIG["family"]
+    return config
+
+
+# sha256 of report.json and samples.csv for the small configs.  The digests
+# pin the output bits on one numpy / BLAS build: a change that moves one must
+# state the size of the numerical drift, and another build may round
+# differently and fail here with lagcal unchanged.
 OUTPUT_DIGESTS = {
     "verify": ("9ea0352f055120df5fcc99f83736b51a63680567545acb7f7fc23edb8bd2241b",
                "5af677bb50d097a4dee294d5041048916fb7ba72f75b4fec8042f41163131526"),
@@ -248,20 +279,146 @@ OUTPUT_DIGESTS = {
                   "fb1b890595d524517624c45cc39a2cfd7cb0947164b188518626a0281a8319ba"),
     "calibrate": ("e93759f7cbb1453d77bf4a22217199024c7426b9742cf603b904159b6ac53e1c",
                   "c704f522f12ea3b040c803a8ae7b3d22613465c5df8e12c723c4a01f897fb5f1"),
+    "plane-props": ("af0e81604e0eaf8dc7cf587a8e25f178b2e0308a5ca40dc254c94ba1996cdbaa",
+                    "52d3dd2ad3f31bd432236e004c5b352284609e42431c51c9e3def7a34303f2ea"),
+    "volume-compare": ("111c20f232eda50d546bac8aeb63d77f82bb2900e5b19670d94a5287a6f73c31",
+                       "772daeb9f15b64c8374d42f79b5515ca9f352fda993dcce8210e8f7f01d99036"),
 }
 
 
 @pytest.mark.parametrize("experiment", sorted(OUTPUT_DIGESTS))
 def test_output_digests(tmp_path, experiment):
-    config = {"signature": {"p": 1, "n": 3}, "experiment": experiment, "seed": 11}
-    if experiment == "calibrate":
-        config["samples"] = 200
-    else:
-        config.update(samples=20,
-                      family={"kind": "catenoid", "c": 1, "epsilon": 1, "sector": 0})
-    path = write_config(tmp_path, config)
+    path = write_config(tmp_path, small_config(experiment))
     out = tmp_path / experiment
     assert main([experiment, "--config", str(path), "--out", str(out)]) == 0
     digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                     for name in ("report.json", "samples.csv"))
     assert digests == OUTPUT_DIGESTS[experiment]
+
+
+EVOLVING_QUADRIC_ANGLE = {
+    "signature": {"p": 1, "n": 2}, "experiment": "angle", "samples": 10,
+    "family": {"kind": "evolving-quadric", "matrix": [[0, -1], [1, 0]], "c": 2,
+               "r": {"form": "constant"}, "s_interval": [-0.3, 0.3],
+               "chart_center": [2.0, 0.5], "chart_half_width": 0.4},
+}
+TABLE_CONFIGS = {**{e: small_config(e) for e in OUTPUT_DIGESTS},
+                 "angle-evolving-quadric": EVOLVING_QUADRIC_ANGLE}
+
+
+@pytest.fixture(scope="module", params=sorted(TABLE_CONFIGS))
+def table_report(request):
+    return run_experiment(parse_config(json.dumps(TABLE_CONFIGS[request.param])))
+
+
+def test_table_cells_are_plain_python_scalars(table_report):
+    # emit_report writes str(cell): a numpy scalar would print differently
+    assert len(table_report.rows) > 0
+    for row in table_report.rows:
+        assert len(row) == len(table_report.columns)
+        assert {type(v) for v in row} <= {int, float, str}, row
+
+
+def test_samples_csv_round_trips(tmp_path, table_report):
+    emit_report(table_report, str(tmp_path))
+    with open(tmp_path / "samples.csv", newline="") as handle:
+        header, *cells = csv.reader(handle)
+    assert header == table_report.columns
+    assert len(cells) == len(table_report.rows)
+    for written, row in zip(cells, table_report.rows):
+        assert written == [str(v) for v in row]
+        for text, value in zip(written, row):
+            if type(value) is float:
+                assert float(text) == value
+
+
+def test_cli_uses_the_library_self_adjoint_tolerance(monkeypatch):
+    doc = {"signature": {"p": 0, "n": 2}, "experiment": "verify",
+           "family": {"kind": "evolving-quadric", "matrix": [[1, 1e-9], [0, -1]], "c": 1}}
+    with pytest.raises(ConfigError, match="family.matrix"):
+        parse_config(json.dumps(doc))
+    monkeypatch.setattr("lagcal.cli.SELF_ADJOINT_TOL", 1e-8)
+    parse_config(json.dumps(doc))
+
+
+# Fuzzing of the config path: mutations of a valid catenoid document.  Every
+# mutated document is invalid on its own field, so parse_config and main must
+# reject it with that field (or an enclosing one) named, never a traceback.
+FUZZ_DOCUMENT = {
+    "signature": {"p": 0, "n": 2},
+    "family": {"kind": "catenoid", "c": 1, "epsilon": 1, "sector": 0,
+               "chart_half_width": 0.3},
+    "experiment": "verify", "samples": 3, "seed": 5, "tol": 1e-9, "grid": [8],
+}
+DROP = object()
+WRONG_TYPES = st.sampled_from([True, False, "1", "x", [1], [], {}, None,
+                               math.nan, math.inf, -math.inf])
+NON_INTEGRAL = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda x: not x.is_integer())
+# Values outside each field's range while the rest of the document is valid:
+# p = n = 2 or a sector of the wrong sign would be rejected by the family
+# generator, not by a field check, so they are not drawn.
+OUT_OF_RANGE = {
+    "signature.p": st.integers(max_value=-1) | st.integers(min_value=3) | NON_INTEGRAL,
+    "signature.n": st.integers(max_value=0) | NON_INTEGRAL,
+    "family.c": st.sampled_from([0, 0.0, -0.0]),
+    "family.epsilon": st.integers().filter(lambda e: e not in (-1, 1)) | NON_INTEGRAL,
+    "family.sector": st.integers(max_value=-1) | st.integers(min_value=4) | NON_INTEGRAL,
+    "family.chart_half_width": st.floats(max_value=0.0, allow_infinity=False),
+    "samples": (st.integers(max_value=0) | st.integers(min_value=MAX_SAMPLES + 1)
+                | NON_INTEGRAL),
+    "seed": st.integers(max_value=-1) | st.integers(min_value=2 ** 64) | NON_INTEGRAL,
+    "tol": st.floats(max_value=0.0, allow_infinity=False),
+    "grid": st.lists(st.integers(max_value=0) | NON_INTEGRAL | WRONG_TYPES, min_size=1),
+}
+REQUIRED = ["signature", "signature.p", "signature.n", "family", "family.kind", "family.c"]
+MUTATION = st.one_of(
+    st.tuples(st.sampled_from(REQUIRED), st.just(DROP)),
+    st.tuples(st.sampled_from(sorted(OUT_OF_RANGE) + ["family.kind"]),
+              WRONG_TYPES).filter(lambda m: m not in (("grid", []), ("grid", [1]))),
+    *(st.tuples(st.just(path), values) for path, values in OUT_OF_RANGE.items()),
+)
+
+
+def mutate(doc, mutations):
+    """Apply (dotted path, value) mutations; returns the document and the paths hit."""
+    doc = json.loads(json.dumps(doc))
+    applied = []
+    for path, value in mutations:
+        *parents, key = path.split(".")
+        node = doc
+        for name in parents:
+            node = node.get(name) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            continue  # an enclosing field was already replaced or dropped
+        if value is DROP:
+            node.pop(key, None)
+        else:
+            node[key] = value
+        applied.append(path)
+    return doc, applied
+
+
+def names_mutated_field(fieldname, applied):
+    return any(path == fieldname or path.startswith(fieldname + ".") for path in applied)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutations=st.lists(MUTATION, min_size=1, max_size=3))
+def test_fuzzed_configs_name_the_bad_field(tmp_path_factory, mutations):
+    doc, applied = mutate(FUZZ_DOCUMENT, mutations)
+    text = json.dumps(doc)
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert names_mutated_field(info.value.fieldname, applied), (info.value, applied)
+
+    directory = tmp_path_factory.mktemp("fuzz")
+    path = directory / "run.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["verify", "--config", str(path), "--out", str(directory / "o")])
+    assert code == 1
+    message = err.getvalue()
+    assert message.startswith("error: ") and message.count("\n") == 1, message
+    assert names_mutated_field(message[len("error: "):].split(": ")[0], applied), message
