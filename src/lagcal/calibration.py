@@ -37,16 +37,17 @@ from .core import (
     GeometryError,
     Signature,
     circ_spread,
-    herm_gram,
+    frame_quantities,
     hol_volume,
     pseudo_unitary_sample,
 )
 from .immersion import (
-    DEGENERACY_TOL,
     ImmersionPatch,
+    _central_frames,
     fd_dvol_on_nodes,
     interior_samples,
     lagrangian_angle_at,
+    lagrangian_defect,
     midpoint_grid,
 )
 
@@ -104,33 +105,6 @@ def random_lagrangian_frame(sig: Signature, seed) -> np.ndarray:
     return random_lagrangian_frames(sig, 1, rng)[0]
 
 
-def frame_quantities(frames, sig: Signature) -> dict:
-    """Vectorized per-frame data: defect, angle, volume element, |det M|.
-
-    M is the coefficient matrix [<<X_j, e_k>>_p] = frame * eps; its
-    absolute complex determinant equals dvol exactly on Lagrangian
-    frames, which is the identity under test.
-    """
-    frames = np.asarray(frames, dtype=complex)
-    gram = herm_gram(frames, sig)
-    norms = np.linalg.norm(frames, axis=-1)
-    pairs = np.abs(gram.imag) / (norms[..., :, None] * norms[..., None, :])
-    iu = np.triu_indices(sig.n, k=1)
-    defect = (pairs[..., iu[0], iu[1]].max(axis=-1) if iu[0].size
-              else np.zeros(frames.shape[:-2]))
-    det = np.linalg.det(frames)
-    dvol = np.sqrt(np.abs(np.linalg.det(gram.real)))
-    absdet_m = np.abs(det)  # |det(frame @ diag(eps))| = |det frame| since |det diag(eps)| = 1
-    return {
-        "defect": defect,
-        "beta": np.angle(det),
-        "dvol": dvol,
-        "absdet_m": absdet_m,
-        "scale": np.prod(norms, axis=-1),
-        "omega_det": det,
-    }
-
-
 @dataclass(frozen=True)
 class CalibrationSample:
     frame: np.ndarray
@@ -141,23 +115,20 @@ class CalibrationSample:
     slack: float
 
 
-def _require_lagrangian(q):
+def _lagrangian_quantities(frame, sig: Signature) -> dict:
+    """dvol, beta and absdet_m of one frame; rejects non-Lagrangian and degenerate frames."""
+    q = frame_quantities(frame, sig)
     if q["defect"] > FRAME_DEFECT_TOL:
         raise NonLagrangianFrame(f"frame defect {q['defect']:.3e} above {FRAME_DEFECT_TOL:.1e}")
-    if q["dvol"] <= DEGENERACY_TOL * max(q["scale"], np.finfo(float).tiny):
+    if q["degenerate"]:
         raise DegenerateInput("frame is numerically degenerate")
-
-
-def _scalar_quantities(frame, sig: Signature) -> dict:
-    q = frame_quantities(frame, sig)
-    return {k: (v if k == "omega_det" else float(v)) for k, v in q.items()}
+    return {key: float(q[key]) for key in ("dvol", "beta", "absdet_m")}
 
 
 def calib_check(frame, beta0: float, sig: Signature) -> CalibrationSample:
     """Evaluate the calibration inequality data on one Lagrangian frame."""
     frame = np.asarray(frame, dtype=complex)
-    q = _scalar_quantities(frame, sig)
-    _require_lagrangian(q)
+    q = _lagrangian_quantities(frame, sig)
     th = theta0(frame, beta0, sig)
     return CalibrationSample(
         frame=frame, beta0=float(beta0), theta0=th, dvol=q["dvol"],
@@ -167,8 +138,7 @@ def calib_check(frame, beta0: float, sig: Signature) -> CalibrationSample:
 def det_identity_check(frame, sig: Signature) -> float:
     """Relative residual of dvol = |det_C M| on a Lagrangian frame."""
     frame = np.asarray(frame, dtype=complex)
-    q = _scalar_quantities(frame, sig)
-    _require_lagrangian(q)
+    q = _lagrangian_quantities(frame, sig)
     return abs(q["dvol"] - q["absdet_m"]) / q["dvol"]
 
 
@@ -262,15 +232,11 @@ class _PolarFlow:
 
         flat = self.nodes.reshape(-1, 2)
         self.base = np.asarray(patch.f(flat)).reshape(g_rho, g_theta, 2)
-        # base frame rows x_k = df/du_k, one (g_rho, g_theta, 2) array each
-        h = patch.steps(1)
-        rows = []
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h[k]
-            rows.append(((np.asarray(patch.f(flat + e)) - np.asarray(patch.f(flat - e)))
-                         / (2.0 * h[k])).reshape(g_rho, g_theta, 2))
-        self.base_x1, self.base_x2 = rows
+        # base frame rows x_k = df/du_k, one contiguous (g_rho, g_theta, 2)
+        # array each: _field reads them on every evaluation
+        frames = _central_frames(patch, flat, patch.steps(1)).reshape(g_rho, g_theta, 2, 2)
+        self.base_x1 = np.ascontiguousarray(frames[..., 0, :])
+        self.base_x2 = np.ascontiguousarray(frames[..., 1, :])
 
         t = self.rho / r
         slope = spec.amplitude * bump_profile_d1(t) / r            # (g_rho,)
@@ -453,8 +419,6 @@ class VolumeCompareReport:
 
 
 def _sampled_defect(patch: ImmersionPatch, count: int, rng: np.random.Generator) -> float:
-    from .immersion import lagrangian_defect
-
     pts = interior_samples(patch, count, rng, margin=0.05)
     return float(max(lagrangian_defect(patch, u) for u in pts))
 
@@ -467,6 +431,11 @@ def volume_compare(base: ImmersionPatch, specs, grid, sig: Signature | None = No
     threshold) mark the run "degenerate" rather than failing it; the
     report keeps per-run counts so callers can demand a quorum.
     """
+    raw_threads = os.environ.get("LAGCAL_THREADS", "1")
+    try:
+        threads = int(raw_threads)
+    except ValueError:
+        raise GeometryError(f"LAGCAL_THREADS: must be an integer, got {raw_threads!r}") from None
     nodes, cell = midpoint_grid(base, grid)
     base_dv, base_flags = fd_dvol_on_nodes(base, nodes)
     if np.any(base_flags):
@@ -499,7 +468,6 @@ def volume_compare(base: ImmersionPatch, specs, grid, sig: Signature | None = No
                                   degenerate_points=bad)
 
     jobs = list(enumerate(specs))
-    threads = int(os.environ.get("LAGCAL_THREADS", "1"))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_one, jobs))

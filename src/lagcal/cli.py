@@ -631,7 +631,16 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentReport:
-    return _RUNNERS[cfg.experiment](cfg)
+    """Run one validated config.  A family check that names the spec fields
+    it reads (``sig.n``, ``sector``, ...) becomes a ConfigError naming them."""
+    try:
+        return _RUNNERS[cfg.experiment](cfg)
+    except FamilySpecError as exc:
+        if not exc.fields:
+            raise
+        names = ["signature" + f[3:] if f.split(".")[0] == "sig" else "family." + f
+                 for f in exc.fields]
+        raise ConfigError(", ".join(names), str(exc)) from exc
 
 
 def emit_report(report: ExperimentReport, out_dir: str) -> tuple[str, str]:

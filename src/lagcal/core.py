@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 TOL = 1e-9
+DEGENERACY_TOL = 1e-9
 
 
 class GeometryError(ValueError):
@@ -110,21 +111,38 @@ def herm_gram(frame, sig: Signature) -> np.ndarray:
     return frame * sig.eps @ frame.conj().swapaxes(-1, -2)
 
 
-def frame_defect(frame, sig: Signature) -> float:
-    """Largest normalized symplectic pairing between frame vectors.
+def frame_quantities(frames, sig: Signature) -> dict:
+    """Per-frame defect, volume element, angle and |det M| of frames (..., n, n).
 
-    Zero characterizes a frame spanning a Lagrangian subspace; each
-    pairing is normalized by the Euclidean norms of the two vectors.
+    ``defect`` is the largest symplectic pairing between two frame vectors
+    over their Euclidean norms (zero on Lagrangian frames; a zero vector
+    pairs to 0).  ``dvol`` = sqrt|det Re gram| is ``degenerate`` when at
+    most DEGENERACY_TOL times ``scale``, the product of the vector norms.
+    ``omega_det`` = det frame has argument ``beta``.  |det M| of the
+    coefficient matrix M = frame * eps = [<<X_j, e_k>>_p] equals dvol
+    exactly on Lagrangian frames.
     """
-    frame = np.asarray(frame, dtype=complex)
-    omega = -herm_gram(frame, sig).imag
-    norms = np.linalg.norm(frame, axis=-1)
-    denom = np.outer(norms, norms)
+    frames = np.asarray(frames, dtype=complex)
+    gram = herm_gram(frames, sig)
+    norms = np.linalg.norm(frames, axis=-1)
+    denom = norms[..., :, None] * norms[..., None, :]
     denom[denom == 0.0] = 1.0
-    iu = np.triu_indices(frame.shape[0], k=1)
-    if iu[0].size == 0:
-        return 0.0
-    return float(np.max(np.abs(omega[iu] / denom[iu])))
+    pairs = np.abs(gram.imag) / denom
+    iu = np.triu_indices(sig.n, k=1)
+    defect = (pairs[..., iu[0], iu[1]].max(axis=-1) if iu[0].size
+              else np.zeros(frames.shape[:-2]))
+    det = np.linalg.det(frames)
+    dvol = np.sqrt(np.abs(np.linalg.det(gram.real)))
+    scale = np.prod(norms, axis=-1)
+    return {
+        "defect": defect,
+        "beta": np.angle(det),
+        "dvol": dvol,
+        "absdet_m": np.abs(det),  # |det(frame @ diag(eps))| = |det frame| since |det diag(eps)| = 1
+        "scale": scale,
+        "degenerate": dvol <= DEGENERACY_TOL * np.maximum(scale, np.finfo(float).tiny),
+        "omega_det": det,
+    }
 
 
 # --- angles -----------------------------------------------------------------

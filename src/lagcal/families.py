@@ -44,7 +44,14 @@ SECTOR_MARGIN = 0.05
 
 
 class FamilySpecError(GeometryError):
-    """A family specification violates its constraints."""
+    """A family specification violates its constraints.
+
+    ``fields`` names the spec attributes the failed check reads, e.g. ``("sector", "c")``.
+    """
+
+    def __init__(self, message: str, fields: tuple = ()):
+        super().__init__(message)
+        self.fields = fields
 
 
 # --- scalar curve and radial-profile specs ----------------------------------
@@ -317,7 +324,8 @@ class QuadricChart:
         if abs(a) > 1e-13:
             disc = b * b - a * cc
             if (disc <= 0.0).any():
-                raise FamilySpecError("quadric chart left its validity region (no real root)")
+                raise FamilySpecError("quadric chart left its validity region (no real root)",
+                                      ("chart_center", "chart_half_width"))
             x[..., m] = (-b + self.branch * np.sqrt(disc)) / a
         else:
             if (np.abs(b) < 1e-13).any():
@@ -510,15 +518,15 @@ def _equivariant_patch(sig: Signature, gamma: Curve, chart: QuadricChart,
 def make_equivariant(spec: Equivariant) -> ImmersionPatch:
     sig = spec.sig
     if spec.epsilon not in (-1, 1):
-        raise FamilySpecError("epsilon must be +1 or -1")
+        raise FamilySpecError("epsilon must be +1 or -1", ("epsilon",))
     if spec.epsilon == 1 and sig.p == sig.n:
-        raise FamilySpecError("the quadric <x,x>_p = 1 is empty for p = n")
+        raise FamilySpecError("the quadric <x,x>_p = 1 is empty for p = n", ("sig", "epsilon"))
     if spec.epsilon == -1 and sig.p == 0:
-        raise FamilySpecError("the quadric <x,x>_p = -1 is empty for p = 0")
+        raise FamilySpecError("the quadric <x,x>_p = -1 is empty for p = 0", ("sig.p", "epsilon"))
     lo, hi = spec.gamma.interval
     samples = np.asarray(spec.gamma.val(np.linspace(lo, hi, 64)))
     if np.min(np.abs(samples)) < 1e-12:
-        raise FamilySpecError("the profile curve must avoid the origin")
+        raise FamilySpecError("the profile curve must avoid the origin", ("gamma",))
     if spec.chart_center is not None:
         center = np.asarray(spec.chart_center, dtype=float)
     else:
@@ -538,17 +546,17 @@ def catenoid_curve(n: int, c: float, sector: int, margin: float = SECTOR_MARGIN)
     equivariant patch has constant Lagrangian angle.
     """
     if c == 0.0:
-        raise FamilySpecError("the catenoid constant c must be nonzero")
+        raise FamilySpecError("the catenoid constant c must be nonzero", ("c",))
     if not 0 <= sector < 2 * n:
-        raise FamilySpecError(f"sector must lie in [0, {2 * n})")
+        raise FamilySpecError(f"sector must lie in [0, {2 * n})", ("sector", "sig.n"))
     if (1 if sector % 2 == 0 else -1) != np.sign(c):
         raise FamilySpecError(
             f"sector {sector} carries sin(n phi) of sign {(-1) ** sector}; "
-            f"no branch exists there for c = {c}")
+            f"no branch exists there for c = {c}", ("sector", "c"))
     lo = sector * np.pi / n + margin
     hi = (sector + 1) * np.pi / n - margin
     if lo >= hi:
-        raise FamilySpecError("sector too narrow for the requested margin")
+        raise FamilySpecError("sector too narrow for the requested margin", ("sig.n",))
 
     def parts(phi):
         phi = np.asarray(phi, dtype=float)
@@ -594,7 +602,7 @@ def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
         raise FamilySpecError(
             f"matrix is not <.,.>_p self-adjoint (residual {residual:.3e})")
     if abs(np.linalg.det(M)) < 1e-12 * max(np.max(np.abs(M)) ** sig.n, 1e-300):
-        raise FamilySpecError("matrix must be invertible")
+        raise FamilySpecError("matrix must be invertible", ("matrix",))
     center = (np.asarray(spec.chart_center, dtype=float)
               if spec.chart_center is not None else find_quadric_point(M, spec.c, sig))
     chart = quadric_chart(M, spec.c, sig, center, spec.chart_half_width)
@@ -662,7 +670,7 @@ def make_product_null_curves(spec: ProductNullCurves) -> ImmersionPatch:
     plane = np.asarray(spec.plane, dtype=complex)
     props = plane_props(plane, sig)
     if not props.totally_null:
-        raise FamilySpecError("the carrier plane must be totally null")
+        raise FamilySpecError("the carrier plane must be totally null", ("plane",))
     b0, b1 = plane
 
     def embed(coeffs):
@@ -712,13 +720,15 @@ def make_hopf(spec: Hopf) -> ImmersionPatch:
     vals = np.asarray(gamma.val(ss))
     norms = np.linalg.norm(vals, axis=-1)
     if np.max(np.abs(norms - 1.0)) > 1e-9:
-        raise FamilySpecError("the profile curve must lie on the unit sphere |gamma| = 1")
+        raise FamilySpecError(
+            "the profile curve must lie on the unit sphere |gamma| = 1", ("gamma",))
     ders = np.asarray(gamma.d1(ss))
     pairing = np.sum((ders * np.conj(1j * vals)), axis=-1).real
     speed2 = np.sum(np.abs(ders) ** 2, axis=-1)
     det_g = speed2 - pairing ** 2
     if np.min(np.abs(det_g)) < 1e-10 * max(np.max(speed2), 1.0):
-        raise FamilySpecError("degenerate immersion: the curve follows the circle action")
+        raise FamilySpecError(
+            "degenerate immersion: the curve follows the circle action", ("gamma",))
 
     def f(u):
         u = np.asarray(u, dtype=float)

@@ -14,17 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    DegenerateInput,
+    DEGENERACY_TOL,
     DimensionMismatch,
     GeometryError,
     Signature,
+    frame_quantities,
     herm_gram,
     hol_volume,
 )
 
 FD_STEP = 1e-5
 FD_STEP2 = 1e-4
-DEGENERACY_TOL = 1e-9
 
 
 class BoundaryError(GeometryError):
@@ -89,16 +89,24 @@ def _check_point(patch: ImmersionPatch, u, margin: np.ndarray | float = 0.0) -> 
     return u
 
 
-def finite_difference_frame(patch: ImmersionPatch, u, step: float | None = None) -> np.ndarray:
-    """Central-difference tangent frame, usable as an oracle against analytic jets."""
-    h = patch.steps(1) if step is None else step * patch.widths
-    u = _check_point(patch, u, margin=h)
-    rows = []
+def _central_frames(patch: ImmersionPatch, u: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Central-difference frames (..., n, n) at points u (..., n), steps h per axis.
+
+    Stacked points need an evaluation map that broadcasts over them.
+    """
+    frames = np.empty(u.shape[:-1] + (patch.n, patch.n), dtype=complex)
     for j in range(patch.n):
         e = np.zeros(patch.n)
         e[j] = h[j]
-        rows.append((patch.f(u + e) - patch.f(u - e)) / (2.0 * h[j]))
-    return np.asarray(rows, dtype=complex)
+        frames[..., j, :] = (np.asarray(patch.f(u + e)) - np.asarray(patch.f(u - e))) \
+            / (2.0 * h[j])
+    return frames
+
+
+def finite_difference_frame(patch: ImmersionPatch, u, step: float | None = None) -> np.ndarray:
+    """Central-difference tangent frame, usable as an oracle against analytic jets."""
+    h = patch.steps(1) if step is None else step * patch.widths
+    return _central_frames(patch, _check_point(patch, u, margin=h), h)
 
 
 def tangent_frame(patch: ImmersionPatch, u) -> np.ndarray:
@@ -157,15 +165,7 @@ def metric_signature(g, tol: float | None = None) -> tuple[int, int, int]:
 
 def lagrangian_defect(patch: ImmersionPatch, u) -> float:
     """Largest normalized symplectic pairing among tangent vectors at u."""
-    frame = tangent_frame(patch, u)
-    omega = -herm_gram(frame, patch.sig).imag
-    norms = np.linalg.norm(frame, axis=1)
-    denom = np.outer(norms, norms)
-    denom[denom == 0.0] = 1.0
-    iu = np.triu_indices(patch.n, k=1)
-    if iu[0].size == 0:
-        return 0.0
-    return float(np.max(np.abs(omega[iu] / denom[iu])))
+    return float(frame_quantities(tangent_frame(patch, u), patch.sig)["defect"])
 
 
 def lagrangian_angle_at(patch: ImmersionPatch, u, tol: float = DEGENERACY_TOL) -> float:
@@ -180,8 +180,7 @@ def lagrangian_angle_at(patch: ImmersionPatch, u, tol: float = DEGENERACY_TOL) -
 
 def dvol(patch: ImmersionPatch, u) -> float:
     """Volume element sqrt(|det g|) at u."""
-    g = induced_metric(patch, u)
-    return float(np.sqrt(abs(np.linalg.det(g))))
+    return float(frame_quantities(tangent_frame(patch, u), patch.sig)["dvol"])
 
 
 def midpoint_grid(patch: ImmersionPatch, grid) -> tuple[np.ndarray, float]:
@@ -203,28 +202,19 @@ def midpoint_grid(patch: ImmersionPatch, grid) -> tuple[np.ndarray, float]:
 def fd_dvol_on_nodes(patch: ImmersionPatch, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference volume element at nodes (N, n), with degeneracy flags.
 
-    Needs an evaluation map that broadcasts over stacked points.  A node is
-    flagged when its volume element is at most DEGENERACY_TOL times the
-    product of its frame vector norms.
+    Needs an evaluation map that broadcasts over stacked points.  The flags
+    are frame_quantities' ``degenerate`` entries.
     """
-    h = patch.steps(1)
-    frames = np.empty((nodes.shape[0], patch.n, patch.n), dtype=complex)
-    for j in range(patch.n):
-        e = np.zeros(patch.n)
-        e[j] = h[j]
-        frames[:, j, :] = (np.asarray(patch.f(nodes + e)) - np.asarray(patch.f(nodes - e))) \
-            / (2.0 * h[j])
-    gram = (frames * patch.sig.eps) @ frames.conj().swapaxes(-1, -2)
-    dv = np.sqrt(np.abs(np.linalg.det(gram.real)))
-    scale = np.prod(np.linalg.norm(frames, axis=-1), axis=-1)
-    return dv, dv <= DEGENERACY_TOL * np.maximum(scale, np.finfo(float).tiny)
+    q = frame_quantities(_central_frames(patch, nodes, patch.steps(1)), patch.sig)
+    return q["dvol"], q["degenerate"]
 
 
 def dvol_on_nodes(patch: ImmersionPatch, nodes: np.ndarray) -> np.ndarray:
     """Volume element at many nodes, batched when the patch allows it."""
     if patch.vectorized and patch.d1 is None:
         return fd_dvol_on_nodes(patch, nodes)[0]
-    return np.array([dvol(patch, u) for u in nodes])
+    frames = np.stack([tangent_frame(patch, u) for u in nodes])
+    return frame_quantities(frames, patch.sig)["dvol"]
 
 
 def patch_volume(patch: ImmersionPatch, grid) -> float:

@@ -22,9 +22,15 @@ from lagcal.calibration import (
     theta0,
     volume_compare,
 )
-from lagcal.core import Signature, frame_defect, hol_volume, pseudo_unitary_sample
+from lagcal.core import Signature, hol_volume, pseudo_unitary_sample
 from lagcal.families import Catenoid, build_family
-from lagcal.immersion import interior_samples, lagrangian_defect, make_flat_patch
+from lagcal.immersion import (
+    ImmersionPatch,
+    dvol,
+    interior_samples,
+    lagrangian_defect,
+    make_flat_patch,
+)
 
 ALL_SIGS = [Signature(p, n) for n in (1, 2, 3, 4) for p in range(n + 1)]
 
@@ -105,7 +111,7 @@ def test_equality_condition_after_rotation():
     beta0 = 0.7
     for frame in random_lagrangian_frames(sig, 50, rng):
         rotated = rotate_frame_to_angle(frame, beta0, sig)
-        assert frame_defect(rotated, sig) < 1e-10
+        assert frame_quantities(rotated, sig)["defect"] < 1e-10
         sample = calib_check(rotated, beta0, sig)
         assert abs(sample.slack) / sample.dvol < 1e-10
         assert isinstance(sample, CalibrationSample)
@@ -131,6 +137,35 @@ def test_identity_fails_on_non_lagrangian_witness():
         calib_check(witness, 0.0, sig)
     with pytest.raises(NonLagrangianFrame):
         det_identity_check(witness, sig)
+
+
+def linear_patch(frame, sig):
+    """The patch u -> u @ frame, whose tangent frame is ``frame`` everywhere."""
+    return ImmersionPatch(sig=sig, domain=np.tile([0.0, 1.0], (sig.n, 1)),
+                          f=lambda u: np.asarray(u) @ frame, d1=lambda u: frame)
+
+
+@pytest.mark.parametrize("p, n", [(0, 2), (1, 2), (1, 3), (2, 4)])
+def test_batched_frame_quantities_match_pointwise_calls(p, n):
+    sig = Signature(p, n)
+    frames = random_lagrangian_frames(sig, 200, np.random.default_rng(5))
+    zero_row = frames[0].copy()
+    zero_row[-1] = 0.0
+    repeated_row = frames[1].copy()  # still Lagrangian, but rank-deficient
+    repeated_row[-1] = repeated_row[0]
+    frames = np.concatenate([frames, [zero_row, repeated_row]])
+    q = frame_quantities(frames, sig)
+    u = np.full(n, 0.5)
+    for k, frame in enumerate(frames):
+        patch = linear_patch(frame, sig)
+        assert q["defect"][k] == lagrangian_defect(patch, u)
+        assert q["dvol"][k] == dvol(patch, u)
+        assert q["degenerate"][k] == frame_quantities(frame, sig)["degenerate"]
+    assert np.isfinite(q["defect"][-2])
+    assert list(np.flatnonzero(q["degenerate"])) == [len(frames) - 2, len(frames) - 1]
+    assert q["defect"][-1] <= 1e-9  # the Lagrangian check passes, the degeneracy check trips
+    with pytest.raises(DegenerateInput):
+        calib_check(repeated_row, 0.0, sig)
 
 
 def test_degenerate_frame_rejected():

@@ -247,6 +247,39 @@ def test_cli_names_malformed_family_fields(tmp_path, capsys, signature, family, 
     assert capsys.readouterr().err.startswith(f"error: {fieldname}: ")
 
 
+@pytest.mark.parametrize("change, fieldname", [
+    pytest.param({"family": {"sector": 3}}, "family.sector, family.c",
+                 id="sector-sign-against-c"),
+    pytest.param({"signature": {"p": 2, "n": 2}}, "signature, family.epsilon",
+                 id="empty-quadric"),
+    pytest.param({"family": {"chart_half_width": 2}},
+                 "family.chart_center, family.chart_half_width", id="chart-leaves-quadric"),
+    pytest.param({"signature": {"n": 100}}, "signature.n", id="sector-too-narrow"),
+])
+def test_cli_names_fields_of_family_constraints(tmp_path, capsys, change, fieldname):
+    # each document passes validation; the family generator rejects it in run_experiment
+    doc = {**CATENOID_CONFIG, "samples": 2}
+    for key, values in change.items():
+        doc[key] = {**doc[key], **values}
+    parse_config(json.dumps(doc))
+    code = main(["verify", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fieldname}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("threads", ["abc", "", "1.5"])
+def test_cli_rejects_non_integer_thread_count(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("LAGCAL_THREADS", threads)
+    path = write_config(tmp_path, {**CATENOID_CONFIG, "samples": 1, "grid": [8]})
+    code = main(["volume-compare", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: LAGCAL_THREADS: must be an integer, got {threads!r}\n"
+
+
 # Small configs of every experiment.  The catenoid experiments run at
 # (p, n) = (1, 3) with 20 samples, calibrate with 200 samples, plane-props at
 # (1, 2) and volume-compare on the README catenoid at (0, 2) with two

@@ -15,7 +15,7 @@ from lagcal.core import (
     circ_dist,
     circ_mean,
     circ_spread,
-    frame_defect,
+    frame_quantities,
     herm_form,
     herm_gram,
     hol_volume,
@@ -150,7 +150,7 @@ def test_hol_volume_alternating_and_linear():
 def test_frame_defect_real_frame_is_zero():
     rng = np.random.default_rng(4)
     frame = rng.uniform(-1, 1, (3, 3)).astype(complex)
-    assert frame_defect(frame, Signature(1, 3)) < 1e-15
+    assert frame_quantities(frame, Signature(1, 3))["defect"] < 1e-15
 
 
 def test_wrap_angle_and_circ_dist():

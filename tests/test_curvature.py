@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    circle_equivariant_spec,
     expanding_quadric_spec,
     hyperbola_product_spec,
     line_equivariant_spec,
@@ -12,8 +13,10 @@ from conftest import (
 )
 from lagcal.core import Signature, metric
 from lagcal.curvature import (
+    BETA_STEP,
     MinimalityReport,
     NotLagrangianError,
+    angle_gradient,
     curvature_sample,
     mean_curvature_angle,
     mean_curvature_sff,
@@ -26,6 +29,7 @@ from lagcal.immersion import (
     ImmersionPatch,
     induced_metric,
     interior_samples,
+    lagrangian_angle_at,
     make_flat_patch,
     tangent_frame,
 )
@@ -63,6 +67,18 @@ def test_circle_curvature_frozen_value():
         expected = -np.exp(1j * s)
         assert np.allclose(mean_curvature_sff(patch, u), expected, atol=1e-12)
         assert np.allclose(mean_curvature_angle(patch, u), expected, atol=1e-8)
+
+
+def test_angle_gradient_across_the_branch_cut():
+    # beta = 2 s + pi/2 on the circle profile reaches pi at s = pi/4, so the
+    # 5-point stencil along s straddles the cut of the principal branch
+    patch = build_family(circle_equivariant_spec(n=2))
+    u = np.array([0.1, np.pi / 4.0])
+    h = BETA_STEP * patch.widths[1]
+    below = lagrangian_angle_at(patch, u - [0.0, h])
+    above = lagrangian_angle_at(patch, u + [0.0, h])
+    assert below > 3.0 and above < -3.0
+    assert np.allclose(angle_gradient(patch, u), [0.0, 2.0], atol=1e-8)
 
 
 def test_two_routes_agree_on_every_family(family_catalog):
