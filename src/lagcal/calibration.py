@@ -26,7 +26,7 @@ entries out in real arithmetic.
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft as sfft
@@ -333,10 +333,7 @@ def hamiltonian_perturb(patch: ImmersionPatch, spec: PerturbationSpec, sig: Sign
         raise DegenerateInput("signature does not match the patch")
     meta = dict(patch.meta, perturbation=spec)
     if spec.steps == 0 or spec.amplitude == 0.0:
-        return ImmersionPatch(sig=patch.sig, domain=patch.domain, f=patch.f,
-                              d1=patch.d1, d2=patch.d2, fd_step=patch.fd_step,
-                              fd_step2=patch.fd_step2, vectorized=patch.vectorized,
-                              meta=meta)
+        return replace(patch, meta=meta)
 
     flow = _PolarFlow(patch, spec, grid, ambient_bound)
     d = flow.run()
@@ -372,20 +369,15 @@ def hamiltonian_perturb(patch: ImmersionPatch, spec: PerturbationSpec, sig: Sign
         if not np.any(inside):
             return out
         theta = np.mod(np.arctan2(v[..., 1], v[..., 0]), 2.0 * np.pi)
-        rho_in = np.atleast_1d(rho[inside] if u.ndim > 1 else rho)
-        theta_in = np.atleast_1d(theta[inside] if u.ndim > 1 else theta)
+        # a 0-d mask indexes a single point as a stack of one
+        rho_in, theta_in = rho[inside], theta[inside]
         disp = np.empty(rho_in.shape + (2,), dtype=complex)
         for comp, (sre, sim) in enumerate(splines):
             disp[..., comp] = sre.ev(rho_in, theta_in) + 1j * sim.ev(rho_in, theta_in)
-        if u.ndim > 1:
-            out[inside] += disp
-        else:
-            out += disp[0]
+        out[inside] += disp
         return out
 
-    return ImmersionPatch(sig=patch.sig, domain=patch.domain, f=f, d1=None, d2=None,
-                          fd_step=patch.fd_step, fd_step2=patch.fd_step2,
-                          vectorized=patch.vectorized, meta=meta)
+    return replace(patch, f=f, d1=None, d2=None, meta=meta)
 
 
 # --- volume comparison -----------------------------------------------------------

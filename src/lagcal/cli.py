@@ -353,6 +353,8 @@ def parse_family(obj, sig: Signature) -> object:
             gamma2=_parse_pair_curve(_require(obj, "gamma2", where), where + ".gamma2"))
     if kind == "hopf":
         _check_keys(obj, {"kind", "gamma"}, where)
+        if (sig.p, sig.n) != (0, 2):
+            raise ConfigError("signature", "the hopf family lives in signature (0, 2)")
         return Hopf(gamma=_parse_sphere_curve(_require(obj, "gamma", where), where + ".gamma"))
     raise ConfigError(where + ".kind", f"unknown family kind '{kind}'")
 
@@ -410,6 +412,9 @@ def validate_config(raw: dict) -> RunConfig:
     grid = raw.get("grid", [])
     if not isinstance(grid, list) or not all(type(g) is int and g >= 1 for g in grid):
         raise ConfigError("grid", "must be a list of integers >= 1")
+    if len(grid) not in (0, 1, n):
+        raise ConfigError("grid", f"must give one cell count or one per axis ({n}), "
+                                  f"got {len(grid)}")
 
     family = raw.get("family")
     if experiment not in ("calibrate", "plane-props"):

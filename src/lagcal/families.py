@@ -230,9 +230,10 @@ def check_self_adjoint(M, sig: Signature) -> float:
     return float(np.max(np.abs(q - q.T)))
 
 
-def mat_exp_iMs(M, s: float) -> np.ndarray:
-    """exp(i s M) by scaling and squaring; valid for non-diagonalizable M."""
-    return matrix_exp(1j * float(s) * np.asarray(M, dtype=float))
+def mat_exp_iMs(M, s) -> np.ndarray:
+    """exp(i s M) by scaling and squaring, stacked over s; valid for non-diagonalizable M."""
+    s = np.asarray(s, dtype=float)
+    return matrix_exp(1j * s[..., None, None] * np.asarray(M, dtype=float))
 
 
 def quadric_rhs(M, sig: Signature, x) -> np.ndarray:
@@ -245,14 +246,16 @@ def quadric_rhs(M, sig: Signature, x) -> np.ndarray:
 def sample_quadric(M, c: float, sig: Signature, count: int, seed) -> np.ndarray:
     """Points on <x, M x>_p = c by sphere rejection with radial rescaling."""
     if c == 0.0:
-        raise FamilySpecError("sampling the cone c = 0 is unsupported; use explicit linear pieces")
+        raise FamilySpecError("sampling the cone c = 0 is unsupported; use explicit linear pieces",
+                              ("c",))
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     out = []
     attempts = 0
     while len(out) < count:
         attempts += 1
         if attempts > 200 * count + 1000:
-            raise FamilySpecError("quadric sampler failed: sign of the form never matches c")
+            raise FamilySpecError("quadric sampler failed: sign of the form never matches c",
+                                  ("sig", "matrix", "c"))
         y = rng.normal(size=sig.n)
         y /= np.linalg.norm(y)
         q = float(quadric_rhs(M, sig, y))
@@ -377,11 +380,12 @@ def quadric_chart(M, c: float, sig: Signature, center,
     residual = float(quadric_rhs(M, sig, center)) - c
     scale = max(abs(c), float(np.dot(center, center)), 1.0)
     if abs(residual) > 1e-9 * scale:
-        raise FamilySpecError(f"chart center misses the quadric by {residual:.3e}")
+        raise FamilySpecError(f"chart center misses the quadric by {residual:.3e}",
+                              ("chart_center",))
     grad = 2.0 * q @ center
     m = int(np.argmax(np.abs(grad)))
     if abs(grad[m]) < 1e-9 * max(np.linalg.norm(center), 1.0):
-        raise FamilySpecError("chart center has vanishing quadric gradient")
+        raise FamilySpecError("chart center has vanishing quadric gradient", ("chart_center",))
     free = np.array([j for j in range(sig.n) if j != m])
 
     a = q[m, m]
@@ -396,7 +400,8 @@ def quadric_chart(M, c: float, sig: Signature, center,
     # Orientation: det(tangent rows, position) > 0 at the center.
     det = np.linalg.det(np.vstack([chart.jacobian(chart.value(chart.center_coords)), center]))
     if abs(det) < 1e-12:
-        raise FamilySpecError("chart orientation is undefined (position tangent to quadric)")
+        raise FamilySpecError("chart orientation is undefined (position tangent to quadric)",
+                              ("chart_center",))
     if det < 0.0:
         flip = np.ones(sig.n - 1)
         flip[0] = -1.0
@@ -415,7 +420,8 @@ def find_quadric_point(M, c: float, sig: Signature) -> np.ndarray:
         mx = np.asarray(M, dtype=float) @ x
         if abs(float(np.sum(sig.eps * mx * mx))) > 0.1 * float(mx @ mx):
             return x
-    raise FamilySpecError("could not locate a non-degenerate quadric point")
+    raise FamilySpecError("could not locate a non-degenerate quadric point",
+                          ("sig", "matrix", "c"))
 
 
 # --- family specifications ----------------------------------------------------
@@ -489,30 +495,29 @@ def _equivariant_patch(sig: Signature, gamma: Curve, chart: QuadricChart,
         return g[..., None] * x
 
     def d1(u):
-        t, s = u[:n - 1], u[n - 1]
-        g, dg = complex(gamma.val(s)), complex(gamma.d1(s))
+        t, s = u[..., :n - 1], u[..., n - 1]
+        g, dg = np.asarray(gamma.val(s)), np.asarray(gamma.d1(s))
         x = chart.value(t)
-        rows = np.empty((n, n), dtype=complex)
-        rows[:n - 1] = g * chart.jacobian(x)
-        rows[n - 1] = dg * x
+        rows = np.empty(u.shape[:-1] + (n, n), dtype=complex)
+        rows[..., :n - 1, :] = g[..., None, None] * chart.jacobian(x)
+        rows[..., n - 1, :] = dg[..., None] * x
         return rows
 
     def d2(u):
-        t, s = u[:n - 1], u[n - 1]
-        g = complex(gamma.val(s))
-        dg = complex(gamma.d1(s))
-        ddg = complex(gamma.d2(s))
+        t, s = u[..., :n - 1], u[..., n - 1]
+        g = np.asarray(gamma.val(s))[..., None, None, None]
+        dg = np.asarray(gamma.d1(s))[..., None, None]
+        ddg = np.asarray(gamma.d2(s))[..., None]
         x = chart.value(t)
         jac = chart.jacobian(x)
-        out = np.empty((n, n, n), dtype=complex)
-        out[:n - 1, :n - 1] = g * chart.hessian(x, jac)
-        out[:n - 1, n - 1] = dg * jac
-        out[n - 1, :n - 1] = dg * jac
-        out[n - 1, n - 1] = ddg * x
+        out = np.empty(u.shape[:-1] + (n, n, n), dtype=complex)
+        out[..., :n - 1, :n - 1, :] = g * chart.hessian(x, jac)
+        out[..., :n - 1, n - 1, :] = dg * jac
+        out[..., n - 1, :n - 1, :] = dg * jac
+        out[..., n - 1, n - 1, :] = ddg * x
         return out
 
-    return ImmersionPatch(sig=sig, domain=domain, f=f, d1=d1, d2=d2, vectorized=True,
-                          meta=meta)
+    return ImmersionPatch(sig=sig, domain=domain, f=f, d1=d1, d2=d2, meta=meta)
 
 
 def make_equivariant(spec: Equivariant) -> ImmersionPatch:
@@ -614,38 +619,40 @@ def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
         u = np.asarray(u, dtype=float)
         t, s = u[..., :n - 1], u[..., n - 1]
         x = chart.value(t)
-        e = matrix_exp(1j * np.asarray(s)[..., None, None] * M)
-        rx = np.einsum("...jk,...k->...j", e, x.astype(complex))
+        rx = np.einsum("...jk,...k->...j", mat_exp_iMs(M, s), x.astype(complex))
         return np.asarray(r.val(s))[..., None] * rx
 
     def d1(u):
-        t, s = u[:n - 1], u[n - 1]
+        t, s = u[..., :n - 1], u[..., n - 1]
         x = chart.value(t)
         e = mat_exp_iMs(M, s)
-        rv, rd = float(r.val(s)), float(r.d1(s))
-        rows = np.empty((n, n), dtype=complex)
-        rows[:n - 1] = rv * (chart.jacobian(x) @ e.T)
-        rows[n - 1] = e @ (rd * x + 1j * rv * (M @ x))
+        rv, rd = (np.asarray(jet(s))[..., None] for jet in (r.val, r.d1))
+        rows = np.empty(u.shape[:-1] + (n, n), dtype=complex)
+        rows[..., :n - 1, :] = rv[..., None] * (chart.jacobian(x) @ np.swapaxes(e, -1, -2))
+        rows[..., n - 1, :] = (e @ (rd * x + 1j * rv * (x @ M.T))[..., None])[..., 0]
         return rows
 
     def d2(u):
-        t, s = u[:n - 1], u[n - 1]
+        t, s = u[..., :n - 1], u[..., n - 1]
         x = chart.value(t)
         jac = chart.jacobian(x)
         e = mat_exp_iMs(M, s)
-        rv, rd, rdd = float(r.val(s)), float(r.d1(s)), float(r.d2(s))
-        out = np.empty((n, n, n), dtype=complex)
-        out[:n - 1, :n - 1] = rv * (chart.hessian(x, jac) @ e.T)
-        mixed = (rd * jac + 1j * rv * (jac @ M.T)) @ e.T
-        out[:n - 1, n - 1] = mixed
-        out[n - 1, :n - 1] = mixed
-        out[n - 1, n - 1] = e @ (rdd * x + 2j * rd * (M @ x) - rv * (M @ (M @ x)))
+        e_t = np.swapaxes(e, -1, -2)
+        rv, rd, rdd = (np.asarray(jet(s))[..., None] for jet in (r.val, r.d1, r.d2))
+        mx = x @ M.T
+        last = rdd * x + 2j * rd * mx - rv * (mx @ M.T)
+        out = np.empty(u.shape[:-1] + (n, n, n), dtype=complex)
+        out[..., :n - 1, :n - 1, :] = rv[..., None, None] * (chart.hessian(x, jac)
+                                                            @ e_t[..., None, :, :])
+        mixed = (rd[..., None] * jac + 1j * rv[..., None] * (jac @ M.T)) @ e_t
+        out[..., :n - 1, n - 1, :] = mixed
+        out[..., n - 1, :n - 1, :] = mixed
+        out[..., n - 1, n - 1, :] = (e @ last[..., None])[..., 0]
         return out
 
     meta = {"family": "evolving-quadric", "matrix": M, "c": spec.c, "chart": chart,
             "r": r}
-    return ImmersionPatch(sig=sig, domain=domain, f=f, d1=d1, d2=d2, vectorized=True,
-                          meta=meta)
+    return ImmersionPatch(sig=sig, domain=domain, f=f, d1=d1, d2=d2, meta=meta)
 
 
 def evolving_quadric_angle(spec: EvolvingQuadric, s: float, x) -> float:
@@ -667,6 +674,8 @@ def evolving_quadric_angle(spec: EvolvingQuadric, s: float, x) -> float:
 
 def make_product_null_curves(spec: ProductNullCurves) -> ImmersionPatch:
     sig = spec.sig
+    if sig.n != 2:
+        raise FamilySpecError("products of null curves are surfaces: n must be 2", ("sig.n",))
     plane = np.asarray(spec.plane, dtype=complex)
     props = plane_props(plane, sig)
     if not props.totally_null:
@@ -682,12 +691,13 @@ def make_product_null_curves(spec: ProductNullCurves) -> ImmersionPatch:
         return embed(spec.gamma1.val(u[..., 0])) + 1j * embed(spec.gamma2.val(u[..., 1]))
 
     def d1(u):
-        return np.stack([embed(spec.gamma1.d1(u[0])), 1j * embed(spec.gamma2.d1(u[1]))])
+        return np.stack([embed(spec.gamma1.d1(u[..., 0])),
+                         1j * embed(spec.gamma2.d1(u[..., 1]))], axis=-2)
 
     def d2(u):
-        out = np.zeros((2, 2, 2), dtype=complex)
-        out[0, 0] = embed(spec.gamma1.d2(u[0]))
-        out[1, 1] = 1j * embed(spec.gamma2.d2(u[1]))
+        out = np.zeros(u.shape[:-1] + (2, 2, 2), dtype=complex)
+        out[..., 0, 0, :] = embed(spec.gamma1.d2(u[..., 0]))
+        out[..., 1, 1, :] = 1j * embed(spec.gamma2.d2(u[..., 1]))
         return out
 
     domain = np.array([list(spec.gamma1.interval), list(spec.gamma2.interval)])
@@ -707,8 +717,7 @@ def make_product_null_curves(spec: ProductNullCurves) -> ImmersionPatch:
     if meta["min_cross_pairing"] < 1e-8:
         meta["degenerate_pairing_warning"] = True
 
-    return ImmersionPatch(sig=sig, domain=domain, f=f, d1=d1, d2=d2, vectorized=True,
-                          meta=meta)
+    return ImmersionPatch(sig=sig, domain=domain, f=f, d1=d1, d2=d2, meta=meta)
 
 
 def make_hopf(spec: Hopf) -> ImmersionPatch:
@@ -736,26 +745,25 @@ def make_hopf(spec: Hopf) -> ImmersionPatch:
         return np.asarray(gamma.val(s)) * np.exp(1j * t)[..., None]
 
     def d1(u):
-        s, t = u
-        phase = np.exp(1j * t)
+        s, t = u[..., 0], u[..., 1]
+        phase = np.exp(1j * t)[..., None]
         return np.stack([np.asarray(gamma.d1(s)) * phase,
-                         1j * np.asarray(gamma.val(s)) * phase])
+                         1j * np.asarray(gamma.val(s)) * phase], axis=-2)
 
     def d2(u):
-        s, t = u
-        phase = np.exp(1j * t)
-        out = np.empty((2, 2, 2), dtype=complex)
-        out[0, 0] = np.asarray(gamma.d2(s)) * phase
-        out[0, 1] = out[1, 0] = 1j * np.asarray(gamma.d1(s)) * phase
-        out[1, 1] = -np.asarray(gamma.val(s)) * phase
+        s, t = u[..., 0], u[..., 1]
+        phase = np.exp(1j * t)[..., None]
+        out = np.empty(u.shape[:-1] + (2, 2, 2), dtype=complex)
+        out[..., 0, 0, :] = np.asarray(gamma.d2(s)) * phase
+        out[..., 0, 1, :] = out[..., 1, 0, :] = 1j * np.asarray(gamma.d1(s)) * phase
+        out[..., 1, 1, :] = -np.asarray(gamma.val(s)) * phase
         return out
 
     domain = np.array([[lo, hi], [0.0, 2.0 * np.pi]])
     meta = {"family": "hopf", "min_circle_pairing": float(np.min(np.abs(pairing)))}
     if meta["min_circle_pairing"] < 1e-8:
         meta["tangential_circle_pairing_warning"] = True
-    return ImmersionPatch(sig=sig, domain=domain, f=f, d1=d1, d2=d2, vectorized=True,
-                          meta=meta)
+    return ImmersionPatch(sig=sig, domain=domain, f=f, d1=d1, d2=d2, meta=meta)
 
 
 def build_family(spec) -> ImmersionPatch:

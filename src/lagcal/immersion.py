@@ -39,11 +39,11 @@ class DegenerateFrame(GeometryError):
 class ImmersionPatch:
     """Immutable parametric patch with derivative access.
 
-    f maps a parameter point (shape (n,)) to a point of C^n; when
-    ``vectorized`` is set it must also broadcast over stacked inputs of
-    shape (..., n).  d1(u) returns the (n, n) array of rows df/du_j and
-    d2(u) the (n, n, n) array of second partials; absent jets fall back
-    to central finite differences with relative steps fd_step / fd_step2.
+    f, d1 and d2 take parameter points of shape (..., n) and broadcast
+    over the leading axes: f returns points of C^n, shape (..., n), d1 the
+    rows df/du_j, shape (..., n, n), and d2 the second partials, shape
+    (..., n, n, n).  Absent jets fall back to central finite differences
+    with the fixed relative steps FD_STEP and FD_STEP2.
     """
 
     sig: Signature
@@ -51,9 +51,6 @@ class ImmersionPatch:
     f: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray] | None = None
     d2: Callable[[np.ndarray], np.ndarray] | None = None
-    fd_step: float = FD_STEP
-    fd_step2: float = FD_STEP2
-    vectorized: bool = False
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -74,26 +71,24 @@ class ImmersionPatch:
         return self.domain[:, 1] - self.domain[:, 0]
 
     def steps(self, order: int = 1) -> np.ndarray:
-        rel = self.fd_step if order == 1 else self.fd_step2
-        return rel * self.widths
+        return (FD_STEP if order == 1 else FD_STEP2) * self.widths
 
 
 def _check_point(patch: ImmersionPatch, u, margin: np.ndarray | float = 0.0) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if u.shape != (patch.n,):
-        raise DimensionMismatch(f"parameter point must have shape ({patch.n},), got {u.shape}")
+    if u.shape[-1:] != (patch.n,):
+        raise DimensionMismatch(
+            f"parameter points must have shape (..., {patch.n}), got {u.shape}")
     lo = patch.domain[:, 0] + margin
     hi = patch.domain[:, 1] - margin
     if (u < lo).any() or (u > hi).any():
-        raise BoundaryError(f"point {u} outside domain (margin {margin})")
+        outside = ((u < lo) | (u > hi)).any(axis=-1)
+        raise BoundaryError(f"point {u[outside][0]} outside domain (margin {margin})")
     return u
 
 
 def _central_frames(patch: ImmersionPatch, u: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Central-difference frames (..., n, n) at points u (..., n), steps h per axis.
-
-    Stacked points need an evaluation map that broadcasts over them.
-    """
+    """Central-difference frames (..., n, n) at points u (..., n), steps h per axis."""
     frames = np.empty(u.shape[:-1] + (patch.n, patch.n), dtype=complex)
     for j in range(patch.n):
         e = np.zeros(patch.n)
@@ -110,7 +105,7 @@ def finite_difference_frame(patch: ImmersionPatch, u, step: float | None = None)
 
 
 def tangent_frame(patch: ImmersionPatch, u) -> np.ndarray:
-    """Rows df/du_1, ..., df/du_n at u."""
+    """Rows df/du_1, ..., df/du_n at points u (..., n), shape (..., n, n)."""
     if patch.d1 is not None:
         u = _check_point(patch, u)
         return np.asarray(patch.d1(u), dtype=complex)
@@ -118,34 +113,36 @@ def tangent_frame(patch: ImmersionPatch, u) -> np.ndarray:
 
 
 def second_derivatives(patch: ImmersionPatch, u) -> np.ndarray:
-    """Symmetric array s[j, k] = d^2 f / du_j du_k at u."""
+    """Symmetric second partials d^2 f / du_j du_k at points u (..., n), shape (..., n, n, n).
+
+    Without an analytic d2, one call of f evaluates the whole stencil: the
+    centre, u +- h_j e_j, and u +- h_j e_j +- h_k e_k for each pair j < k.
+    """
     if patch.d2 is not None:
         u = _check_point(patch, u)
         return np.asarray(patch.d2(u), dtype=complex)
     h = patch.steps(2)
     u = _check_point(patch, u, margin=h)
     n = patch.n
-    out = np.empty((n, n, n), dtype=complex)
-    f0 = patch.f(u)
-    for j in range(n):
-        ej = np.zeros(n)
-        ej[j] = h[j]
-        out[j, j] = (patch.f(u + ej) - 2.0 * f0 + patch.f(u - ej)) / h[j] ** 2
-        for k in range(j + 1, n):
-            ek = np.zeros(n)
-            ek[k] = h[k]
-            mixed = (patch.f(u + ej + ek) - patch.f(u + ej - ek)
-                     - patch.f(u - ej + ek) + patch.f(u - ej - ek)) / (4.0 * h[j] * h[k])
-            out[j, k] = mixed
-            out[k, j] = mixed
+    e = np.diag(h)
+    jj, kk = np.triu_indices(n, 1)
+    corners = [a * e[jj] + b * e[kk] for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    vals = np.asarray(patch.f(u[..., None, :] + np.concatenate([np.zeros((1, n)), e, -e,
+                                                                *corners])))
+    f0, plus, minus = vals[..., :1, :], vals[..., 1:n + 1, :], vals[..., n + 1:2 * n + 1, :]
+    pp, pm, mp, mm = np.split(vals[..., 2 * n + 1:, :], 4, axis=-2)
+    out = np.empty(u.shape[:-1] + (n, n, n), dtype=complex)
+    out[..., range(n), range(n), :] = (plus - 2.0 * f0 + minus) / (h ** 2)[:, None]
+    out[..., jj, kk, :] = out[..., kk, jj, :] = \
+        (pp - pm - mp + mm) / (4.0 * h[jj] * h[kk])[:, None]
     return out
 
 
 def induced_metric(patch: ImmersionPatch, u) -> np.ndarray:
-    """Pullback metric Gram matrix g_jk = <X_j, X_k> of the tangent frame."""
+    """Pullback metric Gram matrix g_jk = <X_j, X_k> of the tangent frame at points u (..., n)."""
     frame = tangent_frame(patch, u)
     g = herm_gram(frame, patch.sig).real
-    return (g + g.T) / 2.0
+    return (g + np.swapaxes(g, -1, -2)) / 2.0
 
 
 def metric_signature(g, tol: float | None = None) -> tuple[int, int, int]:
@@ -202,19 +199,10 @@ def midpoint_grid(patch: ImmersionPatch, grid) -> tuple[np.ndarray, float]:
 def fd_dvol_on_nodes(patch: ImmersionPatch, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference volume element at nodes (N, n), with degeneracy flags.
 
-    Needs an evaluation map that broadcasts over stacked points.  The flags
-    are frame_quantities' ``degenerate`` entries.
+    The flags are frame_quantities' ``degenerate`` entries.
     """
     q = frame_quantities(_central_frames(patch, nodes, patch.steps(1)), patch.sig)
     return q["dvol"], q["degenerate"]
-
-
-def dvol_on_nodes(patch: ImmersionPatch, nodes: np.ndarray) -> np.ndarray:
-    """Volume element at many nodes, batched when the patch allows it."""
-    if patch.vectorized and patch.d1 is None:
-        return fd_dvol_on_nodes(patch, nodes)[0]
-    frames = np.stack([tangent_frame(patch, u) for u in nodes])
-    return frame_quantities(frames, patch.sig)["dvol"]
 
 
 def patch_volume(patch: ImmersionPatch, grid) -> float:
@@ -224,7 +212,8 @@ def patch_volume(patch: ImmersionPatch, grid) -> float:
     deterministic for a fixed grid.
     """
     nodes, cell = midpoint_grid(patch, grid)
-    return float(np.sum(dvol_on_nodes(patch, nodes)) * cell)
+    dv = frame_quantities(tangent_frame(patch, nodes), patch.sig)["dvol"]
+    return float(np.sum(dv) * cell)
 
 
 def reparametrize(patch: ImmersionPatch, matrix, offset, new_domain) -> ImmersionPatch:
@@ -245,7 +234,7 @@ def reparametrize(patch: ImmersionPatch, matrix, offset, new_domain) -> Immersio
     if patch.d2 is not None:
         def d2(v):  # noqa: F811
             s = np.asarray(patch.d2(v @ a.T + b))
-            return np.einsum("jk,ml,jmz->klz", a, a, s)
+            return np.einsum("jk,ml,...jmz->...klz", a, a, s)
 
     return ImmersionPatch(
         sig=patch.sig,
@@ -253,9 +242,6 @@ def reparametrize(patch: ImmersionPatch, matrix, offset, new_domain) -> Immersio
         f=f,
         d1=d1,
         d2=d2,
-        fd_step=patch.fd_step,
-        fd_step2=patch.fd_step2,
-        vectorized=patch.vectorized,
         meta=dict(patch.meta, reparametrized=True),
     )
 
@@ -284,8 +270,7 @@ def make_flat_patch(sig: Signature) -> ImmersionPatch:
         sig=sig,
         domain=np.tile([0.0, 1.0], (n, 1)),
         f=f,
-        d1=lambda u: eye.copy(),
-        d2=lambda u: np.zeros((n, n, n), dtype=complex),
-        vectorized=True,
+        d1=lambda u: np.broadcast_to(eye, np.shape(u)[:-1] + (n, n)).copy(),
+        d2=lambda u: np.zeros(np.shape(u)[:-1] + (n, n, n), dtype=complex),
         meta={"family": "flat"},
     )

@@ -149,7 +149,7 @@ def spiral_lorentzian_surface(psi: float = 0.6) -> ImmersionPatch:
         return out
 
     return ImmersionPatch(sig=Signature(1, 2), domain=[[-0.5, 0.5], [-0.6, 0.6]],
-                          f=f, d1=d1, d2=d2, vectorized=True,
+                          f=f, d1=d1, d2=d2,
                           meta={"family": "spiral-lorentzian"})
 
 

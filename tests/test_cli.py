@@ -203,6 +203,7 @@ def test_curvature_experiment_on_hopf():
     pytest.param("verify", {"seed": True}, [], "seed", id="seed-true"),
     pytest.param("verify", {}, ["--tol", "nan"], "tol", id="tol-flag-nan"),
     pytest.param("verify", {"tol": float("nan")}, [], "tol", id="tol-nan"),
+    pytest.param("volume-compare", {"grid": [16, 32, 8]}, [], "grid", id="grid-length-3"),
 ])
 def test_cli_rejects_malformed_values(tmp_path, capsys, experiment, doc, args, fieldname):
     # command line overrides and document values pass the same validation
@@ -255,6 +256,8 @@ def test_cli_names_malformed_family_fields(tmp_path, capsys, signature, family, 
     pytest.param({"family": {"chart_half_width": 2}},
                  "family.chart_center, family.chart_half_width", id="chart-leaves-quadric"),
     pytest.param({"signature": {"n": 100}}, "signature.n", id="sector-too-narrow"),
+    pytest.param({"family": {"chart_center": [1, 2]}}, "family.chart_center",
+                 id="chart-center-off-quadric"),
 ])
 def test_cli_names_fields_of_family_constraints(tmp_path, capsys, change, fieldname):
     # each document passes validation; the family generator rejects it in run_experiment
@@ -268,6 +271,42 @@ def test_cli_names_fields_of_family_constraints(tmp_path, capsys, change, fieldn
     err = capsys.readouterr().err
     assert err.startswith(f"error: {fieldname}: ")
     assert err.count("\n") == 1
+
+
+PRODUCT_NULL = {"kind": "product-null-curves",
+                "gamma1": {"form": "real-exp", "c1": [1, 1], "c2": [1, -1],
+                           "interval": [-0.5, 0.5]},
+                "gamma2": {"form": "real-exp", "c1": [1, -1], "c2": [1, 1],
+                           "interval": [-0.5, 0.5]}}
+
+
+@pytest.mark.parametrize("signature, family, fieldname", [
+    pytest.param({"p": 0, "n": 2}, {**without(EVOLVING_QUADRIC, "chart_center"), "c": 0},
+                 "family.c", id="evolving-quadric-cone"),
+    pytest.param({"p": 1, "n": 3}, PRODUCT_NULL, "signature.n", id="product-null-in-n3"),
+])
+def test_cli_names_fields_of_other_family_constraints(tmp_path, capsys, signature, family,
+                                                      fieldname):
+    doc = {"signature": signature, "family": family, "samples": 2}
+    parse_config(json.dumps({**doc, "experiment": "verify"}))
+    code = main(["verify", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fieldname}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("signature", [{"p": 1, "n": 3}, {"p": 1, "n": 2}])
+def test_cli_rejects_hopf_outside_its_signature(tmp_path, capsys, signature):
+    doc = {"signature": signature, "samples": 2,
+           "family": {"kind": "hopf", "gamma": {"form": "great-circle"}}}
+    parse_config(json.dumps({**doc, "signature": {"p": 0, "n": 2}, "experiment": "verify"}))
+    code = main(["verify", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: signature: ")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("threads", ["abc", "", "1.5"])

@@ -49,8 +49,7 @@ def circle_patch():
     def d2(u):
         return np.array([[[-np.exp(1j * u[0])]]])
 
-    return ImmersionPatch(sig=sig, domain=[[0.0, 2.0 * np.pi]], f=f, d1=d1, d2=d2,
-                          vectorized=True)
+    return ImmersionPatch(sig=sig, domain=[[0.0, 2.0 * np.pi]], f=f, d1=d1, d2=d2)
 
 
 def test_flat_patch_curvature_vanishes():
@@ -139,7 +138,7 @@ def test_angle_route_requires_lagrangian():
         return np.stack([u[..., 0] + 1j * u[..., 1],
                          u[..., 1] + 0.5j * u[..., 0]], axis=-1)
 
-    patch = ImmersionPatch(sig=sig, domain=[[0, 1], [0, 1]], f=f, vectorized=True)
+    patch = ImmersionPatch(sig=sig, domain=[[0, 1], [0, 1]], f=f)
     with pytest.raises(NotLagrangianError):
         mean_curvature_angle(patch, np.array([0.5, 0.5]))
 

@@ -1,5 +1,7 @@
 """Family generators: charts, sampling, matrix exponential, angle laws."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -43,10 +45,14 @@ from lagcal.families import (
     sample_quadric,
 )
 from lagcal.immersion import (
+    FD_STEP2,
+    ImmersionPatch,
+    induced_metric,
     interior_samples,
     lagrangian_angle_at,
     lagrangian_defect,
     patch_volume,
+    reparametrize,
     second_derivatives,
     tangent_frame,
 )
@@ -243,6 +249,41 @@ def test_family_jets_match_finite_differences(family_catalog):
             bare = ImmersionPatch(sig=patch.sig, domain=patch.domain, f=patch.f)
             assert np.allclose(second_derivatives(patch, u),
                                second_derivatives(bare, u), atol=5e-6), name
+
+
+def test_jets_broadcast_over_stacked_points(family_catalog):
+    # the patch contract: d1, d2 and the finite-difference second derivatives
+    # take (N, n) stacks and agree with per-point calls (the catalog's flat
+    # plane is make_flat_patch)
+    base = dict(family_catalog)["catenoid(p=1,n=3,eps=+1)"]
+    c = base.domain.mean(axis=1)
+    shear = np.eye(3) + 0.1 * np.roll(np.eye(3), 1, axis=1)
+    box = np.stack([c - base.widths / 4, c + base.widths / 4], axis=-1)
+    patches = family_catalog + [
+        ("reparametrized-catenoid", reparametrize(base, shear, c - shear @ c, box))]
+    rng = np.random.default_rng(21)
+    for name, patch in patches:
+        pts = interior_samples(patch, 25, rng, margin=0.1)
+        # induced_metric on n points, where transposing the whole stack
+        # would keep its shape
+        metric = functools.partial(induced_metric, patch)
+        for jet, at in ((patch.d1, pts), (patch.d2, pts), (metric, pts[:patch.n])):
+            stacked = jet(at)
+            pointwise = np.stack([jet(u) for u in at])
+            assert stacked.shape == pointwise.shape, name
+            assert np.max(np.abs(stacked - pointwise)) <= 1e-12 * np.max(np.abs(pointwise)), name
+        bare = ImmersionPatch(sig=patch.sig, domain=patch.domain, f=patch.f)
+        stacked = second_derivatives(bare, pts)
+        pointwise = np.stack([second_derivatives(bare, u) for u in pts])
+        if patch.meta["family"] == "evolving-quadric":
+            # matrix_exp picks one Pade degree per stack, so f's last bits
+            # depend on the stack; four such roundings divided by h^2 bound
+            # the difference
+            f_scale = np.max(np.abs(patch.f(pts)))
+            bound = 16.0 * np.finfo(float).eps * f_scale / np.min(FD_STEP2 * patch.widths) ** 2
+            assert np.max(np.abs(stacked - pointwise)) <= bound, name
+        else:
+            assert np.array_equal(stacked, pointwise), name
 
 
 def test_family_fd_jets_converge_at_second_order(family_catalog):

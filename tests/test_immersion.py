@@ -33,17 +33,18 @@ def lagrangian_graph_patch(a=0.4, b=-0.7):
         return np.stack([x + 1j * a * x ** 2, y + 1j * b * y ** 2], axis=-1)
 
     def d1(u):
-        x, y = u
-        return np.array([[1 + 2j * a * x, 0.0], [0.0, 1 + 2j * b * y]], dtype=complex)
+        rows = np.zeros(u.shape[:-1] + (2, 2), dtype=complex)
+        rows[..., 0, 0] = 1 + 2j * a * u[..., 0]
+        rows[..., 1, 1] = 1 + 2j * b * u[..., 1]
+        return rows
 
     def d2(u):
-        s = np.zeros((2, 2, 2), dtype=complex)
-        s[0, 0, 0] = 2j * a
-        s[1, 1, 1] = 2j * b
+        s = np.zeros(u.shape[:-1] + (2, 2, 2), dtype=complex)
+        s[..., 0, 0, 0] = 2j * a
+        s[..., 1, 1, 1] = 2j * b
         return s
 
-    return ImmersionPatch(sig=sig, domain=[[0.0, 1.0], [0.0, 1.0]], f=f, d1=d1, d2=d2,
-                          vectorized=True)
+    return ImmersionPatch(sig=sig, domain=[[0.0, 1.0], [0.0, 1.0]], f=f, d1=d1, d2=d2)
 
 
 def test_flat_patch_basics():
@@ -106,7 +107,7 @@ def test_complex_line_patch_defect_is_one():
         u = np.asarray(u, dtype=float)
         return np.stack([u[..., 0] + 1j * u[..., 1], np.zeros_like(u[..., 0])], axis=-1)
 
-    patch = ImmersionPatch(sig=sig, domain=[[0, 1], [0, 1]], f=f, vectorized=True)
+    patch = ImmersionPatch(sig=sig, domain=[[0, 1], [0, 1]], f=f)
     assert lagrangian_defect(patch, np.array([0.5, 0.5])) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -158,10 +159,10 @@ def test_reparametrized_jets_match_finite_differences():
 
 def test_patch_volume_flat_and_vectorized_paths_agree():
     patch = lagrangian_graph_patch()
-    loop = ImmersionPatch(sig=patch.sig, domain=patch.domain, f=patch.f, d1=patch.d1)
-    fd_vec = ImmersionPatch(sig=patch.sig, domain=patch.domain, f=patch.f, vectorized=True)
-    v1 = patch_volume(loop, [16, 16])
-    v2 = patch_volume(fd_vec, [16, 16])
+    analytic = ImmersionPatch(sig=patch.sig, domain=patch.domain, f=patch.f, d1=patch.d1)
+    fd = ImmersionPatch(sig=patch.sig, domain=patch.domain, f=patch.f)
+    v1 = patch_volume(analytic, [16, 16])
+    v2 = patch_volume(fd, [16, 16])
     assert v1 == pytest.approx(v2, rel=1e-9)
 
 
