@@ -319,7 +319,7 @@ class _PolarFlow:
         return d
 
 
-def hamiltonian_perturb(patch: ImmersionPatch, spec: PerturbationSpec, sig: Signature | None = None,
+def hamiltonian_perturb(patch: ImmersionPatch, spec: PerturbationSpec,
                         grid: tuple[int, int] = FLOW_GRID,
                         ambient_bound: float = AMBIENT_BOUND) -> ImmersionPatch:
     """Deform a patch along the compactly supported Hamiltonian field.
@@ -329,8 +329,6 @@ def hamiltonian_perturb(patch: ImmersionPatch, spec: PerturbationSpec, sig: Sign
     polar solution grid (bicubic, with the exact zero ring and center
     values pinned).  Jets are finite differences of the evaluation map.
     """
-    if sig is not None and sig != patch.sig:
-        raise DegenerateInput("signature does not match the patch")
     meta = dict(patch.meta, perturbation=spec)
     if spec.steps == 0 or spec.amplitude == 0.0:
         return replace(patch, meta=meta)
@@ -411,23 +409,20 @@ class VolumeCompareReport:
 
 
 def _sampled_defect(patch: ImmersionPatch, count: int, rng: np.random.Generator) -> float:
-    pts = interior_samples(patch, count, rng, margin=0.05)
-    return float(max(lagrangian_defect(patch, u) for u in pts))
+    return float(np.max(lagrangian_defect(patch, interior_samples(patch, count, rng))))
 
 
-def volume_compare(base: ImmersionPatch, specs, grid, sig: Signature | None = None,
-                   seed: int = 0, flow_grid: tuple[int, int] = FLOW_GRID) -> VolumeCompareReport:
+def volume_compare(base: ImmersionPatch, specs, grid, seed: int = 0,
+                   flow_grid: tuple[int, int] = FLOW_GRID) -> VolumeCompareReport:
     """Compare the base volume against Hamiltonian competitors on one grid.
 
     Degenerate quadrature points (volume element under the scale-aware
     threshold) mark the run "degenerate" rather than failing it; the
-    report keeps per-run counts so callers can demand a quorum.
+    report keeps per-run counts so callers can demand a quorum.  Competitors
+    run on min(CPUs this process may run on, competitors) threads, each with
+    its own seeded generator, and results keep the competitor order, so the
+    report does not depend on the thread count.
     """
-    raw_threads = os.environ.get("LAGCAL_THREADS", "1")
-    try:
-        threads = int(raw_threads)
-    except ValueError:
-        raise GeometryError(f"LAGCAL_THREADS: must be an integer, got {raw_threads!r}") from None
     nodes, cell = midpoint_grid(base, grid)
     base_dv, base_flags = fd_dvol_on_nodes(base, nodes)
     if np.any(base_flags):
@@ -460,24 +455,20 @@ def volume_compare(base: ImmersionPatch, specs, grid, sig: Signature | None = No
                                   degenerate_points=bad)
 
     jobs = list(enumerate(specs))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(job) for job in jobs]
-    results.sort(key=lambda r: r.index)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max_workers=max(1, min(cpus or 1, len(jobs)))) as pool:
+        results = list(pool.map(run_one, jobs))  # in job order
     return VolumeCompareReport(base_volume=base_volume, base_beta_spread=base_beta_spread,
                                results=tuple(results), grid=tuple(np.atleast_1d(grid)))
 
 
-def random_perturbations(patch: ImmersionPatch, count: int, seed,
-                         amplitude_range=(0.02, 0.2), steps: int = 100,
-                         step_size: float = 2e-4) -> list[PerturbationSpec]:
+def random_perturbations(patch: ImmersionPatch, count: int, seed) -> list[PerturbationSpec]:
     """Seeded batch of admissible bump specs inside the patch domain.
 
-    Radii stay near the allowed maximum: the deformation field scales
-    like 1 / radius^2, so small bumps at fixed amplitude push the flow
-    into an under-resolved regime.
+    Amplitudes are uniform in [0.02, 0.2]; steps and step size keep the
+    PerturbationSpec defaults.  Radii stay near the allowed maximum: the
+    deformation field scales like 1 / radius^2, so small bumps at fixed
+    amplitude push the flow into an under-resolved regime.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     widths = patch.widths
@@ -487,8 +478,6 @@ def random_perturbations(patch: ImmersionPatch, count: int, seed,
         center = lo + rng.uniform(0.42, 0.58, patch.n) * widths
         slack = np.min(np.minimum(center - lo, lo + widths - center) - 0.05 * widths)
         radius = float(rng.uniform(0.8, 0.97) * slack)
-        amplitude = float(rng.uniform(*amplitude_range))
-        specs.append(PerturbationSpec(center=center, radius=radius,
-                                      amplitude=amplitude, steps=steps,
-                                      step_size=step_size))
+        amplitude = float(rng.uniform(0.02, 0.2))
+        specs.append(PerturbationSpec(center=center, radius=radius, amplitude=amplitude))
     return specs

@@ -96,7 +96,8 @@ class ConfigError(ValueError):
 class RunConfig:
     signature: Signature
     experiment: str
-    family: dict | None = None
+    family: dict | None = None  # the document's family object, echoed in report.json
+    spec: object | None = None  # the family spec parsed from it; None without a family
     samples: int = 1000
     seed: int = 42
     tol: float = 1e-9
@@ -124,7 +125,6 @@ class ExperimentReport:
     slack_min: float | None = None
     identity_max_residual: float | None = None
     degenerate_count: int | None = None
-    samples_table: str | None = None
     columns: list | None = None
     rows: list | None = None
 
@@ -417,16 +417,17 @@ def validate_config(raw: dict) -> RunConfig:
                                   f"got {len(grid)}")
 
     family = raw.get("family")
+    spec = None
     if experiment not in ("calibrate", "plane-props"):
         if family is None:
             raise ConfigError("family", f"the {experiment} experiment needs a family")
-        parse_family(family, sig)  # validate now, rebuild later
+        spec = parse_family(family, sig)
 
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("out", "must be a path string")
 
-    return RunConfig(signature=sig, experiment=experiment, family=family,
+    return RunConfig(signature=sig, experiment=experiment, family=family, spec=spec,
                      samples=samples, seed=seed, tol=float(tol), grid=list(grid), out=out)
 
 
@@ -451,7 +452,7 @@ def _grid_for(cfg: RunConfig, n: int) -> list:
 # --- experiments ------------------------------------------------------------------
 
 def _run_verify(cfg: RunConfig) -> ExperimentReport:
-    patch = build_family(parse_family(cfg.family, cfg.signature))
+    patch = build_family(cfg.spec)
     rng = np.random.default_rng(cfg.seed)
     pts = interior_samples(patch, cfg.samples, rng)
     rows = []
@@ -482,7 +483,7 @@ def _run_verify(cfg: RunConfig) -> ExperimentReport:
 
 
 def _run_angle(cfg: RunConfig) -> ExperimentReport:
-    spec = parse_family(cfg.family, cfg.signature)
+    spec = cfg.spec
     patch = build_family(spec)
     rng = np.random.default_rng(cfg.seed)
     pts = interior_samples(patch, cfg.samples, rng)
@@ -520,7 +521,7 @@ def _run_angle(cfg: RunConfig) -> ExperimentReport:
 
 
 def _run_curvature(cfg: RunConfig) -> ExperimentReport:
-    patch = build_family(parse_family(cfg.family, cfg.signature))
+    patch = build_family(cfg.spec)
     rng = np.random.default_rng(cfg.seed)
     count = min(cfg.samples, 300)
     pts = interior_samples(patch, count, rng, margin=0.08)
@@ -563,7 +564,7 @@ def _run_calibrate(cfg: RunConfig) -> ExperimentReport:
 
 
 def _run_volume_compare(cfg: RunConfig) -> ExperimentReport:
-    patch = build_family(parse_family(cfg.family, cfg.signature))
+    patch = build_family(cfg.spec)
     specs = random_perturbations(patch, cfg.samples, cfg.seed)
     report = volume_compare(patch, specs, _grid_for(cfg, patch.n), seed=cfg.seed)
     rows = []
@@ -681,6 +682,16 @@ def emit_report(report: ExperimentReport, out_dir: str) -> tuple[str, str]:
     return json_path, csv_path
 
 
+def _flag_value(text: str):
+    """A command line value as a document value: an int, else a float, else the string."""
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    return text
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="lagcal",
@@ -688,10 +699,15 @@ def main(argv=None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (default: config or '.')")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--tol", type=float, default=None)
-    args = parser.parse_args(argv)
+    # no type= conversion: validate_config judges these like document values
+    parser.add_argument("--seed", default=None)
+    parser.add_argument("--samples", default=None)
+    parser.add_argument("--tol", default=None)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # --help exits 0; a usage error is exit code 1, as for any bad input
+        return 0 if exc.code == 0 else 1
 
     try:
         with open(args.config) as handle:
@@ -705,10 +721,10 @@ def main(argv=None) -> int:
         raw["experiment"] = args.experiment
         for key in ("seed", "samples", "tol"):
             if getattr(args, key) is not None:
-                raw[key] = getattr(args, key)
+                raw[key] = _flag_value(getattr(args, key))
         cfg = validate_config(raw)
         report = run_experiment(cfg)
-    except (ConfigError, FamilySpecError, GeometryError) as exc:
+    except (ConfigError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

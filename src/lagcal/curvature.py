@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeometryError, Signature, circ_mean, circ_spread, wrap_angle
+from .core import GeometryError, Signature, circ_mean, circ_spread
 from .immersion import (
     DegenerateFrame,
     ImmersionPatch,
@@ -55,43 +55,34 @@ def normal_projection(vector: np.ndarray, frame: np.ndarray, g: np.ndarray,
     return vector - coeffs @ frame
 
 
-def _unwrap(values: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values)
-    out[0] = values[0]
-    for k in range(1, len(values)):
-        out[k] = out[k - 1] + wrap_angle(values[k] - out[k - 1])
-    return out
-
-
-def angle_gradient(patch: ImmersionPatch, u, beta_step: float = BETA_STEP) -> np.ndarray:
-    """Partial derivatives of the Lagrangian angle by a 5-point stencil.
+def angle_gradient(patch: ImmersionPatch, u) -> np.ndarray:
+    """Partial derivatives of the Lagrangian angle by a 5-point stencil of step BETA_STEP.
 
     Stencil values are unwrapped to a continuous branch before the
     fourth-order central difference is applied.
     """
     u = np.asarray(u, dtype=float)
-    h = beta_step * patch.widths
+    h = BETA_STEP * patch.widths
     grad = np.empty(patch.n)
     for j in range(patch.n):
         e = np.zeros(patch.n)
         e[j] = h[j]
         betas = np.array([lagrangian_angle_at(patch, u + k * e) for k in (-2, -1, 0, 1, 2)])
-        b = _unwrap(betas)
+        b = np.unwrap(betas)
         grad[j] = (b[0] - 8.0 * b[1] + 8.0 * b[3] - b[4]) / (12.0 * h[j])
     return grad
 
 
-def mean_curvature_angle(patch: ImmersionPatch, u, defect_tol: float = DEFECT_TOL,
-                         beta_step: float = BETA_STEP) -> np.ndarray:
+def mean_curvature_angle(patch: ImmersionPatch, u) -> np.ndarray:
     """Mean curvature from the angle formula H = (1/n) J grad(beta)."""
     u = np.asarray(u, dtype=float)
     defect = lagrangian_defect(patch, u)
-    if defect > defect_tol:
+    if defect > DEFECT_TOL:
         raise NotLagrangianError(
-            f"defect {defect:.3e} above {defect_tol:.1e}: angle route needs a Lagrangian patch")
+            f"defect {defect:.3e} above {DEFECT_TOL:.1e}: angle route needs a Lagrangian patch")
     frame = tangent_frame(patch, u)
     g = induced_metric(patch, u)
-    dbeta = angle_gradient(patch, u, beta_step)
+    dbeta = angle_gradient(patch, u)
     coeffs = _solve_gram(g, dbeta)
     grad_beta = coeffs @ frame
     return 1j * grad_beta / patch.n
@@ -108,11 +99,12 @@ def mean_curvature_sff(patch: ImmersionPatch, u) -> np.ndarray:
     return normal_projection(traced, frame, g, patch.sig) / patch.n
 
 
-def surface_H_null_coords(patch: ImmersionPatch, u, null_tol: float = DEFECT_TOL) -> np.ndarray:
+def surface_H_null_coords(patch: ImmersionPatch, u) -> np.ndarray:
     """Mean curvature of a surface parametrized by null coordinates.
 
-    Requires |f_u|^2 = |f_v|^2 = 0 at u; then H = (f_uv)^perp / <f_u, f_v>,
-    normalized to agree with the trace convention of mean_curvature_sff.
+    Requires |f_u|^2 = |f_v|^2 = 0 at u, to DEFECT_TOL relative to the
+    Euclidean norms; then H = (f_uv)^perp / <f_u, f_v>, normalized to
+    agree with the trace convention of mean_curvature_sff.
     """
     if patch.n != 2:
         raise GeometryError("null-coordinate formula applies to surfaces only")
@@ -120,7 +112,7 @@ def surface_H_null_coords(patch: ImmersionPatch, u, null_tol: float = DEFECT_TOL
     frame = tangent_frame(patch, u)
     g = induced_metric(patch, u)
     norms = np.linalg.norm(frame, axis=1) ** 2
-    if abs(g[0, 0]) > null_tol * norms[0] or abs(g[1, 1]) > null_tol * norms[1]:
+    if abs(g[0, 0]) > DEFECT_TOL * norms[0] or abs(g[1, 1]) > DEFECT_TOL * norms[1]:
         raise NotLagrangianError(
             f"coordinates are not null: |f_u|^2={g[0, 0]:.3e}, |f_v|^2={g[1, 1]:.3e}")
     cross = g[0, 1]
@@ -165,15 +157,15 @@ class MinimalityReport:
     samples: int
 
 
-def minimality_residual(patch: ImmersionPatch, sample_count: int = 1000, seed=0,
-                        margin: float = 0.05) -> MinimalityReport:
+def minimality_residual(patch: ImmersionPatch, sample_count: int = 1000,
+                        seed=0) -> MinimalityReport:
     """Max |H| over sampled points together with the circular spread of beta.
 
     The residual is the larger of the two figures; both vanish exactly
     on minimal patches, where the angle is constant.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    pts = interior_samples(patch, sample_count, rng, margin=margin)
+    pts = interior_samples(patch, sample_count, rng)
     betas = np.empty(sample_count)
     max_h = 0.0
     for k, u in enumerate(pts):

@@ -544,7 +544,7 @@ def make_equivariant(spec: Equivariant) -> ImmersionPatch:
     return _equivariant_patch(sig, spec.gamma, chart, meta)
 
 
-def catenoid_curve(n: int, c: float, sector: int, margin: float = SECTOR_MARGIN) -> Curve:
+def catenoid_curve(n: int, c: float, sector: int) -> Curve:
     """Polar branch rho = (c / sin(n phi))^(1/n) inside one angular sector.
 
     Along the branch Im(gamma^n) = c exactly, so the associated
@@ -558,10 +558,10 @@ def catenoid_curve(n: int, c: float, sector: int, margin: float = SECTOR_MARGIN)
         raise FamilySpecError(
             f"sector {sector} carries sin(n phi) of sign {(-1) ** sector}; "
             f"no branch exists there for c = {c}", ("sector", "c"))
-    lo = sector * np.pi / n + margin
-    hi = (sector + 1) * np.pi / n - margin
+    lo = sector * np.pi / n + SECTOR_MARGIN
+    hi = (sector + 1) * np.pi / n - SECTOR_MARGIN
     if lo >= hi:
-        raise FamilySpecError("sector too narrow for the requested margin", ("sig.n",))
+        raise FamilySpecError(f"sector too narrow for the margin {SECTOR_MARGIN}", ("sig.n",))
 
     def parts(phi):
         phi = np.asarray(phi, dtype=float)

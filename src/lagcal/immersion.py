@@ -145,39 +145,40 @@ def induced_metric(patch: ImmersionPatch, u) -> np.ndarray:
     return (g + np.swapaxes(g, -1, -2)) / 2.0
 
 
-def metric_signature(g, tol: float | None = None) -> tuple[int, int, int]:
+def metric_signature(g) -> tuple[int, int, int]:
     """Eigenvalue sign counts (positive, negative, null) of a symmetric matrix.
 
-    The default threshold scales with the largest eigenvalue magnitude.
+    Eigenvalues within DEGENERACY_TOL * max(1, largest magnitude) of 0 are null.
     """
     g = np.asarray(g, dtype=float)
     vals = np.linalg.eigvalsh((g + g.T) / 2.0)
     scale = np.max(np.abs(vals)) if vals.size else 0.0
-    if tol is None:
-        tol = DEGENERACY_TOL * max(scale, 1.0)
+    tol = DEGENERACY_TOL * max(scale, 1.0)
     pos = int(np.sum(vals > tol))
     neg = int(np.sum(vals < -tol))
     return pos, neg, len(vals) - pos - neg
 
 
-def lagrangian_defect(patch: ImmersionPatch, u) -> float:
-    """Largest normalized symplectic pairing among tangent vectors at u."""
-    return float(frame_quantities(tangent_frame(patch, u), patch.sig)["defect"])
+def lagrangian_defect(patch: ImmersionPatch, u) -> float | np.ndarray:
+    """Largest normalized symplectic pairing among tangent vectors at points u (..., n)."""
+    defect = frame_quantities(tangent_frame(patch, u), patch.sig)["defect"]
+    return float(defect) if np.ndim(defect) == 0 else defect
 
 
-def lagrangian_angle_at(patch: ImmersionPatch, u, tol: float = DEGENERACY_TOL) -> float:
+def lagrangian_angle_at(patch: ImmersionPatch, u) -> float:
     """Principal argument of the holomorphic volume of the tangent frame."""
     frame = tangent_frame(patch, u)
     det = hol_volume(frame)
     scale = float(np.prod(np.linalg.norm(frame, axis=1)))
-    if abs(det) <= tol * max(scale, np.finfo(float).tiny):
+    if abs(det) <= DEGENERACY_TOL * max(scale, np.finfo(float).tiny):
         raise DegenerateFrame(f"holomorphic volume {abs(det):.3e} below tolerance at {u}")
     return float(np.angle(det))
 
 
-def dvol(patch: ImmersionPatch, u) -> float:
-    """Volume element sqrt(|det g|) at u."""
-    return float(frame_quantities(tangent_frame(patch, u), patch.sig)["dvol"])
+def dvol(patch: ImmersionPatch, u) -> float | np.ndarray:
+    """Volume element sqrt(|det g|) at points u (..., n)."""
+    dv = frame_quantities(tangent_frame(patch, u), patch.sig)["dvol"]
+    return float(dv) if np.ndim(dv) == 0 else dv
 
 
 def midpoint_grid(patch: ImmersionPatch, grid) -> tuple[np.ndarray, float]:

@@ -341,9 +341,24 @@ def test_flow_divergence_guard_trips_on_tight_bound():
 
 
 def test_volume_compare_thread_cap_is_deterministic(monkeypatch):
+    import lagcal.calibration as calibration
+
+    workers = []
+
+    class RecordingPool(calibration.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(calibration, "ThreadPoolExecutor", RecordingPool)
     specs = random_perturbations(FLAT, 2, seed=11)
-    serial = volume_compare(FLAT, specs, [16, 16], flow_grid=(64, 64))
-    monkeypatch.setenv("LAGCAL_THREADS", "2")
-    threaded = volume_compare(FLAT, specs, [16, 16], flow_grid=(64, 64))
+    reports = []
+    for cpus in ({0}, {0, 1}, {0, 1, 2}):
+        monkeypatch.setattr(calibration.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        reports.append(volume_compare(FLAT, specs, [16, 16], flow_grid=(64, 64)))
+    # one worker per usable CPU, at most one per competitor
+    assert workers == [1, 2, 2]
+    serial, threaded, _ = reports
     assert [r.volume for r in serial.results] == [r.volume for r in threaded.results]
     assert [r.status for r in serial.results] == [r.status for r in threaded.results]
+    assert [r.defect_max for r in serial.results] == [r.defect_max for r in threaded.results]

@@ -202,6 +202,9 @@ def test_curvature_experiment_on_hopf():
     pytest.param("verify", {"samples": True}, [], "samples", id="samples-true"),
     pytest.param("verify", {"seed": True}, [], "seed", id="seed-true"),
     pytest.param("verify", {}, ["--tol", "nan"], "tol", id="tol-flag-nan"),
+    pytest.param("verify", {}, ["--samples", "abc"], "samples", id="samples-flag-abc"),
+    pytest.param("verify", {}, ["--seed", "1.5"], "seed", id="seed-flag-1.5"),
+    pytest.param("verify", {}, ["--tol", "x"], "tol", id="tol-flag-x"),
     pytest.param("verify", {"tol": float("nan")}, [], "tol", id="tol-nan"),
     pytest.param("volume-compare", {"grid": [16, 32, 8]}, [], "grid", id="grid-length-3"),
 ])
@@ -309,14 +312,17 @@ def test_cli_rejects_hopf_outside_its_signature(tmp_path, capsys, signature):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("threads", ["abc", "", "1.5"])
-def test_cli_rejects_non_integer_thread_count(tmp_path, capsys, monkeypatch, threads):
-    monkeypatch.setenv("LAGCAL_THREADS", threads)
-    path = write_config(tmp_path, {**CATENOID_CONFIG, "samples": 1, "grid": [8]})
-    code = main(["volume-compare", "--config", str(path), "--out", str(tmp_path / "o")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err == f"error: LAGCAL_THREADS: must be an integer, got {threads!r}\n"
+@pytest.mark.parametrize("argv", [
+    pytest.param(["bogus", "--config", "c.json"], id="unknown-experiment"),
+    pytest.param(["verify"], id="missing-config"),
+    pytest.param(["verify", "--config", "c.json", "--bogus"], id="unknown-flag"),
+    pytest.param(["verify", "--config", "c.json", "--seed"], id="flag-without-value"),
+])
+def test_cli_usage_errors_exit_1(capsys, argv):
+    # exit code 2 is reserved for threshold violations
+    assert main(argv) == 1
+    assert "usage: lagcal" in capsys.readouterr().err
+    assert main(["--help"]) == 0
 
 
 # Small configs of every experiment.  The catenoid experiments run at
@@ -343,7 +349,7 @@ def small_config(experiment):
 # state the size of the numerical drift, and another build may round
 # differently and fail here with lagcal unchanged.
 OUTPUT_DIGESTS = {
-    "verify": ("9ea0352f055120df5fcc99f83736b51a63680567545acb7f7fc23edb8bd2241b",
+    "verify": ("27641cb3937a4a1e328f0a53bd4d286a7ae4057a22c55e1a3bc16e1f62896d2f",
                "5af677bb50d097a4dee294d5041048916fb7ba72f75b4fec8042f41163131526"),
     "angle": ("75924409263b482c7c1a24b4307db7e883cd03a732fd2e690a17f63dba79146e",
               "6742637823834c32a33fafb8513683aa93252b177e248883ec5409fc95098ff9"),
@@ -494,3 +500,42 @@ def test_fuzzed_configs_name_the_bad_field(tmp_path_factory, mutations):
     message = err.getvalue()
     assert message.startswith("error: ") and message.count("\n") == 1, message
     assert names_mutated_field(message[len("error: "):].split(": ")[0], applied), message
+
+
+# Command line values are judged like document values: each is an int if it
+# parses as one, else a float, else the string.
+def flag_is_valid(flag, text):
+    try:
+        value = int(text)
+    except ValueError:
+        try:
+            value = float(text)
+        except ValueError:
+            return False
+    if flag == "seed":
+        return type(value) is int and 0 <= value < 2 ** 64
+    if flag == "samples":
+        return type(value) is int and 1 <= value <= MAX_SAMPLES
+    return 0 < value < math.inf
+
+
+FLAG_TEXT = (st.text() | st.integers().map(str) | st.floats().map(repr)
+             | st.sampled_from(["", " ", "abc", "1.5", "-1", "0", "1e3", "0x10", "nan", "inf",
+                                str(2 ** 64), str(MAX_SAMPLES + 1)]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(flag=st.sampled_from(["seed", "samples", "tol"]), data=st.data())
+def test_fuzzed_flags_name_the_bad_field(tmp_path_factory, flag, data):
+    text = data.draw(FLAG_TEXT.filter(lambda t: not flag_is_valid(flag, t)))
+    directory = tmp_path_factory.mktemp("fuzz-flag")
+    path = directory / "run.json"
+    path.write_text(json.dumps(FUZZ_DOCUMENT))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        # the "=" form passes values that start with "-" as values
+        code = main(["verify", "--config", str(path), "--out", str(directory / "o"),
+                     f"--{flag}={text}"])
+    assert code == 1
+    message = err.getvalue()
+    assert message.startswith(f"error: {flag}: ") and message.count("\n") == 1, message

@@ -111,6 +111,27 @@ def test_complex_line_patch_defect_is_one():
     assert lagrangian_defect(patch, np.array([0.5, 0.5])) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_defect_and_dvol_on_stacks_match_the_pointwise_values():
+    sig = Signature(1, 2)
+
+    def f(u):
+        u = np.asarray(u, dtype=float)
+        x, y = u[..., 0], u[..., 1]
+        return np.stack([x + 0.3j * x * y, y + 0.2j * x ** 2], axis=-1)
+
+    rng = np.random.default_rng(3)
+    for patch in (ImmersionPatch(sig=sig, domain=[[0, 1], [0, 1]], f=f),
+                  lagrangian_graph_patch()):
+        stack = interior_samples(patch, 6, rng).reshape(2, 3, 2)
+        for quantity in (lagrangian_defect, dvol):
+            single = quantity(patch, stack[0, 0])
+            assert type(single) is float
+            stacked = quantity(patch, stack)
+            assert stacked.shape == (2, 3)
+            pointwise = [[quantity(patch, u) for u in row] for row in stack]
+            np.testing.assert_allclose(stacked, pointwise, rtol=1e-13, atol=1e-15)
+
+
 def test_degenerate_frame_rejected_by_angle():
     sig = Signature(0, 2)
 
