@@ -48,11 +48,8 @@ from .families import (
     FamilySpecError,
     FlatPlane,
     Hopf,
-    PairCurve,
     ProductNullCurves,
-    RadialProfile,
     SELF_ADJOINT_TOL,
-    SphereCurve,
     build_family,
     check_self_adjoint,
     evolving_quadric_angle,
@@ -192,10 +189,10 @@ def _interval(value, where: str) -> tuple[float, float]:
     return float(value[0]), float(value[1])
 
 
-def _from_samples(build, s, values, where: str):
+def _from_samples(s, values, where: str) -> Curve:
     """A spline curve through sample values; spline errors name the curve."""
     try:
-        return build(s, values)
+        return Curve.from_samples(s, values)
     except ValueError as exc:
         raise ConfigError(where, f"cannot interpolate the samples: {exc}")
 
@@ -206,7 +203,8 @@ def _parse_curve(obj, where: str) -> Curve:
     form = obj["form"]
     if form == "circle":
         _check_keys(obj, {"form", "interval"}, where)
-        return Curve.circle(_interval(obj.get("interval", [0.0, 2 * np.pi]), where + ".interval"))
+        return Curve.exponential(1.0, 1j, _interval(obj.get("interval", [0.0, 2 * np.pi]),
+                                                    where + ".interval"))
     if form == "line":
         _check_keys(obj, {"form", "z0", "z1", "interval"}, where)
         return Curve.line(*(_complex(_require(obj, key, where), f"{where}.{key}")
@@ -224,57 +222,56 @@ def _parse_curve(obj, where: str) -> Curve:
         if not isinstance(values, list):
             raise ConfigError(where + ".values", "must be a list of complex values")
         values = [_complex(v, where + ".values") for v in values]
-        return _from_samples(Curve.from_samples, s, values, where)
+        return _from_samples(s, values, where)
     raise ConfigError(where, f"unknown curve form '{form}'")
 
 
-def _parse_profile(obj, where: str) -> RadialProfile:
+def _parse_profile(obj, where: str) -> Curve:
+    """A radial profile r(s); make_evolving_quadric checks that it stays positive."""
     if obj is None:
-        return RadialProfile.constant()
+        return Curve.exponential(1.0, 0.0)
     if not isinstance(obj, dict) or "form" not in obj:
         raise ConfigError(where, "radial profiles are objects with a 'form' key")
-    try:
-        if obj["form"] == "constant":
-            _check_keys(obj, {"form", "value"}, where)
-            return RadialProfile.constant(_real(obj.get("value", 1.0), where + ".value"))
-        if obj["form"] == "exp":
-            _check_keys(obj, {"form", "rate", "scale"}, where)
-            return RadialProfile.exponential(
-                _real(_require(obj, "rate", where), where + ".rate"),
-                _real(obj.get("scale", 1.0), where + ".scale"))
-    except FamilySpecError as exc:
-        raise ConfigError(where, str(exc)) from None
+    if obj["form"] == "constant":
+        _check_keys(obj, {"form", "value"}, where)
+        return Curve.exponential(_real(obj.get("value", 1.0), where + ".value"), 0.0)
+    if obj["form"] == "exp":
+        _check_keys(obj, {"form", "rate", "scale"}, where)
+        return Curve.exponential(_real(obj.get("scale", 1.0), where + ".scale"),
+                                 _real(_require(obj, "rate", where), where + ".rate"))
     raise ConfigError(where, f"unknown profile form '{obj['form']}'")
 
 
-def _parse_sphere_curve(obj, where: str) -> SphereCurve:
+def _parse_sphere_curve(obj, where: str) -> Curve:
     if not isinstance(obj, dict) or "form" not in obj:
         raise ConfigError(where, "sphere curves are objects with a 'form' key")
     interval = _interval(obj.get("interval", [0.0, 2 * np.pi]), where + ".interval")
     if obj["form"] == "great-circle":
         _check_keys(obj, {"form", "interval"}, where)
-        return SphereCurve.great_circle(interval)
+        return Curve.great_circle(interval)
     if obj["form"] == "torus":
         _check_keys(obj, {"form", "alpha", "k1", "k2", "interval"}, where)
-        return SphereCurve.torus(*(_real(_require(obj, key, where), f"{where}.{key}")
-                                   for key in ("alpha", "k1", "k2")), interval)
+        alpha, k1, k2 = (_real(_require(obj, key, where), f"{where}.{key}")
+                         for key in ("alpha", "k1", "k2"))
+        return Curve.exponential([np.cos(alpha), np.sin(alpha)], [1j * k1, 1j * k2], interval)
     raise ConfigError(where, f"unknown sphere curve form '{obj['form']}'")
 
 
-def _parse_pair_curve(obj, where: str) -> PairCurve:
+def _parse_pair_curve(obj, where: str) -> Curve:
     if not isinstance(obj, dict) or "form" not in obj:
         raise ConfigError(where, "pair curves are objects with a 'form' key")
     if obj["form"] == "real-exp":
         _check_keys(obj, {"form", "c1", "c2", "interval"}, where)
-        return PairCurve.real_exponential(
-            *(tuple(_real_array(_require(obj, key, where), (2,), f"{where}.{key}"))
-              for key in ("c1", "c2")),
-            _interval(_require(obj, "interval", where), where + ".interval"))
+        # c1 = (a0, la) and c2 = (b0, mu) give (a0 e^{la u}, b0 e^{mu u})
+        (a0, la), (b0, mu) = (_real_array(_require(obj, key, where), (2,), f"{where}.{key}")
+                              for key in ("c1", "c2"))
+        return Curve.exponential([a0, b0], [la, mu],
+                                 _interval(_require(obj, "interval", where), where + ".interval"))
     if obj["form"] == "samples":
         _check_keys(obj, {"form", "u", "values"}, where)
         u = _real_array(_require(obj, "u", where), (None,), where + ".u")
         values = _real_array(_require(obj, "values", where), (None, 2), where + ".values")
-        return _from_samples(PairCurve.from_samples, u, values, where)
+        return _from_samples(u, values, where)
     raise ConfigError(where, f"unknown pair curve form '{obj['form']}'")
 
 
@@ -418,9 +415,12 @@ def validate_config(raw: dict) -> RunConfig:
 
     family = raw.get("family")
     spec = None
-    if experiment not in ("calibrate", "plane-props"):
-        if family is None:
-            raise ConfigError("family", f"the {experiment} experiment needs a family")
+    if experiment in ("calibrate", "plane-props"):
+        if family is not None:
+            raise ConfigError("family", f"the {experiment} experiment takes no family")
+    elif family is None:
+        raise ConfigError("family", f"the {experiment} experiment needs a family")
+    else:
         spec = parse_family(family, sig)
 
     out = raw.get("out")
@@ -488,35 +488,38 @@ def _run_angle(cfg: RunConfig) -> ExperimentReport:
     rng = np.random.default_rng(cfg.seed)
     pts = interior_samples(patch, cfg.samples, rng)
     gamma = patch.meta.get("gamma")
-    rows = []
-    offsets = np.empty(cfg.samples)
+    n = patch.n
+    # the angle law, the residual statistic of the offsets and the gate
     if gamma is not None:
-        n = patch.n
-        for k, u in enumerate(pts):
-            beta = lagrangian_angle_at(patch, u)
-            law = float(np.angle(complex(gamma.d1(u[-1])) * complex(gamma.val(u[-1])) ** (n - 1)))
-            offsets[k] = wrap_angle(beta - law)
-            rows.append([k, *u.tolist(), beta, law, float(offsets[k])])
-        residual = float(np.max(np.abs(offsets)))
-        gate = max(cfg.tol, ANGLE_GATE_EQUIVARIANT)
+        def law(u):
+            return float(np.angle(complex(gamma.d1(u[-1])) * complex(gamma.val(u[-1])) ** (n - 1)))
+
+        def statistic(offsets):
+            return float(np.max(np.abs(offsets)))
+        gate = ANGLE_GATE_EQUIVARIANT
     elif isinstance(spec, EvolvingQuadric):
         chart = patch.meta["chart"]
-        for k, u in enumerate(pts):
-            beta = lagrangian_angle_at(patch, u)
-            law = evolving_quadric_angle(spec, u[-1], chart.value(u[:-1]))
-            offsets[k] = wrap_angle(beta - law)
-            rows.append([k, *u.tolist(), beta, law, float(offsets[k])])
-        residual = circ_spread(offsets)
-        gate = max(cfg.tol, ANGLE_GATE_QUADRIC)
+
+        def law(u):
+            return evolving_quadric_angle(spec, u[-1], chart.value(u[:-1]))
+        statistic, gate = circ_spread, ANGLE_GATE_QUADRIC
     else:
         raise ConfigError("family", "the angle experiment needs an angle law "
                           "(equivariant, catenoid or evolving-quadric family)")
+    rows = []
+    offsets = np.empty(cfg.samples)
+    for k, u in enumerate(pts):
+        beta = lagrangian_angle_at(patch, u)
+        beta_law = law(u)
+        offsets[k] = wrap_angle(beta - beta_law)
+        rows.append([k, *u.tolist(), beta, beta_law, float(offsets[k])])
+    residual = statistic(offsets)
     return ExperimentReport(
         config=_config_echo(cfg), seed=cfg.seed, version=__version__,
-        passed=residual <= gate,
+        passed=residual <= max(cfg.tol, gate),
         beta_mean=circ_mean(offsets), beta_spread=circ_spread(offsets),
         residual=residual,
-        columns=["index", *[f"u{j}" for j in range(patch.n)], "beta", "beta_law", "offset"],
+        columns=["index", *[f"u{j}" for j in range(n)], "beta", "beta_law", "offset"],
         rows=rows)
 
 

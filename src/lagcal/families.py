@@ -32,7 +32,6 @@ from .core import (
     DimensionMismatch,
     Signature,
     matrix_exp,
-    metric,
     plane_props,
     wrap_angle,
 )
@@ -54,25 +53,23 @@ class FamilySpecError(GeometryError):
         self.fields = fields
 
 
-# --- scalar curve and radial-profile specs ----------------------------------
+# --- curves -------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class Curve:
-    """Planar curve gamma: I -> C with closed-form jets."""
+    """Curve s -> C^k with closed-form jets: the profile gamma(s), a radial
+    profile r(s), a real coefficient pair or a sphere curve.
+
+    ``val``, ``d1`` and ``d2`` broadcast over s; values have shape
+    ``s.shape`` for scalar curves and ``s.shape + (k,)`` for k-component
+    curves.  ``interval`` is the parameter interval; radial profiles, whose
+    interval is the family's ``s_interval``, carry None.
+    """
 
     val: Callable
     d1: Callable
     d2: Callable
-    interval: tuple[float, float]
-
-    @staticmethod
-    def circle(interval=(0.0, 2.0 * np.pi)) -> "Curve":
-        return Curve(
-            val=lambda s: np.exp(1j * np.asarray(s, dtype=float)),
-            d1=lambda s: 1j * np.exp(1j * np.asarray(s, dtype=float)),
-            d2=lambda s: -np.exp(1j * np.asarray(s, dtype=float)),
-            interval=tuple(interval),
-        )
+    interval: tuple[float, float] | None = None
 
     @staticmethod
     def line(z0: complex, z1: complex, interval) -> "Curve":
@@ -84,70 +81,26 @@ class Curve:
         )
 
     @staticmethod
-    def exponential(z0: complex, rate: complex, interval) -> "Curve":
-        def val(s):
-            return z0 * np.exp(rate * np.asarray(s, dtype=float))
+    def exponential(z0, rate, interval=None) -> "Curve":
+        """z0 e^{rate s}, componentwise when z0 and rate are equal-length sequences.
 
-        return Curve(
-            val=val,
-            d1=lambda s: rate * val(s),
-            d2=lambda s: rate * rate * val(s),
-            interval=tuple(interval),
-        )
-
-    @staticmethod
-    def from_samples(s, values) -> "Curve":
-        s = np.asarray(s, dtype=float)
-        spline = CubicSpline(s, np.asarray(values, dtype=complex), bc_type="not-a-knot")
-        return Curve(
-            val=spline,
-            d1=spline.derivative(1),
-            d2=spline.derivative(2),
-            interval=(float(s[0]), float(s[-1])),
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class RadialProfile:
-    """Positive scale profile r(s) with jets."""
-
-    val: Callable
-    d1: Callable
-    d2: Callable
-
-    @staticmethod
-    def constant(value: float = 1.0) -> "RadialProfile":
-        if value <= 0:
-            raise FamilySpecError("radial profile must stay positive")
-        return RadialProfile(
-            val=lambda s: value * np.ones_like(np.asarray(s, dtype=float)),
-            d1=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            d2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-        )
-
-    @staticmethod
-    def exponential(rate: float, scale: float = 1.0) -> "RadialProfile":
-        if scale <= 0:
-            raise FamilySpecError("radial profile must stay positive")
+        Circles (rate = i), constant profiles (rate = 0), real-exponential
+        pairs and the Clifford-type torus curves (rate = i k) are all of this form.
+        """
+        z0, rate = np.asarray(z0), np.asarray(rate)
+        if z0.shape != rate.shape or z0.ndim > 1:
+            raise DimensionMismatch(f"z0 {z0.shape} and rate {rate.shape} must be scalars "
+                                    f"or sequences of one length")
 
         def val(s):
-            return scale * np.exp(rate * np.asarray(s, dtype=float))
+            return z0 * np.exp(np.multiply.outer(np.asarray(s, dtype=float), rate))
 
-        return RadialProfile(val=val, d1=lambda s: rate * val(s),
-                             d2=lambda s: rate * rate * val(s))
-
-
-@dataclass(frozen=True, eq=False)
-class SphereCurve:
-    """Curve on the unit 3-sphere of C^2, with jets; values shape (..., 2)."""
-
-    val: Callable
-    d1: Callable
-    d2: Callable
-    interval: tuple[float, float]
+        return Curve(val=val, d1=lambda s: rate * val(s), d2=lambda s: rate * rate * val(s),
+                     interval=None if interval is None else tuple(interval))
 
     @staticmethod
-    def great_circle(interval=(0.0, 2.0 * np.pi)) -> "SphereCurve":
+    def great_circle(interval=(0.0, 2.0 * np.pi)) -> "Curve":
+        """The great circle (cos s, sin s) of the unit 3-sphere in C^2."""
         def val(s):
             s = np.asarray(s, dtype=float)
             return np.stack([np.cos(s).astype(complex), np.sin(s).astype(complex)], axis=-1)
@@ -156,67 +109,16 @@ class SphereCurve:
             s = np.asarray(s, dtype=float)
             return np.stack([-np.sin(s).astype(complex), np.cos(s).astype(complex)], axis=-1)
 
-        return SphereCurve(val=val, d1=d1, d2=lambda s: -val(s), interval=tuple(interval))
+        return Curve(val=val, d1=d1, d2=lambda s: -val(s), interval=tuple(interval))
 
     @staticmethod
-    def torus(alpha: float, k1: float, k2: float, interval=(0.0, 2.0 * np.pi)) -> "SphereCurve":
-        c, s0 = np.cos(alpha), np.sin(alpha)
-
-        def val(s):
-            s = np.asarray(s, dtype=float)
-            return np.stack([c * np.exp(1j * k1 * s), s0 * np.exp(1j * k2 * s)], axis=-1)
-
-        def d1(s):
-            s = np.asarray(s, dtype=float)
-            return np.stack([1j * k1 * c * np.exp(1j * k1 * s),
-                             1j * k2 * s0 * np.exp(1j * k2 * s)], axis=-1)
-
-        def d2(s):
-            s = np.asarray(s, dtype=float)
-            return np.stack([-(k1 ** 2) * c * np.exp(1j * k1 * s),
-                             -(k2 ** 2) * s0 * np.exp(1j * k2 * s)], axis=-1)
-
-        return SphereCurve(val=val, d1=d1, d2=d2, interval=tuple(interval))
-
-
-@dataclass(frozen=True, eq=False)
-class PairCurve:
-    """Real coefficient pair (a(u), b(u)) with jets; values shape (..., 2).
-
-    Used to keep curves inside a fixed real 2-plane: the curve is
-    a(u) * b_0 + b(u) * b_1 in the plane's basis.
-    """
-
-    val: Callable
-    d1: Callable
-    d2: Callable
-    interval: tuple[float, float]
-
-    @staticmethod
-    def real_exponential(c1, c2, interval) -> "PairCurve":
-        a0, la = c1
-        b0, mu = c2
-
-        def val(u):
-            u = np.asarray(u, dtype=float)
-            return np.stack([a0 * np.exp(la * u), b0 * np.exp(mu * u)], axis=-1)
-
-        def d1(u):
-            u = np.asarray(u, dtype=float)
-            return np.stack([a0 * la * np.exp(la * u), b0 * mu * np.exp(mu * u)], axis=-1)
-
-        def d2(u):
-            u = np.asarray(u, dtype=float)
-            return np.stack([a0 * la * la * np.exp(la * u), b0 * mu * mu * np.exp(mu * u)], axis=-1)
-
-        return PairCurve(val=val, d1=d1, d2=d2, interval=tuple(interval))
-
-    @staticmethod
-    def from_samples(u, values) -> "PairCurve":
-        u = np.asarray(u, dtype=float)
-        spline = CubicSpline(u, np.asarray(values, dtype=float), bc_type="not-a-knot")
-        return PairCurve(val=spline, d1=spline.derivative(1), d2=spline.derivative(2),
-                         interval=(float(u[0]), float(u[-1])))
+    def from_samples(s, values) -> "Curve":
+        """Not-a-knot cubic spline through (s, values); values keep their dtype,
+        complex for a profile gamma, real of shape (len(s), k) for a coefficient pair."""
+        s = np.asarray(s, dtype=float)
+        spline = CubicSpline(s, np.asarray(values), bc_type="not-a-knot")
+        return Curve(val=spline, d1=spline.derivative(1), d2=spline.derivative(2),
+                     interval=(float(s[0]), float(s[-1])))
 
 
 # --- quadric machinery --------------------------------------------------------
@@ -455,7 +357,7 @@ class EvolvingQuadric:
     sig: Signature
     matrix: np.ndarray
     c: float
-    r: RadialProfile = field(default_factory=RadialProfile.constant)
+    r: Curve = field(default_factory=lambda: Curve.exponential(1.0, 0.0))
     s_interval: tuple[float, float] = (-0.4, 0.4)
     chart_center: np.ndarray | None = None
     chart_half_width: float = CHART_HALF_WIDTH
@@ -465,20 +367,16 @@ class EvolvingQuadric:
 class ProductNullCurves:
     sig: Signature
     plane: np.ndarray
-    gamma1: PairCurve
-    gamma2: PairCurve
+    gamma1: Curve
+    gamma2: Curve
 
 
 @dataclass(frozen=True, eq=False)
 class Hopf:
-    gamma: SphereCurve
+    gamma: Curve
 
 
 # --- generators ----------------------------------------------------------------
-
-def make_flat_plane(sig: Signature) -> ImmersionPatch:
-    return make_flat_patch(sig)
-
 
 def _equivariant_patch(sig: Signature, gamma: Curve, chart: QuadricChart,
                        meta: dict) -> ImmersionPatch:
@@ -608,6 +506,8 @@ def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
             f"matrix is not <.,.>_p self-adjoint (residual {residual:.3e})")
     if abs(np.linalg.det(M)) < 1e-12 * max(np.max(np.abs(M)) ** sig.n, 1e-300):
         raise FamilySpecError("matrix must be invertible", ("matrix",))
+    if np.min(spec.r.val(np.linspace(*spec.s_interval, 64))) <= 0.0:
+        raise FamilySpecError("the radial profile must stay positive on s_interval", ("r",))
     center = (np.asarray(spec.chart_center, dtype=float)
               if spec.chart_center is not None else find_quadric_point(M, spec.c, sig))
     chart = quadric_chart(M, spec.c, sig, center, spec.chart_half_width)
@@ -704,16 +604,11 @@ def make_product_null_curves(spec: ProductNullCurves) -> ImmersionPatch:
     meta = {"family": "product-null-curves", "plane": plane}
 
     # Sampled non-degeneracy of the cross pairing <gamma_1', J gamma_2'>.
-    uu = np.linspace(*spec.gamma1.interval, 12)
-    vv = np.linspace(*spec.gamma2.interval, 12)
-    pairings = []
-    for u0 in uu:
-        du = embed(spec.gamma1.d1(u0))
-        for v0 in vv:
-            dv = embed(spec.gamma2.d1(v0))
-            norm = np.linalg.norm(du) * np.linalg.norm(dv)
-            pairings.append(abs(metric(du, 1j * dv, sig)) / max(norm, 1e-300))
-    meta["min_cross_pairing"] = float(np.min(pairings))
+    du = embed(spec.gamma1.d1(np.linspace(*spec.gamma1.interval, 12)))[:, None, :]
+    dv = embed(spec.gamma2.d1(np.linspace(*spec.gamma2.interval, 12)))[None, :, :]
+    pairings = np.sum(sig.eps * du * np.conj(1j * dv), axis=-1).real
+    norms = np.linalg.norm(du, axis=-1) * np.linalg.norm(dv, axis=-1)
+    meta["min_cross_pairing"] = float(np.min(np.abs(pairings) / np.maximum(norms, 1e-300)))
     if meta["min_cross_pairing"] < 1e-8:
         meta["degenerate_pairing_warning"] = True
 
@@ -769,7 +664,7 @@ def make_hopf(spec: Hopf) -> ImmersionPatch:
 def build_family(spec) -> ImmersionPatch:
     """Dispatch a family specification to its generator."""
     if isinstance(spec, FlatPlane):
-        return make_flat_plane(spec.sig)
+        return make_flat_patch(spec.sig)
     if isinstance(spec, Equivariant):
         return make_equivariant(spec)
     if isinstance(spec, Catenoid):

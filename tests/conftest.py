@@ -10,13 +10,10 @@ from lagcal.families import (
     EvolvingQuadric,
     Equivariant,
     Hopf,
-    PairCurve,
     ProductNullCurves,
-    RadialProfile,
-    SphereCurve,
     build_family,
 )
-from lagcal.immersion import ImmersionPatch, reparametrize
+from lagcal.immersion import ImmersionPatch, make_flat_patch, reparametrize
 
 ROTATION_GENERATOR = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -44,8 +41,7 @@ def rotation_quadric_spec(c: float = 2.0, half_width: float = 0.6) -> EvolvingQu
     t0 = 0.8
     center = np.array([np.exp(t0), (c / 2.0) * np.exp(-t0)])
     return EvolvingQuadric(
-        sig=Signature(1, 2), matrix=ROTATION_GENERATOR, c=c,
-        r=RadialProfile.constant(), s_interval=(-0.35, 0.35),
+        sig=Signature(1, 2), matrix=ROTATION_GENERATOR, c=c, s_interval=(-0.35, 0.35),
         chart_center=center, chart_half_width=half_width)
 
 
@@ -56,8 +52,8 @@ def hyperbola_product_spec(c: float = 2.0) -> ProductNullCurves:
     x2 = y1, the two branches have real coefficients
     (e^u / 2, e^-u / c) and (-e^v / c, -e^-v / 2).
     """
-    g1 = PairCurve.real_exponential((0.5, 1.0), (1.0 / c, -1.0), (0.05, 1.5))
-    g2 = PairCurve.real_exponential((-1.0 / c, 1.0), (-0.5, -1.0), (-1.5, -0.05))
+    g1 = Curve.exponential([0.5, 1.0 / c], [1.0, -1.0], (0.05, 1.5))
+    g2 = Curve.exponential([-1.0 / c, -0.5], [1.0, -1.0], (-1.5, -0.05))
     return ProductNullCurves(sig=Signature(1, 2), plane=NULL_PLANE_BASIS,
                              gamma1=g1, gamma2=g2)
 
@@ -65,16 +61,14 @@ def hyperbola_product_spec(c: float = 2.0) -> ProductNullCurves:
 def traceless_diag_quadric_spec() -> EvolvingQuadric:
     """Minimal evolving quadric with M = diag(1, -1) in definite signature."""
     return EvolvingQuadric(
-        sig=Signature(0, 2), matrix=np.diag([1.0, -1.0]), c=1.0,
-        r=RadialProfile.constant(), s_interval=(-0.4, 0.4),
+        sig=Signature(0, 2), matrix=np.diag([1.0, -1.0]), c=1.0, s_interval=(-0.4, 0.4),
         chart_center=np.array([1.0, 0.0]), chart_half_width=0.3)
 
 
 def expanding_quadric_spec() -> EvolvingQuadric:
     """Non-minimal evolving quadric: M = identity, tr M = 2, r constant."""
     return EvolvingQuadric(
-        sig=Signature(0, 2), matrix=np.eye(2), c=1.0,
-        r=RadialProfile.constant(), s_interval=(-0.4, 0.4),
+        sig=Signature(0, 2), matrix=np.eye(2), c=1.0, s_interval=(-0.4, 0.4),
         chart_center=np.array([0.0, 1.0]), chart_half_width=0.3)
 
 
@@ -82,7 +76,7 @@ def varying_profile_quadric_spec() -> EvolvingQuadric:
     """Evolving quadric with a genuinely varying radial profile."""
     return EvolvingQuadric(
         sig=Signature(0, 2), matrix=np.eye(2), c=1.0,
-        r=RadialProfile.exponential(0.3), s_interval=(-0.4, 0.4),
+        r=Curve.exponential(1.0, 0.3), s_interval=(-0.4, 0.4),
         chart_center=np.array([0.0, 1.0]), chart_half_width=0.3)
 
 
@@ -94,7 +88,7 @@ def spiral_equivariant_spec(psi: float = 0.6) -> Equivariant:
 
 
 def circle_equivariant_spec(n: int = 2) -> Equivariant:
-    return Equivariant(sig=Signature(0, n), epsilon=1, gamma=Curve.circle((0.1, 1.4)))
+    return Equivariant(sig=Signature(0, n), epsilon=1, gamma=Curve.exponential(1.0, 1j, (0.1, 1.4)))
 
 
 def line_equivariant_spec() -> Equivariant:
@@ -104,11 +98,13 @@ def line_equivariant_spec() -> Equivariant:
 
 
 def small_circle_hopf_spec() -> Hopf:
-    return Hopf(gamma=SphereCurve.torus(np.pi / 4, 1.0, 2.0, (0.0, 2.0 * np.pi)))
+    # (cos a e^{i k1 s}, sin a e^{i k2 s}) with a = pi/4, k1 = 1, k2 = 2
+    return Hopf(gamma=Curve.exponential([np.cos(np.pi / 4), np.sin(np.pi / 4)], [1j, 2j],
+                                        (0.0, 2.0 * np.pi)))
 
 
 def great_circle_hopf_spec() -> Hopf:
-    return Hopf(gamma=SphereCurve.great_circle((0.1, 1.4)))
+    return Hopf(gamma=Curve.great_circle((0.1, 1.4)))
 
 
 def spiral_lorentzian_surface(psi: float = 0.6) -> ImmersionPatch:
@@ -165,10 +161,8 @@ def null_reparametrized_spiral(psi: float = 0.6) -> ImmersionPatch:
 
 def lagrangian_family_catalog():
     """Named Lagrangian generator patches covering every family variant."""
-    from lagcal.families import make_flat_plane
-
     catalog = [
-        ("flat(1,3)", make_flat_plane(Signature(1, 3))),
+        ("flat(1,3)", make_flat_patch(Signature(1, 3))),
         ("equivariant-circle", build_family(circle_equivariant_spec())),
         ("equivariant-line", build_family(line_equivariant_spec())),
         ("equivariant-spiral", build_family(spiral_equivariant_spec())),

@@ -286,6 +286,11 @@ PRODUCT_NULL = {"kind": "product-null-curves",
 @pytest.mark.parametrize("signature, family, fieldname", [
     pytest.param({"p": 0, "n": 2}, {**without(EVOLVING_QUADRIC, "chart_center"), "c": 0},
                  "family.c", id="evolving-quadric-cone"),
+    pytest.param({"p": 0, "n": 2}, {**EVOLVING_QUADRIC, "r": {"form": "constant", "value": 0}},
+                 "family.r", id="zero-profile"),
+    pytest.param({"p": 0, "n": 2},
+                 {**EVOLVING_QUADRIC, "r": {"form": "exp", "rate": 0.3, "scale": -1}},
+                 "family.r", id="negative-profile"),
     pytest.param({"p": 1, "n": 3}, PRODUCT_NULL, "signature.n", id="product-null-in-n3"),
 ])
 def test_cli_names_fields_of_other_family_constraints(tmp_path, capsys, signature, family,
@@ -298,6 +303,43 @@ def test_cli_names_fields_of_other_family_constraints(tmp_path, capsys, signatur
     err = capsys.readouterr().err
     assert err.startswith(f"error: {fieldname}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("experiment", ["calibrate", "plane-props"])
+def test_family_free_experiments_reject_a_family(tmp_path, capsys, experiment):
+    doc = {"signature": {"p": 1, "n": 2}, "samples": 4, "family": {"kind": "bogus", "x": [1]}}
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps({**doc, "experiment": experiment}))
+    assert info.value.fieldname == "family"
+    code = main([experiment, "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: family: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_passes_on_spline_sampled_curves(tmp_path):
+    # the "samples" forms: a spiral profile gamma and the two hyperbola
+    # branches of the product-null example, through 41 samples each
+    s = np.linspace(-0.5, 0.5, 41)
+    gamma = np.exp(complex(np.cos(0.6), np.sin(0.6)) * s)
+    u, v = np.linspace(0.05, 1.5, 41), np.linspace(-1.5, -0.05, 41)
+    families = [
+        {"kind": "equivariant", "epsilon": 1,
+         "gamma": {"form": "samples", "s": s.tolist(),
+                   "values": [[z.real, z.imag] for z in gamma]}},
+        {"kind": "product-null-curves",
+         "gamma1": {"form": "samples", "u": u.tolist(),
+                    "values": np.stack([0.5 * np.exp(u), 0.5 * np.exp(-u)], -1).tolist()},
+         "gamma2": {"form": "samples", "u": v.tolist(),
+                    "values": np.stack([-0.5 * np.exp(v), -0.5 * np.exp(-v)], -1).tolist()}},
+    ]
+    for k, family in enumerate(families):
+        doc = {"signature": {"p": 1, "n": 2}, "family": family, "samples": 30}
+        out = tmp_path / f"o{k}"
+        assert main(["verify", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 0, family["kind"]
+        assert json.loads((out / "report.json").read_text())["max_defect"] < 1e-12
 
 
 @pytest.mark.parametrize("signature", [{"p": 1, "n": 3}, {"p": 1, "n": 2}])

@@ -1,5 +1,6 @@
 """Family generators: charts, sampling, matrix exponential, angle laws."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -20,6 +21,7 @@ from lagcal.core import (
     circ_dist,
     circ_spread,
     herm_form,
+    metric,
     special_orthogonal_sample,
     wrap_angle,
 )
@@ -31,14 +33,11 @@ from lagcal.families import (
     FamilySpecError,
     Hopf,
     ProductNullCurves,
-    RadialProfile,
-    SphereCurve,
     build_family,
     catenoid_curve,
     check_self_adjoint,
     evolving_quadric_angle,
     find_quadric_point,
-    make_flat_plane,
     mat_exp_iMs,
     quadric_chart,
     quadric_rhs,
@@ -51,6 +50,7 @@ from lagcal.immersion import (
     interior_samples,
     lagrangian_angle_at,
     lagrangian_defect,
+    make_flat_patch,
     patch_volume,
     reparametrize,
     second_derivatives,
@@ -223,7 +223,7 @@ def test_quadric_chart_rejects_off_quadric_center():
 
 def test_flat_plane_patch():
     sig = Signature(1, 3)
-    patch = make_flat_plane(sig)
+    patch = make_flat_patch(sig)
     u = np.array([0.2, 0.4, 0.8])
     assert lagrangian_defect(patch, u) == 0.0
     assert lagrangian_angle_at(patch, u) == pytest.approx(0.0)
@@ -340,7 +340,7 @@ def test_catenoid_sector_sign_mismatch_errors():
     with pytest.raises(FamilySpecError):
         catenoid_curve(2, -1.0, 0)
     with pytest.raises(FamilySpecError):
-        Curve.circle() if False else catenoid_curve(2, 0.0, 0)
+        catenoid_curve(2, 0.0, 0)
 
 
 def test_catenoid_angle_constant():
@@ -355,7 +355,8 @@ def test_empty_quadric_combinations_error():
     with pytest.raises(FamilySpecError):
         build_family(Catenoid(sig=Signature(0, 2), epsilon=-1, c=1.0, sector=0))
     with pytest.raises(FamilySpecError):
-        build_family(Equivariant(sig=Signature(2, 2), epsilon=1, gamma=Curve.circle()))
+        build_family(Equivariant(sig=Signature(2, 2), epsilon=1,
+                                 gamma=Curve.exponential(1.0, 1j, (0.0, 2.0 * np.pi))))
 
 
 def test_evolving_quadric_identity_matrix_angle():
@@ -388,7 +389,7 @@ def test_coupled_evolving_quadric_jets_match_finite_differences():
     from lagcal.immersion import ImmersionPatch, finite_difference_frame
 
     patch = build_family(EvolvingQuadric(sig=SIG13, matrix=COUPLED_M13, c=1.0,
-                                         r=RadialProfile.exponential(0.3),
+                                         r=Curve.exponential(1.0, 0.3),
                                          s_interval=(-0.3, 0.3)))
     bare = ImmersionPatch(sig=patch.sig, domain=patch.domain, f=patch.f)
     rng = np.random.default_rng(13)
@@ -404,6 +405,21 @@ def test_evolving_quadric_rejects_non_self_adjoint():
     with pytest.raises(FamilySpecError):
         build_family(EvolvingQuadric(sig=Signature(0, 2), matrix=ROTATION_GENERATOR,
                                      c=1.0, chart_center=np.array([0.0, 1.0])))
+
+
+def test_spline_curves_match_analytic_exponentials():
+    # a complex profile gamma and a real coefficient pair, each through 41 samples
+    spiral = Curve.exponential(1.0, complex(np.cos(0.6), np.sin(0.6)), (-0.5, 0.5))
+    for exact in (spiral, hyperbola_product_spec().gamma1):
+        s = np.linspace(*exact.interval, 41)
+        spline = Curve.from_samples(s, exact.val(s))
+        assert spline.interval == exact.interval
+        fine = np.linspace(*exact.interval, 401)
+        # cubic spline errors shrink like h^4, h^3 and h^2 for the value and two jets
+        for jet, tol in (("val", 2e-7), ("d1", 4e-5), ("d2", 4e-3)):
+            got, want = getattr(spline, jet)(fine), getattr(exact, jet)(fine)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.max(np.abs(got - want)) < tol * np.max(np.abs(want)), jet
 
 
 def test_product_null_curves_structure():
@@ -428,15 +444,27 @@ def test_product_null_rejects_non_null_plane():
 
 def test_product_null_flags_degenerate_cross_pairing():
     from lagcal.core import NULL_PLANE_BASIS
-    from lagcal.families import PairCurve
 
     # parallel coefficient velocities kill <gamma_1', J gamma_2'> identically
-    same = PairCurve.real_exponential((1.0, 1.0), (1.0, 1.0), (-0.5, 0.5))
+    same = Curve.exponential([1.0, 1.0], [1.0, 1.0], (-0.5, 0.5))
     patch = build_family(ProductNullCurves(sig=SIG12, plane=NULL_PLANE_BASIS,
                                            gamma1=same, gamma2=same))
     assert patch.meta.get("degenerate_pairing_warning") is True
-    healthy = build_family(hyperbola_product_spec())
+    spec = hyperbola_product_spec()
+    healthy = build_family(spec)
     assert "degenerate_pairing_warning" not in healthy.meta
+    # loop reference: the pairing of every sampled pair of velocities, one at a time
+    def embed(coeffs):
+        return coeffs[0] * NULL_PLANE_BASIS[0] + coeffs[1] * NULL_PLANE_BASIS[1]
+
+    pairings = []
+    for u0 in np.linspace(*spec.gamma1.interval, 12):
+        du = embed(spec.gamma1.d1(u0))
+        for v0 in np.linspace(*spec.gamma2.interval, 12):
+            dv = embed(spec.gamma2.d1(v0))
+            norm = np.linalg.norm(du) * np.linalg.norm(dv)
+            pairings.append(abs(metric(du, 1j * dv, SIG12)) / norm)
+    assert healthy.meta["min_cross_pairing"] == min(pairings)
 
 
 def test_product_matches_rotation_quadric_pointwise():
@@ -461,7 +489,7 @@ def test_hopf_patch_validation_and_defect():
     rng = np.random.default_rng(13)
     for u in interior_samples(patch, 20, rng):
         assert lagrangian_defect(patch, u) < 1e-12
-    off_sphere = SphereCurve(
+    off_sphere = Curve(
         val=lambda s: np.stack([1.1 * np.cos(np.asarray(s)).astype(complex),
                                 1.1 * np.sin(np.asarray(s)).astype(complex)], axis=-1),
         d1=lambda s: np.stack([-1.1 * np.sin(np.asarray(s)).astype(complex),
@@ -469,7 +497,7 @@ def test_hopf_patch_validation_and_defect():
         d2=lambda s: np.zeros(2, dtype=complex), interval=(0.0, 1.0))
     with pytest.raises(FamilySpecError):
         build_family(Hopf(gamma=off_sphere))
-    fiber = SphereCurve.torus(np.pi / 4, 1.0, 1.0, (0.0, 1.0))
+    fiber = Curve.exponential([np.cos(np.pi / 4), np.sin(np.pi / 4)], [1j, 1j], (0.0, 1.0))
     with pytest.raises(FamilySpecError):
         build_family(Hopf(gamma=fiber))
 
@@ -496,5 +524,12 @@ def test_equivariance_orbit_membership():
 
 
 def test_radial_profile_positivity_guard():
-    with pytest.raises(FamilySpecError):
-        RadialProfile.constant(0.0)
+    # r = 0, r < 0 and a profile changing sign inside s_interval are rejected
+    base = expanding_quadric_spec()
+    for r in (Curve.exponential(0.0, 0.0), Curve.exponential(-1.0, 0.3),
+              Curve.line(0.1, 1.0, (-1.0, 1.0))):
+        with pytest.raises(FamilySpecError) as info:
+            build_family(dataclasses.replace(base, r=r))
+        assert info.value.fields == ("r",)
+    positive = dataclasses.replace(base, r=Curve.exponential(0.1, -10.0))
+    assert build_family(positive).meta["r"] is positive.r
