@@ -17,11 +17,17 @@ a polar grid centered at the bump: the support boundary |u - c| = r is
 then grid-aligned, so the limited smoothness of the bump profile there
 never crosses a difference stencil.  Radial derivatives use 4th/5th
 order stencils (antipodal continuation through the center, one-sided
-closure against the exact zero ring); angular derivatives are spectral.
-Each flow precomputes the polar factors its field evaluation reuses (the
-chain-rule factors cos, sin, sin/rho and cos/rho, the base frame rows and
-the gradient of h on the polar nodes); the field writes the 2x2 Gram
-entries out in real arithmetic.
+closure against the exact zero ring); angular derivatives are spectral
+(numpy.fft along the last, contiguous axis of the component-major
+(2, g_rho, g_theta) state).  Each flow precomputes the polar factors its
+field evaluation reuses (the chain-rule factors cos, sin, sin/rho and
+cos/rho, the base frame rows and the gradient of h on the polar nodes);
+the field writes the 2x2 Gram entries out in real arithmetic.
+
+The deformed patch evaluates the flowed displacement through a
+tensor-product not-a-knot bicubic on the padded polar grid
+(_NotAKnotBicubic): FITPACK's s=0 interpolant, written in NumPy, so no
+experiment loads SciPy.
 """
 
 import os
@@ -29,8 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft as sfft
-from scipy.interpolate import RectBivariateSpline
+import numpy.fft  # NumPy loads it on first use; load it with this module instead
 
 from .core import (
     DegenerateInput,
@@ -231,29 +236,31 @@ class _PolarFlow:
         self.nodes = c + self.rho[:, None, None] * e_rho[None]     # (g_rho, g_theta, 2)
 
         flat = self.nodes.reshape(-1, 2)
-        self.base = np.asarray(patch.f(flat)).reshape(g_rho, g_theta, 2)
-        # base frame rows x_k = df/du_k, one contiguous (g_rho, g_theta, 2)
+        # the state is component-major, (2, g_rho, g_theta), so the angular
+        # axis the FFT runs along is last and contiguous
+        self.base = np.ascontiguousarray(
+            np.moveaxis(np.asarray(patch.f(flat)).reshape(g_rho, g_theta, 2), -1, 0))
+        # base frame rows x_k = df/du_k, one contiguous (2, g_rho, g_theta)
         # array each: _field reads them on every evaluation
         frames = _central_frames(patch, flat, patch.steps(1)).reshape(g_rho, g_theta, 2, 2)
-        self.base_x1 = np.ascontiguousarray(frames[..., 0, :])
-        self.base_x2 = np.ascontiguousarray(frames[..., 1, :])
+        self.base_x1, self.base_x2 = np.ascontiguousarray(frames.transpose(2, 3, 0, 1))
 
         t = self.rho / r
         slope = spec.amplitude * bump_profile_d1(t) / r            # (g_rho,)
         self.dh1 = slope[:, None] * cos_t                          # (g_rho, g_theta)
         self.dh2 = slope[:, None] * sin_t
 
-        # polar chain-rule factors, shaped to broadcast over (g_rho, g_theta, 2):
+        # polar chain-rule factors, shaped to broadcast over (2, g_rho, g_theta):
         #   d/du_x = cos d/drho - (sin / rho) d/dtheta
         #   d/du_y = sin d/drho + (cos / rho) d/dtheta
         inv_rho = (1.0 / self.rho)[:, None]
-        self.cos_theta = cos_t[:, None]
-        self.sin_theta = sin_t[:, None]
-        self.msin_over_rho = (inv_rho * -sin_t)[..., None]
-        self.cos_over_rho = (inv_rho * cos_t)[..., None]
+        self.cos_theta = cos_t
+        self.sin_theta = sin_t
+        self.msin_over_rho = inv_rho * -sin_t
+        self.cos_over_rho = inv_rho * cos_t
 
-        # spectral angular derivative factors, shaped (g_theta, 1)
-        self.ik = 1j * np.fft.fftfreq(g_theta, d=1.0 / g_theta)[:, None]
+        # spectral angular derivative factors, shaped (g_theta,)
+        self.ik = 1j * np.fft.fftfreq(g_theta, d=1.0 / g_theta)
         # one-sided radial closures against the exact zero ring at rho = r
         off_last = np.array([-4.0, -3.0, -2.0, -1.0, 0.0, 0.5])
         off_prev = np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 1.5])
@@ -263,24 +270,24 @@ class _PolarFlow:
 
     def _d_rho_of(self, d: np.ndarray) -> np.ndarray:
         g = self.g_rho
-        ghost = np.roll(d[:2], self.g_theta // 2, axis=1)[::-1]    # antipodal continuation
-        ext = np.concatenate([ghost, d], axis=0)                   # rows: -2, -1, 0 .. g-1
+        ghost = np.roll(d[:, :2], self.g_theta // 2, axis=2)[:, ::-1]  # antipodal continuation
+        ext = np.concatenate([ghost, d], axis=1)                   # rows: -2, -1, 0 .. g-1
         out = np.empty_like(d)
         # central 5-point on rows 0 .. g-3 (extended indices shift by 2)
-        out[:g - 2] = ((ext[:g - 2] - ext[4:g + 2]) + 8.0 * (ext[3:g + 1] - ext[1:g - 1])) \
-            * (1.0 / (12.0 * self.d_rho))
+        out[:, :g - 2] = ((ext[:, :g - 2] - ext[:, 4:g + 2])
+                          + 8.0 * (ext[:, 3:g + 1] - ext[:, 1:g - 1])) * (1.0 / (12.0 * self.d_rho))
         # one-sided closures on rows g-2, g-1 over rows g-5 .. g-1; their
         # 6th node is the ring value, identically zero
-        window = d[g - 5:]
-        out[g - 2] = np.tensordot(self.w_prev[:5], window, axes=1)
-        out[g - 1] = np.tensordot(self.w_last[:5], window, axes=1)
+        window = d[:, g - 5:]
+        out[:, g - 2] = np.einsum("j,cjt->ct", self.w_prev[:5], window)
+        out[:, g - 1] = np.einsum("j,cjt->ct", self.w_last[:5], window)
         return out
 
     def _field(self, d: np.ndarray) -> np.ndarray:
         d_rho = self._d_rho_of(d)
-        spectrum = sfft.fft(d, axis=1)
+        spectrum = np.fft.fft(d)
         spectrum *= self.ik
-        d_theta = sfft.ifft(spectrum, axis=1, overwrite_x=True)
+        d_theta = np.fft.ifft(spectrum, out=spectrum)
         x1 = self.base_x1 + d_rho * self.cos_theta + d_theta * self.msin_over_rho
         x2 = self.base_x2 + d_rho * self.sin_theta + d_theta * self.cos_over_rho
 
@@ -291,18 +298,18 @@ class _PolarFlow:
         a22 = x2r * x2r + x2i * x2i
         a12 = x1r * x2r + x1i * x2i
         e0, e1 = self.patch.sig.eps
-        g11 = e0 * a11[..., 0] + e1 * a11[..., 1]
-        g22 = e0 * a22[..., 0] + e1 * a22[..., 1]
-        g12 = e0 * a12[..., 0] + e1 * a12[..., 1]
+        g11 = e0 * a11[0] + e1 * a11[1]
+        g22 = e0 * a22[0] + e1 * a22[1]
+        g12 = e0 * a12[0] + e1 * a12[1]
         det = g11 * g22 - g12 * g12
-        scale = (a11[..., 0] + a11[..., 1]) * (a22[..., 0] + a22[..., 1])
+        scale = (a11[0] + a11[1]) * (a22[0] + a22[1])
         if np.any(np.abs(det) < 1e-10 * np.maximum(scale, 1e-300)):
             self.degenerate = True
             raise FlowDegeneracy("induced metric degenerated during the flow")
         inv_det = 1.0 / det
         a1 = (g22 * self.dh1 - g12 * self.dh2) * inv_det
         a2 = (g11 * self.dh2 - g12 * self.dh1) * inv_det
-        grad_h = a1[..., None] * x1 + a2[..., None] * x2
+        grad_h = a1 * x1 + a2 * x2
         return -1j * grad_h
 
     def run(self) -> np.ndarray:
@@ -319,6 +326,75 @@ class _PolarFlow:
         return d
 
 
+def _padded_polar_grid(flow: _PolarFlow, d: np.ndarray):
+    """Nodes and value planes of a flowed displacement d, ready to interpolate.
+
+    rho gains the center and the support ring, where the displacement is
+    exactly zero; theta gains three periodic nodes on each side.  The
+    planes, on the last axis, are the real parts of both components and
+    then their imaginary parts.
+    """
+    pad = 3
+    rho = np.concatenate([[0.0], flow.rho, [flow.spec.radius]])
+    theta = np.concatenate([flow.theta[-pad:] - 2.0 * np.pi, flow.theta,
+                            flow.theta[:pad] + 2.0 * np.pi])
+    planes = np.pad(np.concatenate([d.real, d.imag]), ((0, 0), (1, 1), (0, 0)))
+    planes = np.pad(planes, ((0, 0), (0, 0), (pad, pad)), mode="wrap")
+    return rho, theta, np.moveaxis(planes, 0, -1)
+
+
+def _cubic_basis(knots: np.ndarray, x: np.ndarray):
+    """Index of the first of the four cubic B-splines nonzero at each x, and their values.
+
+    de Boor's recurrence in FITPACK's fpbspl form, vectorized over x; x at
+    the last knot belongs to the last span.
+    """
+    span = np.clip(np.searchsorted(knots, x, side="right") - 1, 3, len(knots) - 5)
+    t = knots[span + np.arange(-2, 4)[:, None]]                # knots span-2 .. span+3
+    h = [np.ones_like(x)]
+    for j in range(1, 4):
+        nxt = [np.zeros_like(x)]
+        for i, hi in enumerate(h):
+            right, left = t[3 + i], t[3 + i - j]
+            f = hi / (right - left)
+            nxt[i] = nxt[i] + f * (right - x)
+            nxt.append(f * (x - left))
+        h = nxt
+    return span - 3, np.stack(h, axis=-1)
+
+
+class _NotAKnotBicubic:
+    """Tensor-product not-a-knot cubic interpolant of stacked value planes.
+
+    values has shape (len(x), len(y), planes).  Each axis has knots
+    x[0] (4 times), x[2:-2], x[-1] (4 times): FITPACK's s=0, k=3 knots, so
+    each plane gets the interpolant of RectBivariateSpline(x, y, plane,
+    kx=3, ky=3) (de Boor, A Practical Guide to Splines, 1978).
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, values: np.ndarray):
+        self.knots = tuple(np.concatenate([np.repeat(a[0], 4), a[2:-2], np.repeat(a[-1], 4)])
+                           for a in (x, y))
+        coef = values
+        for axis, (knots, nodes) in enumerate(zip(self.knots, (x, y))):
+            # one collocation solve per axis, every plane a right-hand side
+            first, w = _cubic_basis(knots, nodes)
+            collocation = np.zeros((len(nodes), len(nodes)))
+            np.put_along_axis(collocation, first[:, None] + np.arange(4), w, axis=1)
+            moved = np.moveaxis(coef, axis, 0)
+            solved = np.linalg.solve(collocation, moved.reshape(len(nodes), -1))
+            coef = np.moveaxis(solved.reshape(moved.shape), 0, axis)
+        # the (4, 4) coefficient block of every span pair, per plane: a view
+        # of shape (len(x) - 3, len(y) - 3, planes, 4, 4)
+        self.blocks = np.lib.stride_tricks.sliding_window_view(
+            np.ascontiguousarray(coef), (4, 4), axis=(0, 1))
+
+    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Every plane at the points (x[k], y[k]), shaped (len(x), planes)."""
+        (ix, wx), (iy, wy) = (_cubic_basis(knots, a) for knots, a in zip(self.knots, (x, y)))
+        blocks = self.blocks[ix, iy]                               # (len(x), planes, 4, 4)
+        return np.einsum("nb,npb->np", wy, np.einsum("na,npab->npb", wx, blocks))
+
 def hamiltonian_perturb(patch: ImmersionPatch, spec: PerturbationSpec,
                         grid: tuple[int, int] = FLOW_GRID,
                         ambient_bound: float = AMBIENT_BOUND) -> ImmersionPatch:
@@ -326,35 +402,15 @@ def hamiltonian_perturb(patch: ImmersionPatch, spec: PerturbationSpec,
 
     The returned patch evaluates exactly as the input outside the bump
     support; inside, the flowed displacement is interpolated from the
-    polar solution grid (bicubic, with the exact zero ring and center
-    values pinned).  Jets are finite differences of the evaluation map.
+    polar solution grid (not-a-knot bicubic, with the exact zero ring and
+    center values pinned).  Jets are finite differences of the evaluation map.
     """
     meta = dict(patch.meta, perturbation=spec)
     if spec.steps == 0 or spec.amplitude == 0.0:
         return replace(patch, meta=meta)
 
     flow = _PolarFlow(patch, spec, grid, ambient_bound)
-    d = flow.run()
-
-    rho_full = np.concatenate([[0.0], flow.rho, [spec.radius]])
-    pad = 3
-    theta_full = np.concatenate([flow.theta[-pad:] - 2.0 * np.pi, flow.theta,
-                                 flow.theta[:pad] + 2.0 * np.pi])
-
-    def padded(values: np.ndarray) -> np.ndarray:
-        with_bounds = np.concatenate(
-            [np.zeros((1,) + values.shape[1:]), values,
-             np.zeros((1,) + values.shape[1:])], axis=0)
-        return np.concatenate([with_bounds[:, -pad:], with_bounds, with_bounds[:, :pad]], axis=1)
-
-    splines = []
-    for comp in range(2):
-        grid_vals = padded(d[..., comp])
-        splines.append((
-            RectBivariateSpline(rho_full, theta_full, grid_vals.real, kx=3, ky=3),
-            RectBivariateSpline(rho_full, theta_full, grid_vals.imag, kx=3, ky=3),
-        ))
-
+    displacement = _NotAKnotBicubic(*_padded_polar_grid(flow, flow.run()))
     center, radius = spec.center, spec.radius
     base_f = patch.f
 
@@ -368,11 +424,8 @@ def hamiltonian_perturb(patch: ImmersionPatch, spec: PerturbationSpec,
             return out
         theta = np.mod(np.arctan2(v[..., 1], v[..., 0]), 2.0 * np.pi)
         # a 0-d mask indexes a single point as a stack of one
-        rho_in, theta_in = rho[inside], theta[inside]
-        disp = np.empty(rho_in.shape + (2,), dtype=complex)
-        for comp, (sre, sim) in enumerate(splines):
-            disp[..., comp] = sre.ev(rho_in, theta_in) + 1j * sim.ev(rho_in, theta_in)
-        out[inside] += disp
+        planes = displacement(rho[inside], theta[inside])
+        out[inside] += planes[:, :2] + 1j * planes[:, 2:]
         return out
 
     return replace(patch, f=f, d1=None, d2=None, meta=meta)

@@ -25,7 +25,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import (
     GeometryError,
@@ -114,7 +113,11 @@ class Curve:
     @staticmethod
     def from_samples(s, values) -> "Curve":
         """Not-a-knot cubic spline through (s, values); values keep their dtype,
-        complex for a profile gamma, real of shape (len(s), k) for a coefficient pair."""
+        complex for a profile gamma, real of shape (len(s), k) for a coefficient pair.
+
+        SciPy is imported here, so only the spline curve forms load it."""
+        from scipy.interpolate import CubicSpline
+
         s = np.asarray(s, dtype=float)
         spline = CubicSpline(s, np.asarray(values), bc_type="not-a-knot")
         return Curve(val=spline, d1=spline.derivative(1), d2=spline.derivative(2),

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 
 from lagcal.calibration import (
     CalibrationSample,
@@ -9,7 +10,9 @@ from lagcal.calibration import (
     FlowDegeneracy,
     NonLagrangianFrame,
     PerturbationSpec,
+    _NotAKnotBicubic,
     _PolarFlow,
+    _padded_polar_grid,
     bump_profile_d1,
     calib_check,
     det_identity_check,
@@ -233,8 +236,15 @@ def test_flow_is_fourth_order_in_time():
 
 
 def _reference_field(flow, d):
-    """The flow field written directly: index-array radial stencil with
-    accumulated closures, numpy.fft, Gram entries as sums over components."""
+    """The reference below on the flow's component-major (2, g_rho, g_theta) state."""
+    base_x1, base_x2 = (np.moveaxis(x, 0, -1) for x in (flow.base_x1, flow.base_x2))
+    return np.moveaxis(_component_last_field(flow, np.moveaxis(d, 0, -1), base_x1, base_x2), -1, 0)
+
+
+def _component_last_field(flow, d, base_x1, base_x2):
+    """The flow field written directly on (g_rho, g_theta, 2) arrays: index-array
+    radial stencil with accumulated closures, numpy.fft, Gram entries as sums
+    over components."""
     g, spec = flow.g_rho, flow.spec
     ghost = np.roll(d[:2], flow.g_theta // 2, axis=1)[::-1]
     ext = np.concatenate([ghost, d], axis=0)
@@ -255,8 +265,8 @@ def _reference_field(flow, d):
     inv_rho = 1.0 / flow.rho
     du_x = d_rho * cos_t[None, :, None] + d_theta * (inv_rho[:, None] * -sin_t)[..., None]
     du_y = d_rho * sin_t[None, :, None] + d_theta * (inv_rho[:, None] * cos_t)[..., None]
-    x1 = flow.base_x1 + du_x
-    x2 = flow.base_x2 + du_y
+    x1 = base_x1 + du_x
+    x2 = base_x2 + du_y
     eps = flow.patch.sig.eps
     g11 = np.sum((x1 * eps) * np.conj(x1), axis=-1).real
     g22 = np.sum((x2 * eps) * np.conj(x2), axis=-1).real
@@ -290,11 +300,40 @@ def test_flow_field_raises_on_degenerate_metric(p):
     # d = (v_y, -v_y) makes x2 = x1 = e1 on the interior rows
     flow = _PolarFlow(make_flat_patch(Signature(p, 2)), CENTERED, grid=(32, 32))
     v = flow.nodes - CENTERED.center
-    d = np.stack([v[..., 1], -v[..., 1]], axis=-1).astype(complex)
+    d = np.stack([v[..., 1], -v[..., 1]]).astype(complex)
     assert not flow.degenerate
     with pytest.raises(FlowDegeneracy):
         flow._field(d)
     assert flow.degenerate
+
+
+def test_bicubic_matches_fitpack_on_a_flowed_catenoid():
+    # the not-a-knot knots are FITPACK's s=0 ones, so each plane must be
+    # RectBivariateSpline's interpolant up to rounding
+    patch = build_family(Catenoid(sig=Signature(0, 2), epsilon=1, c=1.0, sector=0))
+    bump = random_perturbations(patch, 1, seed=3)[0]
+    spec = PerturbationSpec(bump.center, bump.radius, bump.amplitude, steps=20, step_size=1e-3)
+    flow = _PolarFlow(patch, spec, grid=(64, 64))
+    rho, theta, planes = _padded_polar_grid(flow, flow.run())
+    assert planes.shape == (len(rho), len(theta), 4)
+    scale = np.max(np.abs(planes))
+    assert scale > 1e-4
+    interp = _NotAKnotBicubic(rho, theta, planes)
+
+    at_nodes = interp(*(a.ravel() for a in np.meshgrid(rho, theta, indexing="ij")))
+    assert np.max(np.abs(at_nodes.reshape(planes.shape) - planes)) <= 1e-14 * scale
+
+    rng = np.random.default_rng(14)
+    r = rng.uniform(0.0, spec.radius, 4000)
+    t = rng.uniform(0.0, 2.0 * np.pi, 4000)
+    edge_r = [0.0, np.nextafter(spec.radius, 0.0), 0.5 * spec.radius]
+    edge_t = [-1e-9, 0.0, 1e-9, 2.0 * np.pi - 1e-9, 2.0 * np.pi, 2.0 * np.pi + 1e-9]
+    er, et = np.meshgrid(edge_r, edge_t, indexing="ij")
+    r, t = np.concatenate([r, er.ravel()]), np.concatenate([t, et.ravel()])
+    ours = interp(r, t)
+    for k in range(planes.shape[-1]):
+        ref = RectBivariateSpline(rho, theta, planes[..., k], kx=3, ky=3).ev(r, t)
+        assert np.max(np.abs(ours[:, k] - ref)) <= 1e-14 * np.max(np.abs(ref)), k
 
 
 def test_volume_compare_on_flat_patch():

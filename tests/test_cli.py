@@ -401,8 +401,8 @@ OUTPUT_DIGESTS = {
                   "c704f522f12ea3b040c803a8ae7b3d22613465c5df8e12c723c4a01f897fb5f1"),
     "plane-props": ("af0e81604e0eaf8dc7cf587a8e25f178b2e0308a5ca40dc254c94ba1996cdbaa",
                     "52d3dd2ad3f31bd432236e004c5b352284609e42431c51c9e3def7a34303f2ea"),
-    "volume-compare": ("111c20f232eda50d546bac8aeb63d77f82bb2900e5b19670d94a5287a6f73c31",
-                       "772daeb9f15b64c8374d42f79b5515ca9f352fda993dcce8210e8f7f01d99036"),
+    "volume-compare": ("39943d3b120e0ff580fb3a1009b6692ef34335764000c7e448ccfccf74dacb6c",
+                       "f815be075992fc8cc149d94531f730fbc9949210a6fcd7982a0159f2f2f8c23a"),
 }
 
 
@@ -414,6 +414,42 @@ def test_output_digests(tmp_path, experiment):
     digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                     for name in ("report.json", "samples.csv"))
     assert digests == OUTPUT_DIGESTS[experiment]
+
+
+# Runs JSON configs through run_experiment in a fresh interpreter, then
+# prints whether each passed and which SciPy modules were loaded.
+SCIPY_PROBE = """
+import json, sys
+from lagcal.cli import parse_config, run_experiment
+passed = [run_experiment(parse_config(doc)).passed for doc in json.loads(sys.argv[1])]
+print(json.dumps({"passed": passed,
+                  "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")}))
+"""
+
+
+def probe_scipy(docs):
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE,
+                           json.dumps([json.dumps(doc) for doc in docs])],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_experiments_do_not_load_scipy():
+    probe = probe_scipy([small_config(e) for e in ("verify", "calibrate", "volume-compare")])
+    assert probe == {"passed": [True, True, True], "scipy": []}
+
+
+def test_samples_curve_form_loads_scipy_when_used():
+    s = np.linspace(-0.5, 0.5, 41)
+    gamma = np.exp(complex(np.cos(0.6), np.sin(0.6)) * s)
+    family = {"kind": "equivariant", "epsilon": 1,
+              "gamma": {"form": "samples", "s": s.tolist(),
+                        "values": [[z.real, z.imag] for z in gamma]}}
+    probe = probe_scipy([{"signature": {"p": 1, "n": 2}, "experiment": "verify",
+                          "samples": 10, "family": family}])
+    assert probe["passed"] == [True]
+    assert "scipy.interpolate" in probe["scipy"]
 
 
 EVOLVING_QUADRIC_ANGLE = {
