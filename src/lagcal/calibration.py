@@ -19,10 +19,11 @@ never crosses a difference stencil.  Radial derivatives use 4th/5th
 order stencils (antipodal continuation through the center, one-sided
 closure against the exact zero ring); angular derivatives are spectral
 (numpy.fft along the last, contiguous axis of the component-major
-(2, g_rho, g_theta) state).  Each flow precomputes the polar factors its
-field evaluation reuses (the chain-rule factors cos, sin, sin/rho and
-cos/rho, the base frame rows and the gradient of h on the polar nodes);
-the field writes the 2x2 Gram entries out in real arithmetic.
+(2, g_rho, g_theta) state).  The field works in the polar frame itself:
+h is radial, so its differential there is (dh/drho, 0), and the frame
+rows are the base rows df/drho, df/dtheta (precomputed once per flow)
+plus those raw derivatives of the displacement, with no Cartesian chain
+rule.  The field writes the 2x2 Gram entries out in real arithmetic.
 
 The deformed patch evaluates the flowed displacement through a
 tensor-product not-a-knot bicubic on the padded polar grid
@@ -240,24 +241,15 @@ class _PolarFlow:
         # axis the FFT runs along is last and contiguous
         self.base = np.ascontiguousarray(
             np.moveaxis(np.asarray(patch.f(flat)).reshape(g_rho, g_theta, 2), -1, 0))
-        # base frame rows x_k = df/du_k, one contiguous (2, g_rho, g_theta)
-        # array each: _field reads them on every evaluation
+        # base frame rows in the polar frame, df/drho and df/dtheta, one
+        # contiguous (2, g_rho, g_theta) array each: _field reads them on
+        # every evaluation
         frames = _central_frames(patch, flat, patch.steps(1)).reshape(g_rho, g_theta, 2, 2)
-        self.base_x1, self.base_x2 = np.ascontiguousarray(frames.transpose(2, 3, 0, 1))
-
-        t = self.rho / r
-        slope = spec.amplitude * bump_profile_d1(t) / r            # (g_rho,)
-        self.dh1 = slope[:, None] * cos_t                          # (g_rho, g_theta)
-        self.dh2 = slope[:, None] * sin_t
-
-        # polar chain-rule factors, shaped to broadcast over (2, g_rho, g_theta):
-        #   d/du_x = cos d/drho - (sin / rho) d/dtheta
-        #   d/du_y = sin d/drho + (cos / rho) d/dtheta
-        inv_rho = (1.0 / self.rho)[:, None]
-        self.cos_theta = cos_t
-        self.sin_theta = sin_t
-        self.msin_over_rho = inv_rho * -sin_t
-        self.cos_over_rho = inv_rho * cos_t
+        x1, x2 = np.ascontiguousarray(frames.transpose(2, 3, 0, 1))
+        self.base_xr = cos_t * x1 + sin_t * x2
+        self.base_xt = self.rho[:, None] * (cos_t * x2 - sin_t * x1)
+        # h is radial, so its differential in (rho, theta) is (dh/drho, 0)
+        self.slope = (spec.amplitude * bump_profile_d1(self.rho / r) / r)[:, None]
 
         # spectral angular derivative factors, shaped (g_theta,)
         self.ik = 1j * np.fft.fftfreq(g_theta, d=1.0 / g_theta)
@@ -284,33 +276,39 @@ class _PolarFlow:
         return out
 
     def _field(self, d: np.ndarray) -> np.ndarray:
-        d_rho = self._d_rho_of(d)
-        spectrum = np.fft.fft(d)
-        spectrum *= self.ik
-        d_theta = np.fft.ifft(spectrum, out=spectrum)
-        x1 = self.base_x1 + d_rho * self.cos_theta + d_theta * self.msin_over_rho
-        x2 = self.base_x2 + d_rho * self.sin_theta + d_theta * self.cos_over_rho
+        # the frame rows y_r = df/drho and y_t = df/dtheta, built in the
+        # derivatives' own arrays, which the gradient then overwrites
+        y_r = self._d_rho_of(d)
+        y_r += self.base_xr
+        y_t = np.fft.fft(d)
+        y_t *= self.ik
+        np.fft.ifft(y_t, out=y_t)
+        y_t += self.base_xt
 
-        # Gram entries g_jk = Re sum_l eps_l x_j,l conj(x_k,l), written out
+        # Gram entries g_jk = Re sum_l eps_l y_j,l conj(y_k,l), written out
         # in real arithmetic per component l
-        x1r, x1i, x2r, x2i = x1.real, x1.imag, x2.real, x2.imag
-        a11 = x1r * x1r + x1i * x1i
-        a22 = x2r * x2r + x2i * x2i
-        a12 = x1r * x2r + x1i * x2i
+        yrr, yri, ytr, yti = y_r.real, y_r.imag, y_t.real, y_t.imag
+        a_rr = yrr * yrr + yri * yri
+        a_tt = ytr * ytr + yti * yti
+        a_rt = yrr * ytr + yri * yti
         e0, e1 = self.patch.sig.eps
-        g11 = e0 * a11[0] + e1 * a11[1]
-        g22 = e0 * a22[0] + e1 * a22[1]
-        g12 = e0 * a12[0] + e1 * a12[1]
-        det = g11 * g22 - g12 * g12
-        scale = (a11[0] + a11[1]) * (a22[0] + a22[1])
+        g_rr = e0 * a_rr[0] + e1 * a_rr[1]
+        g_tt = e0 * a_tt[0] + e1 * a_tt[1]
+        g_rt = e0 * a_rt[0] + e1 * a_rt[1]
+        det = g_rr * g_tt - g_rt * g_rt
+        # rescaling either row leaves |det| / (|y_r|^2 |y_t|^2) unchanged, so
+        # the factor rho in y_t does not weaken the predicate near the center
+        scale = (a_rr[0] + a_rr[1]) * (a_tt[0] + a_tt[1])
         if np.any(np.abs(det) < 1e-10 * np.maximum(scale, 1e-300)):
             self.degenerate = True
             raise FlowDegeneracy("induced metric degenerated during the flow")
-        inv_det = 1.0 / det
-        a1 = (g22 * self.dh1 - g12 * self.dh2) * inv_det
-        a2 = (g11 * self.dh2 - g12 * self.dh1) * inv_det
-        grad_h = a1 * x1 + a2 * x2
-        return -1j * grad_h
+        # -J grad h = -i (dh/drho) (g^rr y_r + g^rt y_t)
+        coef = self.slope / det
+        y_r *= coef * g_tt
+        y_t *= coef * g_rt
+        y_r -= y_t
+        y_r *= -1j
+        return y_r
 
     def run(self) -> np.ndarray:
         d = np.zeros_like(self.base)

@@ -206,21 +206,32 @@ def matrix_exp(a) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a Pade kernel.
 
     Works on stacks of square matrices (shape (..., n, n)) and makes no
-    diagonalizability assumption.  The Pade degree m in {3, 5, 7, 9, 13}
-    is the smallest whose threshold theta_m bounds the largest 1-norm in
-    the stack (N. J. Higham, "The scaling and squaring method for the
-    matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005).
-    Only above theta_13 is anything scaled: each matrix by its own power of
-    two, down to theta_13, and squared back afterwards.
+    diagonalizability assumption.  Each matrix gets the smallest Pade
+    degree m in {3, 5, 7, 9, 13} whose threshold theta_m bounds its 1-norm
+    (N. J. Higham, "The scaling and squaring method for the matrix
+    exponential revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005), so a
+    matrix's exponential does not depend on what else is stacked with it.
+    Only above theta_13 is anything scaled: each matrix by its own power
+    of two, down to theta_13, and squared back afterwards.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
-    norm1 = np.abs(a).sum(axis=-2).max(axis=-1)
-    top = float(norm1.max(initial=0.0))
-    s = np.zeros(norm1.shape, dtype=int)
+    stack = a.reshape(-1, *a.shape[-2:])
+    norm1 = np.abs(stack).sum(axis=-2).max(axis=-1)
+    degree = np.full(norm1.shape, 13)
+    for m in (9, 7, 5, 3):
+        degree[norm1 <= _THETA[m]] = m
+    out = np.empty_like(stack)
+    for m in np.unique(degree):
+        rows = np.flatnonzero(degree == m)
+        out[rows] = _pade_exp(stack[rows], norm1[rows], int(m))
+    return out.reshape(a.shape)
 
-    degree = next((m for m in (3, 5, 7, 9) if top <= _THETA[m]), 13)
+
+def _pade_exp(a: np.ndarray, norm1: np.ndarray, degree: int) -> np.ndarray:
+    """exp of a (k, n, n) stack at one Pade degree, scaling and squaring at degree 13."""
+    s = np.zeros(norm1.shape, dtype=int)
     if degree < 13:
         # u = a (b_1 + b_3 a^2 + ... + b_m a^(m-1)),  v = b_0 + b_2 a^2 + ... + b_(m-1) a^(m-1)
         b = _PADE_LOW[degree]
@@ -253,10 +264,7 @@ def matrix_exp(a) -> np.ndarray:
 
     for k in range(int(s.max(initial=0))):
         mask = s > k
-        if a.ndim == 2:
-            r = r @ r
-        else:
-            r[mask] = r[mask] @ r[mask]
+        r[mask] = r[mask] @ r[mask]
     return r
 
 

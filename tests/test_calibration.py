@@ -29,6 +29,7 @@ from lagcal.core import Signature, hol_volume, pseudo_unitary_sample
 from lagcal.families import Catenoid, build_family
 from lagcal.immersion import (
     ImmersionPatch,
+    _central_frames,
     dvol,
     interior_samples,
     lagrangian_defect,
@@ -236,8 +237,10 @@ def test_flow_is_fourth_order_in_time():
 
 
 def _reference_field(flow, d):
-    """The reference below on the flow's component-major (2, g_rho, g_theta) state."""
-    base_x1, base_x2 = (np.moveaxis(x, 0, -1) for x in (flow.base_x1, flow.base_x2))
+    """The reference below on the flow's component-major (2, g_rho, g_theta) state,
+    with the Cartesian base rows df/du_x, df/du_y rebuilt from the patch."""
+    frames = _central_frames(flow.patch, flow.nodes.reshape(-1, 2), flow.patch.steps(1))
+    base_x1, base_x2 = np.moveaxis(frames.reshape(flow.g_rho, flow.g_theta, 2, 2), 2, 0)
     return np.moveaxis(_component_last_field(flow, np.moveaxis(d, 0, -1), base_x1, base_x2), -1, 0)
 
 
@@ -282,7 +285,8 @@ def _component_last_field(flow, d, base_x1, base_x2):
 @pytest.mark.parametrize("patch", [
     make_flat_patch(Signature(1, 2)),
     build_family(Catenoid(sig=Signature(1, 2), epsilon=1, c=1.0, sector=0)),
-], ids=["flat(1,2)", "catenoid(p=1,n=2)"])
+    build_family(Catenoid(sig=Signature(0, 2), epsilon=1, c=1.0, sector=0)),
+], ids=["flat(1,2)", "catenoid(p=1,n=2)", "catenoid(p=0,n=2)"])
 def test_flow_field_matches_reference(patch):
     # eps = (-1, 1): a sign slip in the real Gram arithmetic would show
     spec = random_perturbations(patch, 1, seed=12)[0]

@@ -225,10 +225,23 @@ def test_matrix_exp_at_each_degree_threshold(m, n):
 def test_matrix_exp_scales_each_matrix_of_a_mixed_stack():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(8, 3, 3)) + 1j * rng.normal(size=(8, 3, 3))
-    # the norm-40 matrices put the whole stack on degree 13; only they are
-    # scaled, and only they are squared back
+    # only the norm-40 matrices run degree 13, are scaled and are squared back
     a = with_norm1(a, np.array([1e-3, 40.0] * 4))
     assert_close_to_expm(matrix_exp(a), a)
+
+
+def test_matrix_exp_of_a_stacked_matrix_does_not_depend_on_the_stack():
+    # norms in every degree band and above theta_13 (scaled by 2^1 .. 2^4):
+    # each matrix's degree follows its own norm, so a stacked matrix is
+    # bit for bit its single-matrix exponential
+    rng = np.random.default_rng(11)
+    norms = np.array([1e-3, 0.1, 0.5, 1.5, 4.0, 8.0, 20.0, 40.0, 60.0, 2.0])
+    a = with_norm1(rng.normal(size=(10, 3, 3)) + 1j * rng.normal(size=(10, 3, 3)), norms)
+    stacked = matrix_exp(a)
+    for k in range(len(a)):
+        assert np.array_equal(stacked[k], matrix_exp(a[k])), norms[k]
+    assert np.array_equal(matrix_exp(a.reshape(2, 5, 3, 3)), stacked.reshape(2, 5, 3, 3))
+    assert_close_to_expm(stacked, a)
 
 
 def test_pseudo_unitary_stack_preserves_form():

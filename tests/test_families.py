@@ -44,7 +44,6 @@ from lagcal.families import (
     sample_quadric,
 )
 from lagcal.immersion import (
-    FD_STEP2,
     ImmersionPatch,
     induced_metric,
     interior_samples,
@@ -275,15 +274,7 @@ def test_jets_broadcast_over_stacked_points(family_catalog):
         bare = ImmersionPatch(sig=patch.sig, domain=patch.domain, f=patch.f)
         stacked = second_derivatives(bare, pts)
         pointwise = np.stack([second_derivatives(bare, u) for u in pts])
-        if patch.meta["family"] == "evolving-quadric":
-            # matrix_exp picks one Pade degree per stack, so f's last bits
-            # depend on the stack; four such roundings divided by h^2 bound
-            # the difference
-            f_scale = np.max(np.abs(patch.f(pts)))
-            bound = 16.0 * np.finfo(float).eps * f_scale / np.min(FD_STEP2 * patch.widths) ** 2
-            assert np.max(np.abs(stacked - pointwise)) <= bound, name
-        else:
-            assert np.array_equal(stacked, pointwise), name
+        assert np.array_equal(stacked, pointwise), name
 
 
 def test_family_fd_jets_converge_at_second_order(family_catalog):
