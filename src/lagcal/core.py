@@ -24,6 +24,11 @@ import numpy as np
 
 TOL = 1e-9
 DEGENERACY_TOL = 1e-9
+TINY = np.finfo(float).tiny  # smallest normal double, floor of scale-relative tolerances
+
+# Matrices per block of the stacked kernels (matrix_exp, frame_quantities):
+# their temporaries scale with one block, not with the whole stack.
+STACK_BLOCK = 2048
 
 
 class GeometryError(ValueError):
@@ -111,6 +116,10 @@ def herm_gram(frame, sig: Signature) -> np.ndarray:
     return frame * sig.eps @ frame.conj().swapaxes(-1, -2)
 
 
+_FRAME_QUANTITIES = {"defect": float, "beta": float, "dvol": float, "absdet_m": float,
+                     "scale": float, "degenerate": bool, "omega_det": complex}
+
+
 def frame_quantities(frames, sig: Signature) -> dict:
     """Per-frame defect, volume element, angle and |det M| of frames (..., n, n).
 
@@ -121,8 +130,23 @@ def frame_quantities(frames, sig: Signature) -> dict:
     ``omega_det`` = det frame has argument ``beta``.  |det M| of the
     coefficient matrix M = frame * eps = [<<X_j, e_k>>_p] equals dvol
     exactly on Lagrangian frames.
+
+    The stack runs in consecutive blocks of STACK_BLOCK frames, each
+    written into one preallocated output per quantity.  Every quantity
+    of a frame depends on that frame alone, so the results do not depend
+    on the block size.  A single frame gives numpy scalars.
     """
     frames = np.asarray(frames, dtype=complex)
+    stack = frames.reshape(-1, *frames.shape[-2:])
+    out = {key: np.empty(len(stack), dtype) for key, dtype in _FRAME_QUANTITIES.items()}
+    for start in range(0, len(stack), STACK_BLOCK):
+        for key, value in _frame_block(stack[start:start + STACK_BLOCK], sig).items():
+            out[key][start:start + STACK_BLOCK] = value
+    return {key: value.reshape(frames.shape[:-2])[()] for key, value in out.items()}
+
+
+def _frame_block(frames: np.ndarray, sig: Signature) -> dict:
+    """frame_quantities of a (k, n, n) stack, all at once."""
     gram = herm_gram(frames, sig)
     norms = np.linalg.norm(frames, axis=-1)
     denom = norms[..., :, None] * norms[..., None, :]
@@ -140,7 +164,7 @@ def frame_quantities(frames, sig: Signature) -> dict:
         "dvol": dvol,
         "absdet_m": np.abs(det),  # |det(frame @ diag(eps))| = |det frame| since |det diag(eps)| = 1
         "scale": scale,
-        "degenerate": dvol <= DEGENERACY_TOL * np.maximum(scale, np.finfo(float).tiny),
+        "degenerate": dvol <= DEGENERACY_TOL * np.maximum(scale, TINY),
         "omega_det": det,
     }
 
@@ -213,19 +237,25 @@ def matrix_exp(a) -> np.ndarray:
     matrix's exponential does not depend on what else is stacked with it.
     Only above theta_13 is anything scaled: each matrix by its own power
     of two, down to theta_13, and squared back afterwards.
+
+    The stack runs in consecutive blocks of STACK_BLOCK matrices, written
+    into one preallocated output; since each matrix gets its own degree,
+    the results do not depend on the block size.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
     stack = a.reshape(-1, *a.shape[-2:])
-    norm1 = np.abs(stack).sum(axis=-2).max(axis=-1)
-    degree = np.full(norm1.shape, 13)
-    for m in (9, 7, 5, 3):
-        degree[norm1 <= _THETA[m]] = m
     out = np.empty_like(stack)
-    for m in np.unique(degree):
-        rows = np.flatnonzero(degree == m)
-        out[rows] = _pade_exp(stack[rows], norm1[rows], int(m))
+    for start in range(0, len(stack), STACK_BLOCK):
+        block = stack[start:start + STACK_BLOCK]
+        norm1 = np.abs(block).sum(axis=-2).max(axis=-1)
+        degree = np.full(norm1.shape, 13)
+        for m in (9, 7, 5, 3):
+            degree[norm1 <= _THETA[m]] = m
+        for m in np.unique(degree):
+            rows = np.flatnonzero(degree == m)
+            out[start + rows] = _pade_exp(block[rows], norm1[rows], int(m))
     return out.reshape(a.shape)
 
 

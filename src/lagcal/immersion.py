@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     DEGENERACY_TOL,
+    TINY,
     DimensionMismatch,
     GeometryError,
     Signature,
@@ -170,7 +171,7 @@ def lagrangian_angle_at(patch: ImmersionPatch, u) -> float:
     frame = tangent_frame(patch, u)
     det = hol_volume(frame)
     scale = float(np.prod(np.linalg.norm(frame, axis=1)))
-    if abs(det) <= DEGENERACY_TOL * max(scale, np.finfo(float).tiny):
+    if abs(det) <= DEGENERACY_TOL * max(scale, TINY):
         raise DegenerateFrame(f"holomorphic volume {abs(det):.3e} below tolerance at {u}")
     return float(np.angle(det))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 
+from lagcal import core
 from lagcal.calibration import (
     CalibrationSample,
     DegenerateInput,
@@ -149,15 +150,21 @@ def linear_patch(frame, sig):
                           f=lambda u: np.asarray(u) @ frame, d1=lambda u: frame)
 
 
-@pytest.mark.parametrize("p, n", [(0, 2), (1, 2), (1, 3), (2, 4)])
-def test_batched_frame_quantities_match_pointwise_calls(p, n):
-    sig = Signature(p, n)
+def frames_with_degenerate_tail(sig):
+    """200 random Lagrangian frames, then one with a zero row and one with a repeated row."""
     frames = random_lagrangian_frames(sig, 200, np.random.default_rng(5))
     zero_row = frames[0].copy()
     zero_row[-1] = 0.0
     repeated_row = frames[1].copy()  # still Lagrangian, but rank-deficient
     repeated_row[-1] = repeated_row[0]
-    frames = np.concatenate([frames, [zero_row, repeated_row]])
+    return np.concatenate([frames, [zero_row, repeated_row]])
+
+
+@pytest.mark.parametrize("p, n", [(0, 2), (1, 2), (1, 3), (2, 4)])
+def test_batched_frame_quantities_match_pointwise_calls(p, n):
+    sig = Signature(p, n)
+    frames = frames_with_degenerate_tail(sig)
+    repeated_row = frames[-1]
     q = frame_quantities(frames, sig)
     u = np.full(n, 0.5)
     for k, frame in enumerate(frames):
@@ -170,6 +177,35 @@ def test_batched_frame_quantities_match_pointwise_calls(p, n):
     assert q["defect"][-1] <= 1e-9  # the Lagrangian check passes, the degeneracy check trips
     with pytest.raises(DegenerateInput):
         calib_check(repeated_row, 0.0, sig)
+
+
+@pytest.mark.parametrize("block", [7, 10**6])
+@pytest.mark.parametrize("p, n", [(0, 2), (1, 3)])
+def test_frame_quantities_do_not_depend_on_the_block_size(monkeypatch, p, n, block):
+    sig = Signature(p, n)
+    frames = frames_with_degenerate_tail(sig)
+    u = np.full(n, 0.5)
+    patch = linear_patch(frames[3], sig)
+
+    def pointwise():
+        sample = calib_check(frames[3], 0.3, sig)
+        return (lagrangian_defect(patch, u), dvol(patch, u),
+                sample.theta0, sample.dvol, sample.beta, sample.slack)
+
+    expected = frame_quantities(frames, sig)
+    expected_pointwise = pointwise()
+    monkeypatch.setattr(core, "STACK_BLOCK", block)
+    q = frame_quantities(frames, sig)
+    stacked = frame_quantities(frames[:10].reshape(2, 5, n, n), sig)
+    for key, value in expected.items():
+        assert q[key].dtype == value.dtype and np.array_equal(q[key], value), key
+        assert np.array_equal(stacked[key], value[:10].reshape(2, 5)), key
+    assert list(np.flatnonzero(q["degenerate"])) == [len(frames) - 2, len(frames) - 1]
+    # a regular frame, the zero-row frame and the repeated-row frame on their own
+    for k in (0, len(frames) - 2, len(frames) - 1):
+        single = frame_quantities(frames[k], sig)
+        assert all(np.ndim(v) == 0 and v == expected[key][k] for key, v in single.items())
+    assert pointwise() == expected_pointwise
 
 
 def test_degenerate_frame_rejected():

@@ -1,11 +1,14 @@
 """Checks of the split-signature linear algebra primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagcal import core
 from lagcal.core import (
     NULL_PLANE_BASIS,
     DegenerateInput,
@@ -242,6 +245,51 @@ def test_matrix_exp_of_a_stacked_matrix_does_not_depend_on_the_stack():
         assert np.array_equal(stacked[k], matrix_exp(a[k])), norms[k]
     assert np.array_equal(matrix_exp(a.reshape(2, 5, 3, 3)), stacked.reshape(2, 5, 3, 3))
     assert_close_to_expm(stacked, a)
+
+
+@pytest.mark.parametrize("block", [7, 10**6])
+def test_matrix_exp_does_not_depend_on_the_block_size(monkeypatch, block):
+    # norms log-spaced over every degree band and up to 2^6 theta_13, so
+    # blocks mix degrees 3 to 13 and the scaled rows are squared back
+    rng = np.random.default_rng(12)
+    k = 10**4 + 3
+    norms = rng.permutation(np.geomspace(1e-3, 64 * PADE_THETAS[13], k))
+    a = with_norm1(rng.normal(size=(k, 3, 3)) + 1j * rng.normal(size=(k, 3, 3)), norms)
+    assert all(np.any(norms <= theta) for theta in PADE_THETAS.values())
+    assert np.any(norms > 4 * PADE_THETAS[13])
+    single = a[k // 2]
+    expected = matrix_exp(a), matrix_exp(a[:10].reshape(2, 5, 3, 3)), matrix_exp(single)
+    monkeypatch.setattr(core, "STACK_BLOCK", block)
+    got = matrix_exp(a), matrix_exp(a[:10].reshape(2, 5, 3, 3)), matrix_exp(single)
+    for e, g in zip(expected, got):
+        assert g.shape == e.shape and np.array_equal(g, e)
+
+
+def traced_peak(call, *args):
+    """Largest number of bytes held by allocations (NumPy's included) during call(*args)."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_matrix_exp_peak_memory_follows_the_block_not_the_stack():
+    rng = np.random.default_rng(13)
+    sig = Signature(1, 3)
+    c = rng.uniform(-0.5, 0.5, (10**5, 3, 3)) + 1j * rng.uniform(-0.5, 0.5, (10**5, 3, 3))
+    a = sig.eps[:, None] * (c - c.conj().swapaxes(-1, -2)) / 2.0
+    out, peak = traced_peak(matrix_exp, a)
+    assert peak <= 2 * out.nbytes, peak / out.nbytes
+
+
+def test_frame_quantities_peak_memory_follows_the_block_not_the_stack():
+    rng = np.random.default_rng(14)
+    sig = Signature(1, 3)
+    frames = rng.normal(size=(10**5, 3, 3)) + 1j * rng.normal(size=(10**5, 3, 3))
+    _, peak = traced_peak(frame_quantities, frames, sig)
+    assert peak <= frames.nbytes, peak / frames.nbytes
 
 
 def test_pseudo_unitary_stack_preserves_form():
