@@ -41,6 +41,7 @@ import numpy.fft  # NumPy loads it on first use; load it with this module instea
 from .core import (
     DegenerateInput,
     GeometryError,
+    STACK_BLOCK,
     Signature,
     circ_spread,
     frame_quantities,
@@ -102,8 +103,12 @@ def random_lagrangian_frames(sig: Signature, count: int, rng: np.random.Generato
         bad = bad[np.abs(np.linalg.det(real[bad])) <= 0.05]
     else:
         raise DegenerateInput("failed to draw invertible real frames in 100 attempts")
-    u = pseudo_unitary_sample(rng, sig, count)
-    return real.astype(complex) @ u.swapaxes(-1, -2)
+    # the frames overwrite the pseudo-unitary factors block by block
+    frames = pseudo_unitary_sample(rng, sig, count)
+    for start in range(0, count, STACK_BLOCK):
+        block = slice(start, start + STACK_BLOCK)
+        frames[block] = real[block].astype(complex) @ frames[block].swapaxes(-1, -2)
+    return frames
 
 
 def random_lagrangian_frame(sig: Signature, seed) -> np.ndarray:

@@ -26,6 +26,7 @@ from . import __version__
 from .core import (
     GeometryError,
     NULL_PLANE_BASIS,
+    STACK_BLOCK,
     Signature,
     apply_J,
     circ_mean,
@@ -106,8 +107,10 @@ class RunConfig:
 class ExperimentReport:
     """Fixed-schema result record; inapplicable scalars stay None.
 
-    ``rows`` holds one sequence per sample whose cells are plain Python
-    ``int``, ``float`` or ``str`` values, never numpy scalars.
+    ``rows`` is a sized, re-iterable sequence with one row per sample
+    (a list, or a ``ColumnRows`` view over column arrays).  The cells of
+    every row are plain Python ``int``, ``float`` or ``str`` values, never
+    numpy scalars.
     """
 
     config: dict
@@ -123,7 +126,26 @@ class ExperimentReport:
     identity_max_residual: float | None = None
     degenerate_count: int | None = None
     columns: list | None = None
-    rows: list | None = None
+    rows: "list | ColumnRows | None" = None
+
+
+class ColumnRows:
+    """Rows over equal-length 1-d column arrays, converted as they are read.
+
+    ``len`` is the number of rows.  Each pass converts STACK_BLOCK rows at
+    a time with ``tolist``, so the table is never held as Python objects
+    all at once, and every pass yields the same tuples of plain scalars.
+    """
+
+    def __init__(self, *columns: np.ndarray):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        for start in range(0, len(self), STACK_BLOCK):
+            yield from zip(*(c[start:start + STACK_BLOCK].tolist() for c in self.columns))
 
 
 def _check_keys(obj: dict, allowed: set, where: str):
@@ -553,8 +575,7 @@ def _run_calibrate(cfg: RunConfig) -> ExperimentReport:
     slack = (q["dvol"] - th) / q["scale"]
     tight_slack = (q["dvol"] - np.abs(q["omega_det"])) / q["scale"]
     identity = np.abs(q["dvol"] - q["absdet_m"]) / q["dvol"]
-    columns = (beta0, q["beta"], q["dvol"], th, slack, identity)
-    rows = list(zip(range(cfg.samples), *(c.tolist() for c in columns)))
+    rows = ColumnRows(np.arange(cfg.samples), beta0, q["beta"], q["dvol"], th, slack, identity)
     slack_min = float(min(np.min(slack), np.min(tight_slack)))
     identity_max = float(np.max(identity))
     return ExperimentReport(

@@ -26,8 +26,9 @@ TOL = 1e-9
 DEGENERACY_TOL = 1e-9
 TINY = np.finfo(float).tiny  # smallest normal double, floor of scale-relative tolerances
 
-# Matrices per block of the stacked kernels (matrix_exp, frame_quantities):
-# their temporaries scale with one block, not with the whole stack.
+# Matrices per block of the stacked kernels (matrix_exp, frame_quantities,
+# pseudo_unitary_sample; in calibrate also the frame product and the table
+# rows): their temporaries scale with one block, not with the whole stack.
 STACK_BLOCK = 2048
 
 
@@ -303,13 +304,22 @@ def _pade_exp(a: np.ndarray, norm1: np.ndarray, degree: int) -> np.ndarray:
 def pseudo_unitary_sample(rng: np.random.Generator, sig: Signature, count: int | None = None) -> np.ndarray:
     """Random elements of U(p, n-p), preserving <<.,.>>_p.
 
-    Exponentials of diag(eps) @ S with S anti-Hermitian, entries' real and
-    imaginary parts uniform in [-0.5, 0.5].
+    Exponentials of diag(eps) @ S with S = (C - C^H) / 2 anti-Hermitian,
+    where the real parts of all C are drawn first, then the imaginary
+    parts, each uniform in [-0.5, 0.5].  The generators are built in
+    blocks of STACK_BLOCK matrices into one preallocated array, so only
+    the two draws and that array span the whole stack.
     """
     shape = (sig.n, sig.n) if count is None else (count, sig.n, sig.n)
-    c = rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
-    s = (c - c.conj().swapaxes(-1, -2)) / 2.0
-    return matrix_exp(sig.eps[:, None] * s)
+    real = rng.uniform(-0.5, 0.5, shape).reshape(-1, sig.n, sig.n)
+    imag = rng.uniform(-0.5, 0.5, shape).reshape(-1, sig.n, sig.n)
+    generators = np.empty(real.shape, dtype=complex)
+    for start in range(0, len(real), STACK_BLOCK):
+        block = slice(start, start + STACK_BLOCK)
+        c = real[block] + 1j * imag[block]
+        generators[block] = sig.eps[:, None] * ((c - c.conj().swapaxes(-1, -2)) / 2.0)
+    del real, imag  # freed before matrix_exp allocates its output
+    return matrix_exp(generators.reshape(shape))
 
 
 def special_orthogonal_sample(rng: np.random.Generator, sig: Signature) -> np.ndarray:

@@ -26,7 +26,7 @@ from lagcal.calibration import (
     theta0,
     volume_compare,
 )
-from lagcal.core import Signature, hol_volume, pseudo_unitary_sample
+from lagcal.core import Signature, hol_volume
 from lagcal.families import Catenoid, build_family
 from lagcal.immersion import (
     ImmersionPatch,
@@ -58,7 +58,9 @@ def test_random_frames_are_lagrangian_and_satisfy_identity():
 
 
 def full_recheck_frames(sig, count, rng):
-    """Reference redraw loop that recomputes every determinant each round.
+    """Reference redraw loop that recomputes every determinant each round,
+    then the pseudo-unitary factors and the frame product on the whole
+    stack at once, without blocks.
 
     Returns the frames and the number of redraw rounds.
     """
@@ -70,7 +72,9 @@ def full_recheck_frames(sig, count, rng):
             break
         real[bad] = rng.uniform(-1.0, 1.0, (int(bad.sum()), sig.n, sig.n))
         rounds += 1
-    u = pseudo_unitary_sample(rng, sig, count)
+    shape = (count, sig.n, sig.n)
+    c = rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
+    u = core.matrix_exp(sig.eps[:, None] * ((c - c.conj().swapaxes(-1, -2)) / 2.0))
     return real.astype(complex) @ u.swapaxes(-1, -2), rounds
 
 
@@ -82,6 +86,20 @@ def test_redraw_of_bad_rows_matches_full_recheck(p, n, seed):
     assert rounds >= 2  # rows redrawn once came out bad again
     frames = random_lagrangian_frames(sig, 2000, np.random.default_rng(seed))
     assert np.array_equal(frames, expected)
+
+
+@pytest.mark.parametrize("p, n", [(0, 1), (1, 3), (2, 4)])
+def test_random_frames_equal_the_whole_stack_product(p, n):
+    # two full blocks and a ragged one of 5; then one frame, seeded and
+    # from a generator, as random_lagrangian_frame draws it
+    sig = Signature(p, n)
+    count = 2 * core.STACK_BLOCK + 5
+    expected, _ = full_recheck_frames(sig, count, np.random.default_rng(16))
+    frames = random_lagrangian_frames(sig, count, np.random.default_rng(16))
+    assert frames.shape == expected.shape and np.array_equal(frames, expected)
+    single = full_recheck_frames(sig, 1, np.random.default_rng(17))[0][0]
+    assert np.array_equal(random_lagrangian_frame(sig, 17), single)
+    assert np.array_equal(random_lagrangian_frame(sig, np.random.default_rng(17)), single)
 
 
 def test_real_frame_has_zero_angle_and_tight_theta0():

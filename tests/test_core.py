@@ -292,6 +292,30 @@ def test_frame_quantities_peak_memory_follows_the_block_not_the_stack():
     assert peak <= frames.nbytes, peak / frames.nbytes
 
 
+def whole_stack_pseudo_unitary(rng, sig, count=None):
+    """The sampler's formula on the whole stack at once, without blocks."""
+    shape = (sig.n, sig.n) if count is None else (count, sig.n, sig.n)
+    c = rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
+    s = (c - c.conj().swapaxes(-1, -2)) / 2.0
+    return matrix_exp(sig.eps[:, None] * s)
+
+
+@pytest.mark.parametrize("p, n", [(0, 1), (1, 3), (2, 4)])
+def test_pseudo_unitary_sample_equals_the_whole_stack_formula(p, n):
+    # two full blocks and a ragged one of 5, then a single matrix from the
+    # same generator, so the draws must also be consumed in the same order
+    sig = Signature(p, n)
+    count = 2 * core.STACK_BLOCK + 5
+    expected_rng, rng = np.random.default_rng(15), np.random.default_rng(15)
+    expected = whole_stack_pseudo_unitary(expected_rng, sig, count)
+    expected_single = whole_stack_pseudo_unitary(expected_rng, sig)
+    got = pseudo_unitary_sample(rng, sig, count)
+    got_single = pseudo_unitary_sample(rng, sig)
+    assert got.shape == expected.shape and np.array_equal(got, expected)
+    assert got_single.shape == (n, n) and np.array_equal(got_single, expected_single)
+    assert rng.uniform() == expected_rng.uniform()
+
+
 def test_pseudo_unitary_stack_preserves_form():
     rng = np.random.default_rng(10)
     sig = Signature(1, 3)
