@@ -101,7 +101,7 @@ def random_lagrangian_frames(sig: Signature, count: int, rng: np.random.Generato
         # only the redrawn rows can change, so only they are checked again
         real[bad] = rng.uniform(-1.0, 1.0, (bad.size, sig.n, sig.n))
         bad = bad[np.abs(np.linalg.det(real[bad])) <= 0.05]
-    else:
+    if bad.size:
         raise DegenerateInput("failed to draw invertible real frames in 100 attempts")
     # the frames overwrite the pseudo-unitary factors block by block
     frames = pseudo_unitary_sample(rng, sig, count)

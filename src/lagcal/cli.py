@@ -568,8 +568,8 @@ def _run_curvature(cfg: RunConfig) -> ExperimentReport:
 def _run_calibrate(cfg: RunConfig) -> ExperimentReport:
     sig = cfg.signature
     rng = np.random.default_rng(cfg.seed)
-    frames = random_lagrangian_frames(sig, cfg.samples, rng)
-    q = frame_quantities(frames, sig)
+    # no name holds the frames, so their stack is freed before the columns are built
+    q = frame_quantities(random_lagrangian_frames(sig, cfg.samples, rng), sig)
     beta0 = rng.uniform(-np.pi, np.pi, cfg.samples)
     th = (np.exp(-1j * beta0) * q["omega_det"]).real
     slack = (q["dvol"] - th) / q["scale"]

@@ -227,7 +227,7 @@ _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
           7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
 
 
-def matrix_exp(a) -> np.ndarray:
+def matrix_exp(a, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a Pade kernel.
 
     Works on stacks of square matrices (shape (..., n, n)) and makes no
@@ -240,14 +240,22 @@ def matrix_exp(a) -> np.ndarray:
     of two, down to theta_13, and squared back afterwards.
 
     The stack runs in consecutive blocks of STACK_BLOCK matrices, written
-    into one preallocated output; since each matrix gets its own degree,
-    the results do not depend on the block size.
+    into ``out`` (a new array when None); since each matrix gets its own
+    degree, the results do not depend on the block size.  ``out`` must be
+    a C-contiguous complex128 array of ``a``'s shape and may be ``a``
+    itself: a block's norms are taken before any of its rows is written,
+    and each degree group is gathered into a copy before its rows are
+    overwritten.  Returns ``out``.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
+    if out is None:
+        out = np.empty_like(a, order="C")
+    elif out.dtype != np.complex128 or out.shape != a.shape or not out.flags.c_contiguous:
+        raise DimensionMismatch(f"out must be a C-contiguous complex128 array of shape {a.shape}")
     stack = a.reshape(-1, *a.shape[-2:])
-    out = np.empty_like(stack)
+    result = out.reshape(stack.shape)  # a view: out is C-contiguous
     for start in range(0, len(stack), STACK_BLOCK):
         block = stack[start:start + STACK_BLOCK]
         norm1 = np.abs(block).sum(axis=-2).max(axis=-1)
@@ -256,8 +264,8 @@ def matrix_exp(a) -> np.ndarray:
             degree[norm1 <= _THETA[m]] = m
         for m in np.unique(degree):
             rows = np.flatnonzero(degree == m)
-            out[start + rows] = _pade_exp(block[rows], norm1[rows], int(m))
-    return out.reshape(a.shape)
+            result[start + rows] = _pade_exp(block[rows], norm1[rows], int(m))
+    return out
 
 
 def _pade_exp(a: np.ndarray, norm1: np.ndarray, degree: int) -> np.ndarray:
@@ -306,20 +314,23 @@ def pseudo_unitary_sample(rng: np.random.Generator, sig: Signature, count: int |
 
     Exponentials of diag(eps) @ S with S = (C - C^H) / 2 anti-Hermitian,
     where the real parts of all C are drawn first, then the imaginary
-    parts, each uniform in [-0.5, 0.5].  The generators are built in
-    blocks of STACK_BLOCK matrices into one preallocated array, so only
-    the two draws and that array span the whole stack.
+    parts, each uniform in [-0.5, 0.5].  Both are drawn in blocks of
+    STACK_BLOCK matrices, in stream order, straight into one complex
+    array; the generators are built there block by block and
+    exponentiated in place, so that array is the only one spanning the
+    whole stack.
     """
     shape = (sig.n, sig.n) if count is None else (count, sig.n, sig.n)
-    real = rng.uniform(-0.5, 0.5, shape).reshape(-1, sig.n, sig.n)
-    imag = rng.uniform(-0.5, 0.5, shape).reshape(-1, sig.n, sig.n)
-    generators = np.empty(real.shape, dtype=complex)
-    for start in range(0, len(real), STACK_BLOCK):
-        block = slice(start, start + STACK_BLOCK)
-        c = real[block] + 1j * imag[block]
-        generators[block] = sig.eps[:, None] * ((c - c.conj().swapaxes(-1, -2)) / 2.0)
-    del real, imag  # freed before matrix_exp allocates its output
-    return matrix_exp(generators.reshape(shape))
+    generators = np.empty(shape, dtype=complex)
+    stack = generators.reshape(-1, sig.n, sig.n)
+    blocks = [slice(start, start + STACK_BLOCK) for start in range(0, len(stack), STACK_BLOCK)]
+    for block in blocks:
+        stack[block].real = rng.uniform(-0.5, 0.5, stack[block].shape)
+    for block in blocks:
+        c = stack[block]
+        c.imag = rng.uniform(-0.5, 0.5, c.shape)
+        c[...] = sig.eps[:, None] * ((c - c.conj().swapaxes(-1, -2)) / 2.0)
+    return matrix_exp(generators, out=generators)
 
 
 def special_orthogonal_sample(rng: np.random.Generator, sig: Signature) -> np.ndarray:

@@ -102,6 +102,31 @@ def test_random_frames_equal_the_whole_stack_product(p, n):
     assert np.array_equal(random_lagrangian_frame(sig, np.random.default_rng(17)), single)
 
 
+class SingularThenRandom:
+    """A generator whose first ``singular`` uniform draws are zero (singular
+    real frames); every later call goes to a seeded default_rng."""
+
+    def __init__(self, singular, seed):
+        self.singular = singular
+        self.rng = np.random.default_rng(seed)
+
+    def uniform(self, low, high, size):
+        if self.singular:
+            self.singular -= 1
+            return np.zeros(size)
+        return self.rng.uniform(low, high, size)
+
+
+def test_redraw_succeeding_in_the_last_round_is_accepted():
+    # the initial draw and 99 redraws are singular, the 100th redraw is not
+    sig = Signature(1, 3)
+    frames = random_lagrangian_frames(sig, 4, SingularThenRandom(100, 18))
+    assert frames.shape == (4, 3, 3)
+    assert np.all(np.abs(np.linalg.det(frames)) > 0.0)
+    with pytest.raises(DegenerateInput, match="100 attempts"):
+        random_lagrangian_frames(sig, 4, SingularThenRandom(101, 18))
+
+
 def test_real_frame_has_zero_angle_and_tight_theta0():
     # the pseudo-unitary mixing factor set to the identity: a positively
     # oriented real frame has angle zero and saturates the inequality

@@ -509,7 +509,8 @@ def test_calibrate_rows_are_a_reiterable_view_of_the_columns(tmp_path):
 
 def test_calibrate_peak_memory_follows_the_block_not_the_stack():
     # 10^5 frames at (1, 3): each complex stack is 14.4 MB; the whole-stack
-    # sampler and the table of Python floats peaked at 67.3 MB, blocks at 38.8 MB
+    # sampler and the table of Python floats peaked at 67.3 MB, blocks at
+    # 38.8 MB, and the sampler exponentiating in place at about 24.1 MB
     cfg = parse_config(json.dumps({"signature": {"p": 1, "n": 3},
                                    "experiment": "calibrate", "samples": 10**5}))
     tracemalloc.start()
@@ -518,7 +519,7 @@ def test_calibrate_peak_memory_follows_the_block_not_the_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48e6, peak / 1e6
+    assert peak <= 30e6, peak / 1e6
 
 
 def test_cli_uses_the_library_self_adjoint_tolerance(monkeypatch):

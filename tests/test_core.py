@@ -247,22 +247,62 @@ def test_matrix_exp_of_a_stacked_matrix_does_not_depend_on_the_stack():
     assert_close_to_expm(stacked, a)
 
 
-@pytest.mark.parametrize("block", [7, 10**6])
-def test_matrix_exp_does_not_depend_on_the_block_size(monkeypatch, block):
-    # norms log-spaced over every degree band and up to 2^6 theta_13, so
-    # blocks mix degrees 3 to 13 and the scaled rows are squared back
+def mixed_degree_stack():
+    """10^4 + 3 matrices with norms log-spaced over every degree band and up
+    to 2^6 theta_13, so blocks mix degrees 3 to 13 and the scaled rows are
+    squared back."""
     rng = np.random.default_rng(12)
     k = 10**4 + 3
     norms = rng.permutation(np.geomspace(1e-3, 64 * PADE_THETAS[13], k))
     a = with_norm1(rng.normal(size=(k, 3, 3)) + 1j * rng.normal(size=(k, 3, 3)), norms)
     assert all(np.any(norms <= theta) for theta in PADE_THETAS.values())
     assert np.any(norms > 4 * PADE_THETAS[13])
-    single = a[k // 2]
+    return a
+
+
+@pytest.mark.parametrize("block", [7, 10**6])
+def test_matrix_exp_does_not_depend_on_the_block_size(monkeypatch, block):
+    a = mixed_degree_stack()
+    single = a[len(a) // 2]
     expected = matrix_exp(a), matrix_exp(a[:10].reshape(2, 5, 3, 3)), matrix_exp(single)
     monkeypatch.setattr(core, "STACK_BLOCK", block)
     got = matrix_exp(a), matrix_exp(a[:10].reshape(2, 5, 3, 3)), matrix_exp(single)
     for e, g in zip(expected, got):
         assert g.shape == e.shape and np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_matrix_exp_into_out_equals_a_fresh_result(monkeypatch, block):
+    # out=a overwrites each block while later degree groups of it are still
+    # to be read; a separate out and a single matrix must match as well
+    a = mixed_degree_stack()
+    expected = matrix_exp(a)
+    if block is not None:
+        monkeypatch.setattr(core, "STACK_BLOCK", block)
+    inplace = a.copy()
+    assert matrix_exp(inplace, out=inplace) is inplace
+    assert np.array_equal(inplace, expected)
+    out = np.empty_like(a)
+    assert matrix_exp(a, out=out) is out
+    assert np.array_equal(out, expected)
+    single = a[3].copy()
+    assert np.array_equal(matrix_exp(single, out=single), expected[3])
+
+
+def test_matrix_exp_rejects_a_bad_out():
+    a = mixed_degree_stack()[:10]
+    bad_outs = {
+        "complex64": np.zeros(a.shape, np.complex64),
+        "float64": np.zeros(a.shape),
+        "shape": np.zeros((10, 9), complex),
+        "stack shape": np.zeros((2, 5, 3, 3), complex),
+        "strided": np.zeros((20, 3, 3), complex)[::2],
+        "Fortran order": np.zeros(a.shape, complex, order="F"),
+    }
+    for name, out in bad_outs.items():
+        with pytest.raises(DimensionMismatch, match="out must be"):
+            matrix_exp(a, out=out)
+        assert not np.any(out), name  # nothing written
 
 
 def traced_peak(call, *args):
@@ -314,6 +354,14 @@ def test_pseudo_unitary_sample_equals_the_whole_stack_formula(p, n):
     assert got.shape == expected.shape and np.array_equal(got, expected)
     assert got_single.shape == (n, n) and np.array_equal(got_single, expected_single)
     assert rng.uniform() == expected_rng.uniform()
+
+
+def test_pseudo_unitary_sample_peak_memory_is_about_its_result():
+    # the draws and the generators are one complex array, exponentiated in
+    # place; the rest is one block of temporaries
+    rng = np.random.default_rng(19)
+    u, peak = traced_peak(pseudo_unitary_sample, rng, Signature(1, 3), 10**5)
+    assert peak <= 1.25 * u.nbytes, peak / u.nbytes
 
 
 def test_pseudo_unitary_stack_preserves_form():
