@@ -246,6 +246,10 @@ def matrix_exp(a, out: np.ndarray | None = None) -> np.ndarray:
     itself: a block's norms are taken before any of its rows is written,
     and each degree group is gathered into a copy before its rows are
     overwritten.  Returns ``out``.
+
+    A matrix with a non-finite entry or 1-norm, or a scaled one whose
+    exponential overflows, raises DegenerateInput before any row of its
+    block is written.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -258,52 +262,74 @@ def matrix_exp(a, out: np.ndarray | None = None) -> np.ndarray:
     result = out.reshape(stack.shape)  # a view: out is C-contiguous
     for start in range(0, len(stack), STACK_BLOCK):
         block = stack[start:start + STACK_BLOCK]
-        norm1 = np.abs(block).sum(axis=-2).max(axis=-1)
+        with np.errstate(over="ignore"):
+            norm1 = np.abs(block).sum(axis=-2).max(axis=-1)
+        bad = np.flatnonzero(~np.isfinite(norm1))
+        if bad.size:
+            raise DegenerateInput(f"matrix {start + bad[0]} of the stack has a non-finite "
+                                  f"entry or 1-norm; its exponential is undefined in doubles")
         degree = np.full(norm1.shape, 13)
         for m in (9, 7, 5, 3):
             degree[norm1 <= _THETA[m]] = m
-        for m in np.unique(degree):
+        for m in np.unique(degree)[::-1]:  # the scaled group, which may overflow, first
             rows = np.flatnonzero(degree == m)
             result[start + rows] = _pade_exp(block[rows], norm1[rows], int(m))
     return out
 
 
+def _matmul_last(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Products x[..., k] @ y[..., k] of two (n, n, k) stacks, matrix index last."""
+    return np.einsum("ijk,jlk->ilk", x, y)
+
+
 def _pade_exp(a: np.ndarray, norm1: np.ndarray, degree: int) -> np.ndarray:
-    """exp of a (k, n, n) stack at one Pade degree, scaling and squaring at degree 13."""
+    """exp of a (k, n, n) stack at one Pade degree, scaling and squaring at degree 13.
+
+    The products run over the whole group at once, in the layout (n, n, k)
+    with the matrix index last and contiguous: one einsum each instead of
+    one BLAS call per small matrix.  The solve stays on LAPACK, on the
+    group seen as (k, n, n).  Each matrix's sums run in the same order
+    whatever k is, so a matrix's exponential does not depend on its group.
+    """
+    a = np.ascontiguousarray(a.transpose(1, 2, 0))
     s = np.zeros(norm1.shape, dtype=int)
     if degree < 13:
         # u = a (b_1 + b_3 a^2 + ... + b_m a^(m-1)),  v = b_0 + b_2 a^2 + ... + b_(m-1) a^(m-1)
         b = _PADE_LOW[degree]
-        a2 = a @ a
+        a2 = _matmul_last(a, a)
         u, v = b[3] * a2, b[2] * a2
         power = a2
         for k in range(2, degree // 2 + 1):
-            power = power @ a2
+            power = _matmul_last(power, a2)
             u += b[2 * k + 1] * power
             v += b[2 * k] * power
-        diag = np.arange(a.shape[-1])
-        u[..., diag, diag] += b[1]
-        v[..., diag, diag] += b[0]
-        u = a @ u
     else:
         with np.errstate(divide="ignore"):
             s = np.ceil(np.log2(norm1 / _THETA[13]))
         s = np.where(norm1 > _THETA[13], s, 0.0).astype(int)
-        scaled = a / (2.0 ** s)[..., None, None]
+        a = a / 2.0 ** s
         b = _PADE13
-        eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
-        a2 = scaled @ scaled
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = scaled @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                      + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
-
-    for k in range(int(s.max(initial=0))):
-        mask = s > k
-        r[mask] = r[mask] @ r[mask]
+        a2 = _matmul_last(a, a)
+        a4 = _matmul_last(a2, a2)
+        a6 = _matmul_last(a4, a2)
+        u = (_matmul_last(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2)
+        v = (_matmul_last(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2)
+    diag = np.arange(a.shape[0])
+    u[diag, diag] += b[1]
+    v[diag, diag] += b[0]
+    u = _matmul_last(a, u)
+    r = np.linalg.solve((v - u).transpose(2, 0, 1), (v + u).transpose(2, 0, 1))
+    if s.max(initial=0):
+        r = np.ascontiguousarray(r.transpose(1, 2, 0))
+        for k in range(int(s.max())):
+            mask = s > k
+            r[..., mask] = _matmul_last(r[..., mask], r[..., mask])
+        if not np.isfinite(r).all():
+            raise DegenerateInput(f"the exponential of a matrix of 1-norm up to {norm1.max():.3g} "
+                                  f"overflows in doubles")
+        r = r.transpose(2, 0, 1)
     return r
 
 

@@ -399,8 +399,8 @@ OUTPUT_DIGESTS = {
               "6742637823834c32a33fafb8513683aa93252b177e248883ec5409fc95098ff9"),
     "curvature": ("ef7c303fb4706b6c7fedc86194eba5f4f8d9a875c95ed02965ea152b9d6b5e19",
                   "fb1b890595d524517624c45cc39a2cfd7cb0947164b188518626a0281a8319ba"),
-    "calibrate": ("a764c17864d919e2227b7268411fd58176d0ce32708c5c223a0cd993e38d87e2",
-                  "78d66ad6b621b43b67185cecc83fd7df8af756c4b93749a1a999c87396a49743"),
+    "calibrate": ("2a14efcdaeb8b79e5433443c959ce7f8abcd529af6b03a8820802efc0e9707e4",
+                  "37207470f16629e2097df1271e9e5da18f04f467aa0587ecc46af19417f14355"),
     "plane-props": ("af0e81604e0eaf8dc7cf587a8e25f178b2e0308a5ca40dc254c94ba1996cdbaa",
                     "52d3dd2ad3f31bd432236e004c5b352284609e42431c51c9e3def7a34303f2ea"),
     "volume-compare": ("10f0baf698ad19c6d81edf613e816cce4a410ef0881e3c5981eda5774517bcf7",

@@ -235,16 +235,18 @@ def test_matrix_exp_scales_each_matrix_of_a_mixed_stack():
 
 def test_matrix_exp_of_a_stacked_matrix_does_not_depend_on_the_stack():
     # norms in every degree band and above theta_13 (scaled by 2^1 .. 2^4):
-    # each matrix's degree follows its own norm, so a stacked matrix is
-    # bit for bit its single-matrix exponential
+    # each matrix's degree follows its own norm, and each matrix's products
+    # sum in the same order in a group of any size, so a stacked matrix is
+    # bit for bit its single-matrix exponential at every n
     rng = np.random.default_rng(11)
     norms = np.array([1e-3, 0.1, 0.5, 1.5, 4.0, 8.0, 20.0, 40.0, 60.0, 2.0])
-    a = with_norm1(rng.normal(size=(10, 3, 3)) + 1j * rng.normal(size=(10, 3, 3)), norms)
-    stacked = matrix_exp(a)
-    for k in range(len(a)):
-        assert np.array_equal(stacked[k], matrix_exp(a[k])), norms[k]
-    assert np.array_equal(matrix_exp(a.reshape(2, 5, 3, 3)), stacked.reshape(2, 5, 3, 3))
-    assert_close_to_expm(stacked, a)
+    for n in (3, 1, 2, 4, 5):
+        a = with_norm1(rng.normal(size=(10, n, n)) + 1j * rng.normal(size=(10, n, n)), norms)
+        stacked = matrix_exp(a)
+        for k in range(len(a)):
+            assert np.array_equal(stacked[k], matrix_exp(a[k])), (n, norms[k])
+        assert np.array_equal(matrix_exp(a.reshape(2, 5, n, n)), stacked.reshape(2, 5, n, n)), n
+        assert_close_to_expm(stacked, a)
 
 
 def mixed_degree_stack():
@@ -303,6 +305,33 @@ def test_matrix_exp_rejects_a_bad_out():
         with pytest.raises(DimensionMismatch, match="out must be"):
             matrix_exp(a, out=out)
         assert not np.any(out), name  # nothing written
+
+
+@pytest.mark.filterwarnings("error")
+def test_matrix_exp_rejects_non_finite_input_before_writing_its_block(monkeypatch):
+    # each bad matrix sits in the second block of 7; the first block is
+    # written, the bad block and the ones after it are not, and no
+    # RuntimeWarning is raised on the way
+    bad_matrices = {
+        "inf entry": ([[np.inf]], "non-finite"),
+        "nan entry": ([[1.0, np.nan], [0.0, 1.0]], "non-finite"),
+        "1-norm overflows": ([[1e308, 0.0], [1e308, 1.0]], "non-finite"),
+        "exponential overflows": ([[1e308, 1e308], [0.0, 1.0]], "overflows"),
+    }
+    monkeypatch.setattr(core, "STACK_BLOCK", 7)
+    rng = np.random.default_rng(15)
+    for name, (bad, message) in bad_matrices.items():
+        bad = np.array(bad, dtype=complex)
+        with pytest.raises(DegenerateInput, match=message):
+            matrix_exp(bad)
+        n = len(bad)
+        a = 0.1 * (rng.normal(size=(20, n, n)) + 1j * rng.normal(size=(20, n, n)))
+        a[10] = bad
+        out = np.zeros_like(a)
+        with pytest.raises(DegenerateInput, match=message):
+            matrix_exp(a, out=out)
+        assert np.array_equal(out[:7], matrix_exp(a[:7])), name
+        assert not np.any(out[7:]), name
 
 
 def traced_peak(call, *args):
