@@ -1,12 +1,14 @@
-"""Calibration checks and volume-comparison experiments.
+"""Random Lagrangian frames and volume-comparison experiments.
 
 The n-form Theta_0 = Re(e^{-i beta_0} Omega) is bounded by the volume
 element on non-degenerate Lagrangian frames, with equality exactly at
-angle beta_0.  This module samples random Lagrangian frames to test the
-inequality and the determinant identity behind it, and runs desk-scale
-volume experiments: a minimal patch is deformed by compactly supported
-Hamiltonian flows (which preserve the Lagrangian class and fix the
-boundary) and its volume compared against each competitor.
+angle beta_0.  This module draws the random Lagrangian frames on which
+that inequality and the determinant identity behind it are checked (the
+arithmetic is core.frame_quantities, re-exported here), rotates frames to
+a given angle, and runs desk-scale volume experiments: a minimal patch is
+deformed by compactly supported Hamiltonian flows (which preserve the
+Lagrangian class and fix the boundary) and its volume compared against
+each competitor.
 
 The deformation engine integrates the parameter-label transport system
 
@@ -44,8 +46,7 @@ from .core import (
     STACK_BLOCK,
     Signature,
     circ_spread,
-    frame_quantities,
-    hol_volume,
+    frame_quantities,  # re-exported: the calibration arithmetic on frame stacks
     pseudo_unitary_sample,
 )
 from .immersion import (
@@ -58,13 +59,8 @@ from .immersion import (
     midpoint_grid,
 )
 
-FRAME_DEFECT_TOL = 1e-9
 AMBIENT_BOUND = 1e6
 FLOW_GRID = (128, 128)
-
-
-class NonLagrangianFrame(GeometryError):
-    pass
 
 
 class FlowDivergence(GeometryError):
@@ -76,14 +72,6 @@ class FlowDegeneracy(GeometryError):
 
 
 # --- frames -------------------------------------------------------------------
-
-def theta0(frame, beta0: float, sig: Signature) -> float:
-    """The calibration form Re(e^{-i beta_0} Omega) on a frame."""
-    frame = np.asarray(frame, dtype=complex)
-    if frame.shape != (sig.n, sig.n):
-        raise DegenerateInput(f"frame shape {frame.shape} does not match n={sig.n}")
-    return float((np.exp(-1j * beta0) * hol_volume(frame)).real)
-
 
 def random_lagrangian_frames(sig: Signature, count: int, rng: np.random.Generator) -> np.ndarray:
     """Batch of frames spanning non-degenerate Lagrangian n-planes.
@@ -111,70 +99,22 @@ def random_lagrangian_frames(sig: Signature, count: int, rng: np.random.Generato
     return frames
 
 
-def random_lagrangian_frame(sig: Signature, seed) -> np.ndarray:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return random_lagrangian_frames(sig, 1, rng)[0]
+def rotate_frame_to_angle(frames, beta0, sig: Signature) -> np.ndarray:
+    """Scalar-unitary rotation of frames (..., n, n) so their angles become beta0.
 
-
-@dataclass(frozen=True)
-class CalibrationSample:
-    frame: np.ndarray
-    beta0: float
-    theta0: float
-    dvol: float
-    beta: float
-    slack: float
-
-
-def _lagrangian_quantities(frame, sig: Signature) -> dict:
-    """dvol, beta and absdet_m of one frame; rejects non-Lagrangian and degenerate frames."""
-    q = frame_quantities(frame, sig)
-    if q["defect"] > FRAME_DEFECT_TOL:
-        raise NonLagrangianFrame(f"frame defect {q['defect']:.3e} above {FRAME_DEFECT_TOL:.1e}")
-    if q["degenerate"]:
-        raise DegenerateInput("frame is numerically degenerate")
-    return {key: float(q[key]) for key in ("dvol", "beta", "absdet_m")}
-
-
-def calib_check(frame, beta0: float, sig: Signature) -> CalibrationSample:
-    """Evaluate the calibration inequality data on one Lagrangian frame."""
-    frame = np.asarray(frame, dtype=complex)
-    q = _lagrangian_quantities(frame, sig)
-    th = theta0(frame, beta0, sig)
-    return CalibrationSample(
-        frame=frame, beta0=float(beta0), theta0=th, dvol=q["dvol"],
-        beta=q["beta"], slack=q["dvol"] - th)
-
-
-def det_identity_check(frame, sig: Signature) -> float:
-    """Relative residual of dvol = |det_C M| on a Lagrangian frame."""
-    frame = np.asarray(frame, dtype=complex)
-    q = _lagrangian_quantities(frame, sig)
-    return abs(q["dvol"] - q["absdet_m"]) / q["dvol"]
-
-
-def rotate_frame_to_angle(frame, beta0: float, sig: Signature) -> np.ndarray:
-    """Scalar-unitary rotation of the frame so its angle becomes beta0.
-
-    Multiplying every vector by e^{i theta / n} preserves the Lagrangian
-    plane property and the volume element while turning Omega by
-    e^{i theta}.
+    beta0 broadcasts over the stack.  Multiplying every vector by
+    e^{i theta / n} preserves the Lagrangian plane property and the volume
+    element while turning Omega by e^{i theta}.
     """
-    frame = np.asarray(frame, dtype=complex)
-    beta = np.angle(hol_volume(frame))
-    return frame * np.exp(1j * (beta0 - beta) / sig.n)
+    frames = np.asarray(frames, dtype=complex)
+    beta = np.angle(np.linalg.det(frames))
+    return frames * np.exp(1j * (beta0 - beta) / sig.n)[..., None, None]
 
 
 # --- Hamiltonian perturbations --------------------------------------------------
 
-def bump_profile(t):
-    """Compactly supported radial profile (1 - t^2)^3 on t < 1, zero outside."""
-    t = np.asarray(t, dtype=float)
-    inside = np.clip(1.0 - t * t, 0.0, None)
-    return inside ** 3
-
-
 def bump_profile_d1(t):
+    """Derivative of the radial bump profile (1 - t^2)^3 on t < 1, zero outside."""
     t = np.asarray(t, dtype=float)
     inside = np.clip(1.0 - t * t, 0.0, None)
     return -6.0 * t * inside ** 2
@@ -216,8 +156,7 @@ class _PolarFlow:
     """Method-of-lines state for one compactly supported Hamiltonian flow."""
 
     def __init__(self, patch: ImmersionPatch, spec: PerturbationSpec,
-                 grid: tuple[int, int] = FLOW_GRID, ambient_bound: float = AMBIENT_BOUND):
-        self.ambient_bound = ambient_bound
+                 grid: tuple[int, int] = FLOW_GRID):
         if patch.n != 2:
             raise GeometryError("the deformation engine supports 2-parameter patches")
         self.patch = patch
@@ -324,7 +263,7 @@ class _PolarFlow:
             k3 = self._field(d + 0.5 * dt * k2)
             k4 = self._field(d + dt * k3)
             d = d + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if np.max(np.abs(self.base + d)) > self.ambient_bound:
+            if np.max(np.abs(self.base + d)) > AMBIENT_BOUND:
                 raise FlowDivergence("flow left the configured ambient bound")
         return d
 
@@ -399,8 +338,7 @@ class _NotAKnotBicubic:
         return np.einsum("nb,npb->np", wy, np.einsum("na,npab->npb", wx, blocks))
 
 def hamiltonian_perturb(patch: ImmersionPatch, spec: PerturbationSpec,
-                        grid: tuple[int, int] = FLOW_GRID,
-                        ambient_bound: float = AMBIENT_BOUND) -> ImmersionPatch:
+                        grid: tuple[int, int] = FLOW_GRID) -> ImmersionPatch:
     """Deform a patch along the compactly supported Hamiltonian field.
 
     The returned patch evaluates exactly as the input outside the bump
@@ -412,7 +350,7 @@ def hamiltonian_perturb(patch: ImmersionPatch, spec: PerturbationSpec,
     if spec.steps == 0 or spec.amplitude == 0.0:
         return replace(patch, meta=meta)
 
-    flow = _PolarFlow(patch, spec, grid, ambient_bound)
+    flow = _PolarFlow(patch, spec, grid)
     displacement = _NotAKnotBicubic(*_padded_polar_grid(flow, flow.run()))
     center, radius = spec.center, spec.radius
     base_f = patch.f

@@ -573,8 +573,9 @@ def _run_calibrate(cfg: RunConfig) -> ExperimentReport:
     beta0 = rng.uniform(-np.pi, np.pi, cfg.samples)
     th = (np.exp(-1j * beta0) * q["omega_det"]).real
     slack = (q["dvol"] - th) / q["scale"]
-    tight_slack = (q["dvol"] - np.abs(q["omega_det"])) / q["scale"]
-    identity = np.abs(q["dvol"] - q["absdet_m"]) / q["dvol"]
+    abs_det = np.abs(q["omega_det"])  # |det M| of the coefficient matrix
+    tight_slack = (q["dvol"] - abs_det) / q["scale"]
+    identity = np.abs(q["dvol"] - abs_det) / q["dvol"]
     rows = ColumnRows(np.arange(cfg.samples), beta0, q["beta"], q["dvol"], th, slack, identity)
     slack_min = float(min(np.min(slack), np.min(tight_slack)))
     identity_max = float(np.max(identity))
@@ -582,7 +583,8 @@ def _run_calibrate(cfg: RunConfig) -> ExperimentReport:
         config=_config_echo(cfg), seed=cfg.seed, version=__version__,
         passed=(slack_min >= SLACK_GATE) and (identity_max <= IDENTITY_GATE),
         max_defect=float(np.max(q["defect"])),
-        slack_min=slack_min, identity_max_residual=identity_max, degenerate_count=0,
+        slack_min=slack_min, identity_max_residual=identity_max,
+        degenerate_count=int(np.count_nonzero(q["degenerate"])),
         columns=["index", "beta0", "beta", "dvol", "theta0", "slack", "identity_residual"],
         rows=rows)
 

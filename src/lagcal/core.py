@@ -117,20 +117,20 @@ def herm_gram(frame, sig: Signature) -> np.ndarray:
     return frame * sig.eps @ frame.conj().swapaxes(-1, -2)
 
 
-_FRAME_QUANTITIES = {"defect": float, "beta": float, "dvol": float, "absdet_m": float,
-                     "scale": float, "degenerate": bool, "omega_det": complex}
+_FRAME_QUANTITIES = {"defect": float, "beta": float, "dvol": float, "scale": float,
+                     "degenerate": bool, "omega_det": complex}
 
 
 def frame_quantities(frames, sig: Signature) -> dict:
-    """Per-frame defect, volume element, angle and |det M| of frames (..., n, n).
+    """Per-frame defect, volume element and angle of frames (..., n, n).
 
     ``defect`` is the largest symplectic pairing between two frame vectors
     over their Euclidean norms (zero on Lagrangian frames; a zero vector
     pairs to 0).  ``dvol`` = sqrt|det Re gram| is ``degenerate`` when at
     most DEGENERACY_TOL times ``scale``, the product of the vector norms.
-    ``omega_det`` = det frame has argument ``beta``.  |det M| of the
-    coefficient matrix M = frame * eps = [<<X_j, e_k>>_p] equals dvol
-    exactly on Lagrangian frames.
+    ``omega_det`` = det frame has argument ``beta``.  Its modulus is |det M|
+    of the coefficient matrix M = frame * eps = [<<X_j, e_k>>_p], since
+    |det diag(eps)| = 1, and equals dvol exactly on Lagrangian frames.
 
     The stack runs in consecutive blocks of STACK_BLOCK frames, each
     written into one preallocated output per quantity.  Every quantity
@@ -163,7 +163,6 @@ def _frame_block(frames: np.ndarray, sig: Signature) -> dict:
         "defect": defect,
         "beta": np.angle(det),
         "dvol": dvol,
-        "absdet_m": np.abs(det),  # |det(frame @ diag(eps))| = |det frame| since |det diag(eps)| = 1
         "scale": scale,
         "degenerate": dvol <= DEGENERACY_TOL * np.maximum(scale, TINY),
         "omega_det": det,

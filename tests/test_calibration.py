@@ -6,24 +6,18 @@ from scipy.interpolate import RectBivariateSpline
 
 from lagcal import core
 from lagcal.calibration import (
-    CalibrationSample,
     DegenerateInput,
     FlowDegeneracy,
-    NonLagrangianFrame,
     PerturbationSpec,
     _NotAKnotBicubic,
     _PolarFlow,
     _padded_polar_grid,
     bump_profile_d1,
-    calib_check,
-    det_identity_check,
     frame_quantities,
     hamiltonian_perturb,
-    random_lagrangian_frame,
     random_lagrangian_frames,
     random_perturbations,
     rotate_frame_to_angle,
-    theta0,
     volume_compare,
 )
 from lagcal.core import Signature, hol_volume
@@ -40,11 +34,16 @@ from lagcal.immersion import (
 ALL_SIGS = [Signature(p, n) for n in (1, 2, 3, 4) for p in range(n + 1)]
 
 
+def calibration_form(q, beta0):
+    """The calibration form Re(e^{-i beta_0} Omega) from frame_quantities."""
+    return (np.exp(-1j * beta0) * q["omega_det"]).real
+
+
 def test_theta0_frozen_values():
     sig = Signature(1, 2)
-    eye = np.eye(2, dtype=complex)
-    assert theta0(eye, 0.0, sig) == pytest.approx(1.0)
-    assert theta0(eye, np.pi / 2.0, sig) == pytest.approx(0.0, abs=1e-15)
+    q = frame_quantities(np.eye(2, dtype=complex), sig)
+    assert calibration_form(q, 0.0) == pytest.approx(1.0)
+    assert calibration_form(q, np.pi / 2.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_random_frames_are_lagrangian_and_satisfy_identity():
@@ -53,7 +52,7 @@ def test_random_frames_are_lagrangian_and_satisfy_identity():
         frames = random_lagrangian_frames(sig, 200, rng)
         q = frame_quantities(frames, sig)
         assert np.max(q["defect"]) < 1e-10
-        rel = np.abs(q["dvol"] - q["absdet_m"]) / q["dvol"]
+        rel = np.abs(q["dvol"] - np.abs(q["omega_det"])) / q["dvol"]
         assert np.max(rel) < 1e-9
 
 
@@ -90,16 +89,14 @@ def test_redraw_of_bad_rows_matches_full_recheck(p, n, seed):
 
 @pytest.mark.parametrize("p, n", [(0, 1), (1, 3), (2, 4)])
 def test_random_frames_equal_the_whole_stack_product(p, n):
-    # two full blocks and a ragged one of 5; then one frame, seeded and
-    # from a generator, as random_lagrangian_frame draws it
+    # two full blocks and a ragged one of 5; then a stack of one frame
     sig = Signature(p, n)
     count = 2 * core.STACK_BLOCK + 5
     expected, _ = full_recheck_frames(sig, count, np.random.default_rng(16))
     frames = random_lagrangian_frames(sig, count, np.random.default_rng(16))
     assert frames.shape == expected.shape and np.array_equal(frames, expected)
     single = full_recheck_frames(sig, 1, np.random.default_rng(17))[0][0]
-    assert np.array_equal(random_lagrangian_frame(sig, 17), single)
-    assert np.array_equal(random_lagrangian_frame(sig, np.random.default_rng(17)), single)
+    assert np.array_equal(random_lagrangian_frames(sig, 1, np.random.default_rng(17))[0], single)
 
 
 class SingularThenRandom:
@@ -136,10 +133,10 @@ def test_real_frame_has_zero_angle_and_tight_theta0():
     while np.linalg.det(real) < 0.05:
         real = rng.uniform(-1.0, 1.0, (3, 3))
     frame = real.astype(complex)
-    sample = calib_check(frame, 0.0, sig)
+    q = frame_quantities(frame, sig)
     assert np.angle(hol_volume(frame)) == pytest.approx(0.0, abs=1e-12)
-    assert sample.beta == pytest.approx(0.0, abs=1e-12)
-    assert sample.slack == pytest.approx(0.0, abs=1e-12)
+    assert q["beta"] == pytest.approx(0.0, abs=1e-12)
+    assert q["dvol"] - calibration_form(q, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_calibration_inequality_over_angle_grid():
@@ -148,8 +145,7 @@ def test_calibration_inequality_over_angle_grid():
         frames = random_lagrangian_frames(sig, 100, rng)
         q = frame_quantities(frames, sig)
         for beta0 in np.linspace(-np.pi, np.pi, 16, endpoint=False):
-            th = (np.exp(-1j * beta0) * q["omega_det"]).real
-            slack = q["dvol"] - th
+            slack = q["dvol"] - calibration_form(q, beta0)
             assert np.min(slack / q["scale"]) > -1e-9
 
 
@@ -157,19 +153,17 @@ def test_equality_condition_after_rotation():
     rng = np.random.default_rng(3)
     sig = Signature(1, 2)
     beta0 = 0.7
-    for frame in random_lagrangian_frames(sig, 50, rng):
-        rotated = rotate_frame_to_angle(frame, beta0, sig)
-        assert frame_quantities(rotated, sig)["defect"] < 1e-10
-        sample = calib_check(rotated, beta0, sig)
-        assert abs(sample.slack) / sample.dvol < 1e-10
-        assert isinstance(sample, CalibrationSample)
-
-
-def test_det_identity_check_on_lagrangian_frames():
-    rng = np.random.default_rng(4)
-    sig = Signature(2, 4)
-    for frame in random_lagrangian_frames(sig, 30, rng):
-        assert det_identity_check(frame, sig) < 1e-10
+    frames = random_lagrangian_frames(sig, 50, rng)
+    rotated = rotate_frame_to_angle(frames, beta0, sig)
+    q = frame_quantities(rotated, sig)
+    assert np.max(q["defect"]) < 1e-10
+    assert np.max(np.abs(q["dvol"] - calibration_form(q, beta0)) / q["dvol"]) < 1e-10
+    # the stack and beta0 broadcast against each other; one frame at a time agrees
+    beta0s = np.linspace(-3.0, 3.0, 50)
+    stacked = rotate_frame_to_angle(frames, beta0s, sig)
+    for k in (0, 17, 49):
+        assert np.array_equal(stacked[k], rotate_frame_to_angle(frames[k], beta0s[k], sig))
+    assert np.allclose(np.angle(np.linalg.det(stacked)), beta0s, atol=1e-12)
 
 
 def test_identity_fails_on_non_lagrangian_witness():
@@ -180,11 +174,8 @@ def test_identity_fails_on_non_lagrangian_witness():
     witness = np.array([[1.0, 0.0], [1.0j, 0.0]], dtype=complex)
     q = frame_quantities(witness, sig)
     assert q["dvol"] == pytest.approx(1.0)
-    assert q["absdet_m"] == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(NonLagrangianFrame):
-        calib_check(witness, 0.0, sig)
-    with pytest.raises(NonLagrangianFrame):
-        det_identity_check(witness, sig)
+    assert abs(q["omega_det"]) == pytest.approx(0.0, abs=1e-15)
+    assert q["defect"] == pytest.approx(1.0)
 
 
 def linear_patch(frame, sig):
@@ -207,7 +198,6 @@ def frames_with_degenerate_tail(sig):
 def test_batched_frame_quantities_match_pointwise_calls(p, n):
     sig = Signature(p, n)
     frames = frames_with_degenerate_tail(sig)
-    repeated_row = frames[-1]
     q = frame_quantities(frames, sig)
     u = np.full(n, 0.5)
     for k, frame in enumerate(frames):
@@ -218,8 +208,6 @@ def test_batched_frame_quantities_match_pointwise_calls(p, n):
     assert np.isfinite(q["defect"][-2])
     assert list(np.flatnonzero(q["degenerate"])) == [len(frames) - 2, len(frames) - 1]
     assert q["defect"][-1] <= 1e-9  # the Lagrangian check passes, the degeneracy check trips
-    with pytest.raises(DegenerateInput):
-        calib_check(repeated_row, 0.0, sig)
 
 
 @pytest.mark.parametrize("block", [7, 10**6])
@@ -231,9 +219,9 @@ def test_frame_quantities_do_not_depend_on_the_block_size(monkeypatch, p, n, blo
     patch = linear_patch(frames[3], sig)
 
     def pointwise():
-        sample = calib_check(frames[3], 0.3, sig)
+        single = frame_quantities(frames[3], sig)
         return (lagrangian_defect(patch, u), dvol(patch, u),
-                sample.theta0, sample.dvol, sample.beta, sample.slack)
+                calibration_form(single, 0.3), single["dvol"], single["beta"])
 
     expected = frame_quantities(frames, sig)
     expected_pointwise = pointwise()
@@ -252,10 +240,12 @@ def test_frame_quantities_do_not_depend_on_the_block_size(monkeypatch, p, n, blo
 
 
 def test_degenerate_frame_rejected():
+    # two parallel vectors: Lagrangian, but the degeneracy flag trips
     sig = Signature(0, 2)
     frame = np.array([[1.0, 0.0], [2.0, 0.0]], dtype=complex)
-    with pytest.raises(DegenerateInput):
-        calib_check(frame, 0.0, sig)
+    q = frame_quantities(frame, sig)
+    assert q["defect"] == 0.0
+    assert q["degenerate"]
 
 
 # --- Hamiltonian deformations -----------------------------------------------
@@ -455,11 +445,12 @@ def test_perturbation_of_single_point_eval():
     assert np.array_equal(np.asarray(pert.f(outside)), np.asarray(FLAT.f(outside)))
 
 
-def test_flow_divergence_guard_trips_on_tight_bound():
-    from lagcal.calibration import FlowDivergence
+def test_flow_divergence_guard_trips_on_tight_bound(monkeypatch):
+    import lagcal.calibration as calibration
 
-    with pytest.raises(FlowDivergence):
-        hamiltonian_perturb(FLAT, CENTERED, ambient_bound=0.5)
+    monkeypatch.setattr(calibration, "AMBIENT_BOUND", 0.5)
+    with pytest.raises(calibration.FlowDivergence):
+        hamiltonian_perturb(FLAT, CENTERED)
 
 
 def test_volume_compare_thread_cap_is_deterministic(monkeypatch):

@@ -108,6 +108,26 @@ def test_calibrate_experiment():
     assert report.passed
     assert report.slack_min >= -1e-9
     assert report.identity_max_residual < 1e-10
+    assert report.degenerate_count == 0
+
+
+def test_calibrate_counts_degenerate_frames(monkeypatch):
+    import lagcal.cli as cli
+
+    draw = cli.random_lagrangian_frames
+
+    def with_degenerate_tail(sig, count, rng):
+        frames = draw(sig, count, rng)
+        frames[-2, -1] = 0.0             # a zero row
+        frames[-1, -1] = frames[-1, 0]   # a repeated row: still Lagrangian
+        return frames
+
+    monkeypatch.setattr(cli, "random_lagrangian_frames", with_degenerate_tail)
+    config = {"signature": {"p": 1, "n": 3}, "experiment": "calibrate", "samples": 50}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        report = run_experiment(parse_config(json.dumps(config)))
+    assert report.degenerate_count == 2
+    assert not report.passed
 
 
 def test_plane_props_experiment():
