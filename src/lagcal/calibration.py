@@ -27,10 +27,9 @@ rows are the base rows df/drho, df/dtheta (precomputed once per flow)
 plus those raw derivatives of the displacement, with no Cartesian chain
 rule.  The field writes the 2x2 Gram entries out in real arithmetic.
 
-The deformed patch evaluates the flowed displacement through a
-tensor-product not-a-knot bicubic on the padded polar grid
-(_NotAKnotBicubic): FITPACK's s=0 interpolant, written in NumPy, so no
-experiment loads SciPy.
+The deformed patch evaluates the flowed displacement through the
+tensor-product not-a-knot bicubic of lagcal.spline on the padded polar
+grid.
 """
 
 import os
@@ -58,6 +57,7 @@ from .immersion import (
     lagrangian_defect,
     midpoint_grid,
 )
+from .spline import NotAKnotBicubic
 
 AMBIENT_BOUND = 1e6
 FLOW_GRID = (128, 128)
@@ -285,58 +285,6 @@ def _padded_polar_grid(flow: _PolarFlow, d: np.ndarray):
     return rho, theta, np.moveaxis(planes, 0, -1)
 
 
-def _cubic_basis(knots: np.ndarray, x: np.ndarray):
-    """Index of the first of the four cubic B-splines nonzero at each x, and their values.
-
-    de Boor's recurrence in FITPACK's fpbspl form, vectorized over x; x at
-    the last knot belongs to the last span.
-    """
-    span = np.clip(np.searchsorted(knots, x, side="right") - 1, 3, len(knots) - 5)
-    t = knots[span + np.arange(-2, 4)[:, None]]                # knots span-2 .. span+3
-    h = [np.ones_like(x)]
-    for j in range(1, 4):
-        nxt = [np.zeros_like(x)]
-        for i, hi in enumerate(h):
-            right, left = t[3 + i], t[3 + i - j]
-            f = hi / (right - left)
-            nxt[i] = nxt[i] + f * (right - x)
-            nxt.append(f * (x - left))
-        h = nxt
-    return span - 3, np.stack(h, axis=-1)
-
-
-class _NotAKnotBicubic:
-    """Tensor-product not-a-knot cubic interpolant of stacked value planes.
-
-    values has shape (len(x), len(y), planes).  Each axis has knots
-    x[0] (4 times), x[2:-2], x[-1] (4 times): FITPACK's s=0, k=3 knots, so
-    each plane gets the interpolant of RectBivariateSpline(x, y, plane,
-    kx=3, ky=3) (de Boor, A Practical Guide to Splines, 1978).
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, values: np.ndarray):
-        self.knots = tuple(np.concatenate([np.repeat(a[0], 4), a[2:-2], np.repeat(a[-1], 4)])
-                           for a in (x, y))
-        coef = values
-        for axis, (knots, nodes) in enumerate(zip(self.knots, (x, y))):
-            # one collocation solve per axis, every plane a right-hand side
-            first, w = _cubic_basis(knots, nodes)
-            collocation = np.zeros((len(nodes), len(nodes)))
-            np.put_along_axis(collocation, first[:, None] + np.arange(4), w, axis=1)
-            moved = np.moveaxis(coef, axis, 0)
-            solved = np.linalg.solve(collocation, moved.reshape(len(nodes), -1))
-            coef = np.moveaxis(solved.reshape(moved.shape), 0, axis)
-        # the (4, 4) coefficient block of every span pair, per plane: a view
-        # of shape (len(x) - 3, len(y) - 3, planes, 4, 4)
-        self.blocks = np.lib.stride_tricks.sliding_window_view(
-            np.ascontiguousarray(coef), (4, 4), axis=(0, 1))
-
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Every plane at the points (x[k], y[k]), shaped (len(x), planes)."""
-        (ix, wx), (iy, wy) = (_cubic_basis(knots, a) for knots, a in zip(self.knots, (x, y)))
-        blocks = self.blocks[ix, iy]                               # (len(x), planes, 4, 4)
-        return np.einsum("nb,npb->np", wy, np.einsum("na,npab->npb", wx, blocks))
-
 def hamiltonian_perturb(patch: ImmersionPatch, spec: PerturbationSpec,
                         grid: tuple[int, int] = FLOW_GRID) -> ImmersionPatch:
     """Deform a patch along the compactly supported Hamiltonian field.
@@ -351,7 +299,7 @@ def hamiltonian_perturb(patch: ImmersionPatch, spec: PerturbationSpec,
         return replace(patch, meta=meta)
 
     flow = _PolarFlow(patch, spec, grid)
-    displacement = _NotAKnotBicubic(*_padded_polar_grid(flow, flow.run()))
+    displacement = NotAKnotBicubic(*_padded_polar_grid(flow, flow.run()))
     center, radius = spec.center, spec.radius
     base_f = patch.f
 

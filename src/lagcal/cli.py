@@ -577,14 +577,19 @@ def _run_calibrate(cfg: RunConfig) -> ExperimentReport:
     tight_slack = (q["dvol"] - abs_det) / q["scale"]
     identity = np.abs(q["dvol"] - abs_det) / q["dvol"]
     rows = ColumnRows(np.arange(cfg.samples), beta0, q["beta"], q["dvol"], th, slack, identity)
-    slack_min = float(min(np.min(slack), np.min(tight_slack)))
-    identity_max = float(np.max(identity))
+    ok = ~q["degenerate"]  # the statistics skip flagged frames, whose columns may be NaN
+    degenerate = cfg.samples - int(np.count_nonzero(ok))
+    slack_min = identity_max = None  # if every frame is flagged
+    if degenerate < cfg.samples:
+        slack_min = float(min(np.min(slack, where=ok, initial=np.inf),
+                              np.min(tight_slack, where=ok, initial=np.inf)))
+        identity_max = float(np.max(identity, where=ok, initial=0.0))
     return ExperimentReport(
         config=_config_echo(cfg), seed=cfg.seed, version=__version__,
-        passed=(slack_min >= SLACK_GATE) and (identity_max <= IDENTITY_GATE),
+        passed=degenerate == 0 and slack_min >= SLACK_GATE and identity_max <= IDENTITY_GATE,
         max_defect=float(np.max(q["defect"])),
         slack_min=slack_min, identity_max_residual=identity_max,
-        degenerate_count=int(np.count_nonzero(q["degenerate"])),
+        degenerate_count=degenerate,
         columns=["index", "beta0", "beta", "dvol", "theta0", "slack", "identity_residual"],
         rows=rows)
 

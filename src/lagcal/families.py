@@ -35,6 +35,7 @@ from .core import (
     wrap_angle,
 )
 from .immersion import ImmersionPatch, make_flat_patch
+from .spline import cubic_basis, not_a_knot
 
 SELF_ADJOINT_TOL = 1e-10
 CHART_HALF_WIDTH = 0.35
@@ -112,16 +113,25 @@ class Curve:
 
     @staticmethod
     def from_samples(s, values) -> "Curve":
-        """Not-a-knot cubic spline through (s, values); values keep their dtype,
-        complex for a profile gamma, real of shape (len(s), k) for a coefficient pair.
+        """Not-a-knot cubic spline (lagcal.spline) through (s, values), with 4 or more
+        finite, strictly increasing s, else ValueError; values keep their dtype,
+        complex for a profile gamma, real of shape (len(s), k) for a coefficient pair."""
+        s, values = np.asarray(s, dtype=float), np.asarray(values)
+        if (s.ndim != 1 or len(s) < 4 or not np.all(np.isfinite(s)) or np.any(np.diff(s) <= 0)
+                or values.shape[:1] != s.shape):
+            raise ValueError(f"needs 4 or more finite, strictly increasing points and one value "
+                             f"per point, got points {s.shape} and values {values.shape}")
+        knots, coef = not_a_knot(s, values)
 
-        SciPy is imported here, so only the spline curve forms load it."""
-        from scipy.interpolate import CubicSpline
+        def jet(deriv):
+            def evaluate(x):
+                x = np.asarray(x, dtype=float)
+                first, w = cubic_basis(knots, x.ravel(), deriv)
+                out = np.einsum("na,na...->n...", w, coef[first[:, None] + np.arange(4)])
+                return out.reshape(x.shape + coef.shape[1:])
+            return evaluate
 
-        s = np.asarray(s, dtype=float)
-        spline = CubicSpline(s, np.asarray(values), bc_type="not-a-knot")
-        return Curve(val=spline, d1=spline.derivative(1), d2=spline.derivative(2),
-                     interval=(float(s[0]), float(s[-1])))
+        return Curve(val=jet(0), d1=jet(1), d2=jet(2), interval=(float(s[0]), float(s[-1])))
 
 
 # --- quadric machinery --------------------------------------------------------

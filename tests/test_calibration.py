@@ -9,7 +9,6 @@ from lagcal.calibration import (
     DegenerateInput,
     FlowDegeneracy,
     PerturbationSpec,
-    _NotAKnotBicubic,
     _PolarFlow,
     _padded_polar_grid,
     bump_profile_d1,
@@ -30,6 +29,7 @@ from lagcal.immersion import (
     lagrangian_defect,
     make_flat_patch,
 )
+from lagcal.spline import NotAKnotBicubic
 
 ALL_SIGS = [Signature(p, n) for n in (1, 2, 3, 4) for p in range(n + 1)]
 
@@ -391,7 +391,7 @@ def test_bicubic_matches_fitpack_on_a_flowed_catenoid():
     assert planes.shape == (len(rho), len(theta), 4)
     scale = np.max(np.abs(planes))
     assert scale > 1e-4
-    interp = _NotAKnotBicubic(rho, theta, planes)
+    interp = NotAKnotBicubic(rho, theta, planes)
 
     at_nodes = interp(*(a.ravel() for a in np.meshgrid(rho, theta, indexing="ij")))
     assert np.max(np.abs(at_nodes.reshape(planes.shape) - planes)) <= 1e-14 * scale

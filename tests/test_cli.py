@@ -111,7 +111,14 @@ def test_calibrate_experiment():
     assert report.degenerate_count == 0
 
 
-def test_calibrate_counts_degenerate_frames(monkeypatch):
+def strict_json(text):
+    """json.loads that rejects NaN and infinities, as strict JSON parsers do."""
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_calibrate_counts_degenerate_frames(tmp_path, monkeypatch):
     import lagcal.cli as cli
 
     draw = cli.random_lagrangian_frames
@@ -124,10 +131,22 @@ def test_calibrate_counts_degenerate_frames(monkeypatch):
 
     monkeypatch.setattr(cli, "random_lagrangian_frames", with_degenerate_tail)
     config = {"signature": {"p": 1, "n": 3}, "experiment": "calibrate", "samples": 50}
+    path = write_config(tmp_path, config)
     with np.errstate(divide="ignore", invalid="ignore"):
-        report = run_experiment(parse_config(json.dumps(config)))
-    assert report.degenerate_count == 2
-    assert not report.passed
+        assert main(["calibrate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    # the statistics skip the two flagged frames, so report.json is strict JSON
+    payload = strict_json((tmp_path / "o" / "report.json").read_text())
+    assert payload["degenerate_count"] == 2 and payload["passed"] is False
+    assert payload["slack_min"] >= -1e-9 and payload["identity_max_residual"] < 1e-10
+
+    # with every frame flagged there is no statistic to report
+    monkeypatch.setattr(cli, "random_lagrangian_frames",
+                        lambda sig, count, rng: np.zeros((count, sig.n, sig.n), complex))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert main(["calibrate", "--config", str(path), "--out", str(tmp_path / "z")]) == 2
+    payload = strict_json((tmp_path / "z" / "report.json").read_text())
+    assert payload["degenerate_count"] == 50
+    assert payload["slack_min"] is None and payload["identity_max_residual"] is None
 
 
 def test_plane_props_experiment():
@@ -340,13 +359,13 @@ def test_family_free_experiments_reject_a_family(tmp_path, capsys, experiment):
     assert not (tmp_path / "o").exists()
 
 
-def test_verify_passes_on_spline_sampled_curves(tmp_path):
-    # the "samples" forms: a spiral profile gamma and the two hyperbola
-    # branches of the product-null example, through 41 samples each
+def spline_sampled_families():
+    """The "samples" forms: a spiral profile gamma and the two hyperbola
+    branches of the product-null example, through 41 samples each."""
     s = np.linspace(-0.5, 0.5, 41)
     gamma = np.exp(complex(np.cos(0.6), np.sin(0.6)) * s)
     u, v = np.linspace(0.05, 1.5, 41), np.linspace(-1.5, -0.05, 41)
-    families = [
+    return [
         {"kind": "equivariant", "epsilon": 1,
          "gamma": {"form": "samples", "s": s.tolist(),
                    "values": [[z.real, z.imag] for z in gamma]}},
@@ -356,12 +375,51 @@ def test_verify_passes_on_spline_sampled_curves(tmp_path):
          "gamma2": {"form": "samples", "u": v.tolist(),
                     "values": np.stack([-0.5 * np.exp(v), -0.5 * np.exp(-v)], -1).tolist()}},
     ]
-    for k, family in enumerate(families):
+
+
+def test_verify_passes_on_spline_sampled_curves(tmp_path):
+    for k, family in enumerate(spline_sampled_families()):
         doc = {"signature": {"p": 1, "n": 2}, "family": family, "samples": 30}
         out = tmp_path / f"o{k}"
         assert main(["verify", "--config", str(write_config(tmp_path, doc)),
                      "--out", str(out)]) == 0, family["kind"]
         assert json.loads((out / "report.json").read_text())["max_defect"] < 1e-12
+
+
+def sampled_gamma(s, values=None):
+    values = [[1.0, 0.1 * x] for x in s] if values is None else values
+    return {"kind": "equivariant", "epsilon": 1,
+            "gamma": {"form": "samples", "s": s, "values": values}}
+
+
+def sampled_pair(u, values=None, which="gamma1"):
+    values = [[1.0 + x, 1.0 - x] for x in u] if values is None else values
+    return {**PRODUCT_NULL, which: {"form": "samples", "u": u, "values": values}}
+
+
+@pytest.mark.parametrize("family, fieldname", [
+    pytest.param(sampled_gamma([0.0, 0.5, 1.0]), "family.gamma", id="gamma-3-points"),
+    pytest.param(sampled_gamma([0.0, 1.0]), "family.gamma", id="gamma-2-points"),
+    pytest.param(sampled_gamma([0.0, 0.5, 0.5, 1.0]), "family.gamma", id="gamma-repeated-s"),
+    pytest.param(sampled_gamma([0.0, 0.7, 0.5, 1.0]), "family.gamma", id="gamma-unsorted-s"),
+    pytest.param(sampled_gamma([0.0, 0.3, 0.6, 1.0], [1, 1, 1]), "family.gamma",
+                 id="gamma-3-values-for-4-points"),
+    pytest.param(sampled_pair([0.0, 0.2, 0.4]), "family.gamma1", id="pair-3-points"),
+    pytest.param(sampled_pair([0.0, -0.2, 0.2, 0.4], which="gamma2"), "family.gamma2",
+                 id="pair-unsorted-u"),
+    pytest.param(sampled_pair([0.0, 0.1, 0.2, 0.3], [[1, 1]] * 5), "family.gamma1",
+                 id="pair-5-values-for-4-points"),
+])
+def test_cli_rejects_bad_sample_sets(tmp_path, capsys, family, fieldname):
+    # the spline needs 4 or more points, strictly increasing s, one value per point
+    doc = {"signature": {"p": 1, "n": 2}, "family": family, "samples": 5}
+    code = main(["verify", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fieldname}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("signature", [{"p": 1, "n": 3}, {"p": 1, "n": 2}])
@@ -462,16 +520,10 @@ def test_cli_experiments_do_not_load_scipy():
     assert probe == {"passed": [True, True, True], "scipy": []}
 
 
-def test_samples_curve_form_loads_scipy_when_used():
-    s = np.linspace(-0.5, 0.5, 41)
-    gamma = np.exp(complex(np.cos(0.6), np.sin(0.6)) * s)
-    family = {"kind": "equivariant", "epsilon": 1,
-              "gamma": {"form": "samples", "s": s.tolist(),
-                        "values": [[z.real, z.imag] for z in gamma]}}
-    probe = probe_scipy([{"signature": {"p": 1, "n": 2}, "experiment": "verify",
-                          "samples": 10, "family": family}])
-    assert probe["passed"] == [True]
-    assert "scipy.interpolate" in probe["scipy"]
+def test_samples_curve_forms_do_not_load_scipy():
+    docs = [{"signature": {"p": 1, "n": 2}, "experiment": "verify", "samples": 10,
+             "family": family} for family in spline_sampled_families()]
+    assert probe_scipy(docs) == {"passed": [True, True], "scipy": []}
 
 
 EVOLVING_QUADRIC_ANGLE = {

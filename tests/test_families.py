@@ -5,6 +5,7 @@ import functools
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from conftest import (
     ROTATION_GENERATOR,
@@ -411,6 +412,24 @@ def test_spline_curves_match_analytic_exponentials():
             got, want = getattr(spline, jet)(fine), getattr(exact, jet)(fine)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.max(np.abs(got - want)) < tol * np.max(np.abs(want)), jet
+
+
+@pytest.mark.parametrize("m", [4, 5, 7, 41, 200])
+def test_spline_curves_match_scipy_cubic_spline(m):
+    # the B-spline interpolant on FITPACK's s=0 knots is the not-a-knot cubic
+    # spline; random values at jittered nodes exercise every basis function
+    rng = np.random.default_rng(m)
+    s = np.linspace(-0.5, 0.7, m) + rng.uniform(-0.3, 0.3, m) * 1.2 / (m - 1)
+    width = s[-1] - s[0]
+    x = np.concatenate([np.linspace(s[0] - 0.025 * width, s[-1] + 0.025 * width, 601),
+                        s, np.nextafter(s[[0, -1]], [-np.inf, np.inf])])
+    for values in (rng.normal(size=m) + 1j * rng.normal(size=m), rng.normal(size=(m, 2))):
+        spline = Curve.from_samples(s, values)
+        ref = CubicSpline(s, values, bc_type="not-a-knot")
+        for order, jet in enumerate(("val", "d1", "d2")):
+            got, want = getattr(spline, jet)(x), ref(x, order)
+            assert got.shape == want.shape and got.dtype == want.dtype, jet
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (jet, values.dtype)
 
 
 def test_product_null_curves_structure():
