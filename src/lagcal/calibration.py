@@ -335,9 +335,7 @@ class PerturbationResult:
 @dataclass(frozen=True)
 class VolumeCompareReport:
     base_volume: float
-    base_beta_spread: float
     results: tuple
-    grid: tuple
 
     @property
     def degenerate_count(self) -> int:
@@ -400,8 +398,7 @@ def volume_compare(base: ImmersionPatch, specs, grid, seed: int = 0,
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with ThreadPoolExecutor(max_workers=max(1, min(cpus or 1, len(jobs)))) as pool:
         results = list(pool.map(run_one, jobs))  # in job order
-    return VolumeCompareReport(base_volume=base_volume, base_beta_spread=base_beta_spread,
-                               results=tuple(results), grid=tuple(np.atleast_1d(grid)))
+    return VolumeCompareReport(base_volume=base_volume, results=tuple(results))
 
 
 def random_perturbations(patch: ImmersionPatch, count: int, seed) -> list[PerturbationSpec]:

@@ -62,11 +62,11 @@ from .calibration import (
     volume_compare,
 )
 from .immersion import (
+    dvol,
     induced_metric,
     interior_samples,
     lagrangian_angle_at,
     lagrangian_defect,
-    dvol as dvol_at,
     metric_signature,
 )
 
@@ -482,13 +482,14 @@ def _run_verify(cfg: RunConfig) -> ExperimentReport:
     betas = np.empty(cfg.samples)
     bad_signature = 0
     p = cfg.signature.p
+    g, dv = induced_metric(patch, pts), dvol(patch, pts)
     for k, u in enumerate(pts):
         defects[k] = lagrangian_defect(patch, u)
         betas[k] = lagrangian_angle_at(patch, u)
-        pos, neg, null = metric_signature(induced_metric(patch, u))
+        pos, neg, null = metric_signature(g[k])
         if neg != p or null != 0:
             bad_signature += 1
-        rows.append([k, *u.tolist(), float(defects[k]), float(betas[k]), dvol_at(patch, u),
+        rows.append([k, *u.tolist(), float(defects[k]), float(betas[k]), float(dv[k]),
                      neg, null])
     report = minimality_residual(patch, min(cfg.samples, 300),
                                  np.random.default_rng(cfg.seed + 1))
@@ -514,7 +515,8 @@ def _run_angle(cfg: RunConfig) -> ExperimentReport:
     # the angle law, the residual statistic of the offsets and the gate
     if gamma is not None:
         def law(u):
-            return float(np.angle(complex(gamma.d1(u[-1])) * complex(gamma.val(u[-1])) ** (n - 1)))
+            g, dg = gamma.jets(u[-1], 1)
+            return float(np.angle(complex(dg) * complex(g) ** (n - 1)))
 
         def statistic(offsets):
             return float(np.max(np.abs(offsets)))
@@ -572,12 +574,16 @@ def _run_calibrate(cfg: RunConfig) -> ExperimentReport:
     q = frame_quantities(random_lagrangian_frames(sig, cfg.samples, rng), sig)
     beta0 = rng.uniform(-np.pi, np.pi, cfg.samples)
     th = (np.exp(-1j * beta0) * q["omega_det"]).real
-    slack = (q["dvol"] - th) / q["scale"]
+    ok = ~q["degenerate"]  # flagged frames get NaN ratios, and the statistics skip them
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.full(cfg.samples, np.nan), where=ok)
+
+    slack = ratio(q["dvol"] - th, q["scale"])
     abs_det = np.abs(q["omega_det"])  # |det M| of the coefficient matrix
-    tight_slack = (q["dvol"] - abs_det) / q["scale"]
-    identity = np.abs(q["dvol"] - abs_det) / q["dvol"]
+    tight_slack = ratio(q["dvol"] - abs_det, q["scale"])
+    identity = ratio(np.abs(q["dvol"] - abs_det), q["dvol"])
     rows = ColumnRows(np.arange(cfg.samples), beta0, q["beta"], q["dvol"], th, slack, identity)
-    ok = ~q["degenerate"]  # the statistics skip flagged frames, whose columns may be NaN
     degenerate = cfg.samples - int(np.count_nonzero(ok))
     slack_min = identity_max = None  # if every frame is flagged
     if degenerate < cfg.samples:
@@ -611,7 +617,7 @@ def _run_volume_compare(cfg: RunConfig) -> ExperimentReport:
             volumes.append(r.volume)
     ok = [r for r in report.results if r.status == "ok"]
     quorum = len(ok) >= (3 * len(specs)) // 4
-    slack_min = (min(r.volume - report.base_volume for r in ok) if ok else None)
+    slack_min = report.min_slack() if ok else None
     passed = quorum and slack_min is not None and slack_min >= VOLUME_SLACK_GATE
     return ExperimentReport(
         config=_config_echo(cfg), seed=cfg.seed, version=__version__, passed=passed,

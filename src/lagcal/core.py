@@ -489,10 +489,8 @@ def random_totally_null_plane(rng: np.random.Generator, sig: Signature) -> np.nd
     """Random metric-null 2-plane, as an O(2, 2) orbit point of the reference one."""
     if (sig.p, sig.n) != (1, 2):
         raise DimensionMismatch("totally null 2-planes require signature (1, 2)")
-    g_real = np.repeat(sig.eps, 2)
-    s = rng.uniform(-0.5, 0.5, (4, 4))
-    s = (s - s.T) / 2.0
-    o = matrix_exp(g_real[:, None] * s).real
+    # the real components of C^2 with signature (1, 2) carry the signs of (2, 4)
+    o = special_orthogonal_sample(rng, Signature(2, 4))
     moved = from_components(real_components(NULL_PLANE_BASIS) @ o.T)
     return _random_gl2(rng) @ moved
 

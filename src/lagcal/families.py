@@ -60,25 +60,28 @@ class Curve:
     """Curve s -> C^k with closed-form jets: the profile gamma(s), a radial
     profile r(s), a real coefficient pair or a sphere curve.
 
-    ``val``, ``d1`` and ``d2`` broadcast over s; values have shape
-    ``s.shape`` for scalar curves and ``s.shape + (k,)`` for k-component
-    curves.  ``interval`` is the parameter interval; radial profiles, whose
-    interval is the family's ``s_interval``, carry None.
+    ``jets(s, order)``, order <= 2, computes [value, d1, ..., d_order] and no
+    higher order from one evaluation of their shared factors, broadcast over s
+    with shape ``s.shape`` (scalar curves) or ``s.shape + (k,)`` (k components).
+    ``interval`` is the parameter interval; radial profiles, whose interval is
+    the family's ``s_interval``, carry None.
     """
 
-    val: Callable
-    d1: Callable
-    d2: Callable
+    jets: Callable
     interval: tuple[float, float] | None = None
 
     @staticmethod
     def line(z0: complex, z1: complex, interval) -> "Curve":
-        return Curve(
-            val=lambda s: z0 + z1 * np.asarray(s, dtype=float),
-            d1=lambda s: z1 * np.ones_like(np.asarray(s, dtype=float), dtype=complex),
-            d2=lambda s: np.zeros_like(np.asarray(s, dtype=float), dtype=complex),
-            interval=tuple(interval),
-        )
+        def jets(s, order):
+            s = np.asarray(s, dtype=float)
+            out = [z0 + z1 * s]
+            if order > 0:
+                out.append(z1 * np.ones_like(s, dtype=complex))
+            if order > 1:
+                out.append(np.zeros_like(s, dtype=complex))
+            return out
+
+        return Curve(jets, tuple(interval))
 
     @staticmethod
     def exponential(z0, rate, interval=None) -> "Curve":
@@ -92,24 +95,31 @@ class Curve:
             raise DimensionMismatch(f"z0 {z0.shape} and rate {rate.shape} must be scalars "
                                     f"or sequences of one length")
 
-        def val(s):
-            return z0 * np.exp(np.multiply.outer(np.asarray(s, dtype=float), rate))
+        def jets(s, order):
+            val = z0 * np.exp(np.multiply.outer(np.asarray(s, dtype=float), rate))
+            out = [val]
+            if order > 0:
+                out.append(rate * val)
+            if order > 1:
+                out.append(rate * rate * val)
+            return out
 
-        return Curve(val=val, d1=lambda s: rate * val(s), d2=lambda s: rate * rate * val(s),
-                     interval=None if interval is None else tuple(interval))
+        return Curve(jets, None if interval is None else tuple(interval))
 
     @staticmethod
     def great_circle(interval=(0.0, 2.0 * np.pi)) -> "Curve":
         """The great circle (cos s, sin s) of the unit 3-sphere in C^2."""
-        def val(s):
+        def jets(s, order):
             s = np.asarray(s, dtype=float)
-            return np.stack([np.cos(s).astype(complex), np.sin(s).astype(complex)], axis=-1)
+            cos, sin = np.cos(s).astype(complex), np.sin(s).astype(complex)
+            out = [np.stack([cos, sin], axis=-1)]
+            if order > 0:
+                out.append(np.stack([-sin, cos], axis=-1))
+            if order > 1:
+                out.append(-out[0])
+            return out
 
-        def d1(s):
-            s = np.asarray(s, dtype=float)
-            return np.stack([-np.sin(s).astype(complex), np.cos(s).astype(complex)], axis=-1)
-
-        return Curve(val=val, d1=d1, d2=lambda s: -val(s), interval=tuple(interval))
+        return Curve(jets, tuple(interval))
 
     @staticmethod
     def from_samples(s, values) -> "Curve":
@@ -123,15 +133,13 @@ class Curve:
                              f"per point, got points {s.shape} and values {values.shape}")
         knots, coef = not_a_knot(s, values)
 
-        def jet(deriv):
-            def evaluate(x):
-                x = np.asarray(x, dtype=float)
-                first, w = cubic_basis(knots, x.ravel(), deriv)
-                out = np.einsum("na,na...->n...", w, coef[first[:, None] + np.arange(4)])
-                return out.reshape(x.shape + coef.shape[1:])
-            return evaluate
+        def jets(x, order):
+            x = np.asarray(x, dtype=float)
+            bases = (cubic_basis(knots, x.ravel(), deriv) for deriv in range(order + 1))
+            return [np.einsum("na,na...->n...", w, coef[first[:, None] + np.arange(4)])
+                    .reshape(x.shape + coef.shape[1:]) for first, w in bases]
 
-        return Curve(val=jet(0), d1=jet(1), d2=jet(2), interval=(float(s[0]), float(s[-1])))
+        return Curve(jets, (float(s[0]), float(s[-1])))
 
 
 # --- quadric machinery --------------------------------------------------------
@@ -402,12 +410,11 @@ def _equivariant_patch(sig: Signature, gamma: Curve, chart: QuadricChart,
         u = np.asarray(u, dtype=float)
         t, s = u[..., :n - 1], u[..., n - 1]
         x = chart.value(t)
-        g = np.asarray(gamma.val(s))
-        return g[..., None] * x
+        return np.asarray(gamma.jets(s, 0)[0])[..., None] * x
 
     def d1(u):
         t, s = u[..., :n - 1], u[..., n - 1]
-        g, dg = np.asarray(gamma.val(s)), np.asarray(gamma.d1(s))
+        g, dg = map(np.asarray, gamma.jets(s, 1))
         x = chart.value(t)
         rows = np.empty(u.shape[:-1] + (n, n), dtype=complex)
         rows[..., :n - 1, :] = g[..., None, None] * chart.jacobian(x)
@@ -416,9 +423,8 @@ def _equivariant_patch(sig: Signature, gamma: Curve, chart: QuadricChart,
 
     def d2(u):
         t, s = u[..., :n - 1], u[..., n - 1]
-        g = np.asarray(gamma.val(s))[..., None, None, None]
-        dg = np.asarray(gamma.d1(s))[..., None, None]
-        ddg = np.asarray(gamma.d2(s))[..., None]
+        g, dg, ddg = map(np.asarray, gamma.jets(s, 2))
+        g, dg, ddg = g[..., None, None, None], dg[..., None, None], ddg[..., None]
         x = chart.value(t)
         jac = chart.jacobian(x)
         out = np.empty(u.shape[:-1] + (n, n, n), dtype=complex)
@@ -440,7 +446,7 @@ def make_equivariant(spec: Equivariant) -> ImmersionPatch:
     if spec.epsilon == -1 and sig.p == 0:
         raise FamilySpecError("the quadric <x,x>_p = -1 is empty for p = 0", ("sig.p", "epsilon"))
     lo, hi = spec.gamma.interval
-    samples = np.asarray(spec.gamma.val(np.linspace(lo, hi, 64)))
+    samples = np.asarray(spec.gamma.jets(np.linspace(lo, hi, 64), 0)[0])
     if np.min(np.abs(samples)) < 1e-12:
         raise FamilySpecError("the profile curve must avoid the origin", ("gamma",))
     if spec.chart_center is not None:
@@ -474,31 +480,22 @@ def catenoid_curve(n: int, c: float, sector: int) -> Curve:
     if lo >= hi:
         raise FamilySpecError(f"sector too narrow for the margin {SECTOR_MARGIN}", ("sig.n",))
 
-    def parts(phi):
+    def jets(phi, order):
         phi = np.asarray(phi, dtype=float)
+        if order == 0:  # the flow calls values on large stacks: keep no factor alive
+            return [(c / np.sin(n * phi)) ** (1.0 / n) * np.exp(1j * phi)]
         sin_n = np.sin(n * phi)
         rho = (c / sin_n) ** (1.0 / n)
         cot = np.cos(n * phi) / sin_n
-        return rho, cot
-
-    def val(phi):
-        phi = np.asarray(phi, dtype=float)
-        rho, _ = parts(phi)
-        return rho * np.exp(1j * phi)
-
-    def d1(phi):
-        phi = np.asarray(phi, dtype=float)
-        rho, cot = parts(phi)
-        return (-rho * cot + 1j * rho) * np.exp(1j * phi)
-
-    def d2(phi):
-        phi = np.asarray(phi, dtype=float)
-        rho, cot = parts(phi)
+        turn = np.exp(1j * phi)
         drho = -rho * cot
-        ddrho = rho * ((n + 1) * cot ** 2 + n)
-        return (ddrho + 2j * drho - rho) * np.exp(1j * phi)
+        out = [rho * turn, (drho + 1j * rho) * turn]
+        if order > 1:
+            ddrho = rho * ((n + 1) * cot ** 2 + n)
+            out.append((ddrho + 2j * drho - rho) * turn)
+        return out
 
-    return Curve(val=val, d1=d1, d2=d2, interval=(lo, hi))
+    return Curve(jets, (lo, hi))
 
 
 def make_catenoid(spec: Catenoid) -> ImmersionPatch:
@@ -519,7 +516,7 @@ def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
             f"matrix is not <.,.>_p self-adjoint (residual {residual:.3e})")
     if abs(np.linalg.det(M)) < 1e-12 * max(np.max(np.abs(M)) ** sig.n, 1e-300):
         raise FamilySpecError("matrix must be invertible", ("matrix",))
-    if np.min(spec.r.val(np.linspace(*spec.s_interval, 64))) <= 0.0:
+    if np.min(spec.r.jets(np.linspace(*spec.s_interval, 64), 0)[0]) <= 0.0:
         raise FamilySpecError("the radial profile must stay positive on s_interval", ("r",))
     center = (np.asarray(spec.chart_center, dtype=float)
               if spec.chart_center is not None else find_quadric_point(M, spec.c, sig))
@@ -533,13 +530,13 @@ def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
         t, s = u[..., :n - 1], u[..., n - 1]
         x = chart.value(t)
         rx = np.einsum("...jk,...k->...j", mat_exp_iMs(M, s), x.astype(complex))
-        return np.asarray(r.val(s))[..., None] * rx
+        return np.asarray(r.jets(s, 0)[0])[..., None] * rx
 
     def d1(u):
         t, s = u[..., :n - 1], u[..., n - 1]
         x = chart.value(t)
         e = mat_exp_iMs(M, s)
-        rv, rd = (np.asarray(jet(s))[..., None] for jet in (r.val, r.d1))
+        rv, rd = (np.asarray(jet)[..., None] for jet in r.jets(s, 1))
         rows = np.empty(u.shape[:-1] + (n, n), dtype=complex)
         rows[..., :n - 1, :] = rv[..., None] * (chart.jacobian(x) @ np.swapaxes(e, -1, -2))
         rows[..., n - 1, :] = (e @ (rd * x + 1j * rv * (x @ M.T))[..., None])[..., 0]
@@ -551,7 +548,7 @@ def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
         jac = chart.jacobian(x)
         e = mat_exp_iMs(M, s)
         e_t = np.swapaxes(e, -1, -2)
-        rv, rd, rdd = (np.asarray(jet(s))[..., None] for jet in (r.val, r.d1, r.d2))
+        rv, rd, rdd = (np.asarray(jet)[..., None] for jet in r.jets(s, 2))
         mx = x @ M.T
         last = rdd * x + 2j * rd * mx - rv * (mx @ M.T)
         out = np.empty(u.shape[:-1] + (n, n, n), dtype=complex)
@@ -578,7 +575,7 @@ def evolving_quadric_angle(spec: EvolvingQuadric, s: float, x) -> float:
     x = np.asarray(x, dtype=float)
     mx = M @ x
     mx2 = float(np.sum(spec.sig.eps * mx * mx))
-    rv, rd = float(spec.r.val(s)), float(spec.r.d1(s))
+    rv, rd = map(float, spec.r.jets(s, 1))
     inner = complex(spec.c * rd / rv, mx2)
     if abs(inner) < 1e-300:
         raise FamilySpecError("angle law undefined at a degenerate quadric point")
@@ -601,24 +598,25 @@ def make_product_null_curves(spec: ProductNullCurves) -> ImmersionPatch:
 
     def f(u):
         u = np.asarray(u, dtype=float)
-        return embed(spec.gamma1.val(u[..., 0])) + 1j * embed(spec.gamma2.val(u[..., 1]))
+        return (embed(spec.gamma1.jets(u[..., 0], 0)[0])
+                + 1j * embed(spec.gamma2.jets(u[..., 1], 0)[0]))
 
     def d1(u):
-        return np.stack([embed(spec.gamma1.d1(u[..., 0])),
-                         1j * embed(spec.gamma2.d1(u[..., 1]))], axis=-2)
+        return np.stack([embed(spec.gamma1.jets(u[..., 0], 1)[1]),
+                         1j * embed(spec.gamma2.jets(u[..., 1], 1)[1])], axis=-2)
 
     def d2(u):
         out = np.zeros(u.shape[:-1] + (2, 2, 2), dtype=complex)
-        out[..., 0, 0, :] = embed(spec.gamma1.d2(u[..., 0]))
-        out[..., 1, 1, :] = 1j * embed(spec.gamma2.d2(u[..., 1]))
+        out[..., 0, 0, :] = embed(spec.gamma1.jets(u[..., 0], 2)[2])
+        out[..., 1, 1, :] = 1j * embed(spec.gamma2.jets(u[..., 1], 2)[2])
         return out
 
     domain = np.array([list(spec.gamma1.interval), list(spec.gamma2.interval)])
     meta = {"family": "product-null-curves", "plane": plane}
 
     # Sampled non-degeneracy of the cross pairing <gamma_1', J gamma_2'>.
-    du = embed(spec.gamma1.d1(np.linspace(*spec.gamma1.interval, 12)))[:, None, :]
-    dv = embed(spec.gamma2.d1(np.linspace(*spec.gamma2.interval, 12)))[None, :, :]
+    du = embed(spec.gamma1.jets(np.linspace(*spec.gamma1.interval, 12), 1)[1])[:, None, :]
+    dv = embed(spec.gamma2.jets(np.linspace(*spec.gamma2.interval, 12), 1)[1])[None, :, :]
     pairings = np.sum(sig.eps * du * np.conj(1j * dv), axis=-1).real
     norms = np.linalg.norm(du, axis=-1) * np.linalg.norm(dv, axis=-1)
     meta["min_cross_pairing"] = float(np.min(np.abs(pairings) / np.maximum(norms, 1e-300)))
@@ -634,12 +632,11 @@ def make_hopf(spec: Hopf) -> ImmersionPatch:
     gamma = spec.gamma
     lo, hi = gamma.interval
     ss = np.linspace(lo, hi, 64)
-    vals = np.asarray(gamma.val(ss))
+    vals, ders = map(np.asarray, gamma.jets(ss, 1))
     norms = np.linalg.norm(vals, axis=-1)
     if np.max(np.abs(norms - 1.0)) > 1e-9:
         raise FamilySpecError(
             "the profile curve must lie on the unit sphere |gamma| = 1", ("gamma",))
-    ders = np.asarray(gamma.d1(ss))
     pairing = np.sum((ders * np.conj(1j * vals)), axis=-1).real
     speed2 = np.sum(np.abs(ders) ** 2, axis=-1)
     det_g = speed2 - pairing ** 2
@@ -650,21 +647,22 @@ def make_hopf(spec: Hopf) -> ImmersionPatch:
     def f(u):
         u = np.asarray(u, dtype=float)
         s, t = u[..., 0], u[..., 1]
-        return np.asarray(gamma.val(s)) * np.exp(1j * t)[..., None]
+        return np.asarray(gamma.jets(s, 0)[0]) * np.exp(1j * t)[..., None]
 
     def d1(u):
         s, t = u[..., 0], u[..., 1]
+        g, dg = map(np.asarray, gamma.jets(s, 1))
         phase = np.exp(1j * t)[..., None]
-        return np.stack([np.asarray(gamma.d1(s)) * phase,
-                         1j * np.asarray(gamma.val(s)) * phase], axis=-2)
+        return np.stack([dg * phase, 1j * g * phase], axis=-2)
 
     def d2(u):
         s, t = u[..., 0], u[..., 1]
+        g, dg, ddg = map(np.asarray, gamma.jets(s, 2))
         phase = np.exp(1j * t)[..., None]
         out = np.empty(u.shape[:-1] + (2, 2, 2), dtype=complex)
-        out[..., 0, 0, :] = np.asarray(gamma.d2(s)) * phase
-        out[..., 0, 1, :] = out[..., 1, 0, :] = 1j * np.asarray(gamma.d1(s)) * phase
-        out[..., 1, 1, :] = -np.asarray(gamma.val(s)) * phase
+        out[..., 0, 0, :] = ddg * phase
+        out[..., 0, 1, :] = out[..., 1, 0, :] = 1j * dg * phase
+        out[..., 1, 1, :] = -g * phase
         return out
 
     domain = np.array([[lo, hi], [0.0, 2.0 * np.pi]])

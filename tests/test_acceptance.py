@@ -164,7 +164,8 @@ def test_criterion_05_angle_formulas():
         n = patch.sig.n
         for u in interior_samples(patch, 250, rng):
             s = u[-1]
-            law = np.angle(complex(gamma.d1(s)) * complex(gamma.val(s)) ** (n - 1))
+            g, dg = gamma.jets(s, 1)
+            law = np.angle(complex(dg) * complex(g) ** (n - 1))
             worst_eq = max(worst_eq, circ_dist(lagrangian_angle_at(patch, u), law))
     assert worst_eq < 1e-9
 

@@ -118,6 +118,7 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+@pytest.mark.filterwarnings("error")
 def test_calibrate_counts_degenerate_frames(tmp_path, monkeypatch):
     import lagcal.cli as cli
 
@@ -132,18 +133,22 @@ def test_calibrate_counts_degenerate_frames(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "random_lagrangian_frames", with_degenerate_tail)
     config = {"signature": {"p": 1, "n": 3}, "experiment": "calibrate", "samples": 50}
     path = write_config(tmp_path, config)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert main(["calibrate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert main(["calibrate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     # the statistics skip the two flagged frames, so report.json is strict JSON
     payload = strict_json((tmp_path / "o" / "report.json").read_text())
     assert payload["degenerate_count"] == 2 and payload["passed"] is False
     assert payload["slack_min"] >= -1e-9 and payload["identity_max_residual"] < 1e-10
+    # the flagged rows hold NaN ratios, also the repeated row, whose scale is nonzero
+    with open(tmp_path / "o" / "samples.csv") as handle:
+        table = list(csv.DictReader(handle))
+    ratios = [[row[key] for key in ("slack", "identity_residual")] for row in table]
+    assert ratios[-2:] == [["nan", "nan"], ["nan", "nan"]]
+    assert all(math.isfinite(float(cell)) for cell in np.ravel(ratios[:-2]))
 
     # with every frame flagged there is no statistic to report
     monkeypatch.setattr(cli, "random_lagrangian_frames",
                         lambda sig, count, rng: np.zeros((count, sig.n, sig.n), complex))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert main(["calibrate", "--config", str(path), "--out", str(tmp_path / "z")]) == 2
+    assert main(["calibrate", "--config", str(path), "--out", str(tmp_path / "z")]) == 2
     payload = strict_json((tmp_path / "z" / "report.json").read_text())
     assert payload["degenerate_count"] == 50
     assert payload["slack_min"] is None and payload["identity_max_residual"] is None
@@ -472,7 +477,7 @@ def small_config(experiment):
 # differently and fail here with lagcal unchanged.
 OUTPUT_DIGESTS = {
     "verify": ("27641cb3937a4a1e328f0a53bd4d286a7ae4057a22c55e1a3bc16e1f62896d2f",
-               "5af677bb50d097a4dee294d5041048916fb7ba72f75b4fec8042f41163131526"),
+               "d9049b6dc92accf6719d21008801dec5c513ac2d7125ef3a6af3c92a2a3a2848"),
     "angle": ("75924409263b482c7c1a24b4307db7e883cd03a732fd2e690a17f63dba79146e",
               "6742637823834c32a33fafb8513683aa93252b177e248883ec5409fc95098ff9"),
     "curvature": ("ef7c303fb4706b6c7fedc86194eba5f4f8d9a875c95ed02965ea152b9d6b5e19",

@@ -312,7 +312,8 @@ def test_equivariant_angle_law_general(family_catalog):
         n = patch.sig.n
         for u in interior_samples(patch, 20, rng):
             s = u[-1]
-            expected = np.angle(complex(gamma.d1(s)) * complex(gamma.val(s)) ** (n - 1))
+            g, dg = gamma.jets(s, 1)
+            expected = np.angle(complex(dg) * complex(g) ** (n - 1))
             assert circ_dist(lagrangian_angle_at(patch, u), expected) < 1e-9, name
 
 
@@ -320,7 +321,7 @@ def test_catenoid_curve_satisfies_defining_equation():
     for n, c, sector in [(2, 1.0, 0), (2, -0.7, 1), (3, 2.0, 2), (3, -1.0, 3)]:
         curve = catenoid_curve(n, c, sector)
         phis = np.linspace(*curve.interval, 40)
-        g = curve.val(phis)
+        g = curve.jets(phis, 0)[0]
         assert np.max(np.abs((g ** n).imag - c)) < 1e-12
         if n == 2 and c == 1.0:
             assert np.max(np.abs(2.0 * g.real * g.imag - 1.0)) < 1e-12
@@ -404,14 +405,14 @@ def test_spline_curves_match_analytic_exponentials():
     spiral = Curve.exponential(1.0, complex(np.cos(0.6), np.sin(0.6)), (-0.5, 0.5))
     for exact in (spiral, hyperbola_product_spec().gamma1):
         s = np.linspace(*exact.interval, 41)
-        spline = Curve.from_samples(s, exact.val(s))
+        spline = Curve.from_samples(s, exact.jets(s, 0)[0])
         assert spline.interval == exact.interval
         fine = np.linspace(*exact.interval, 401)
         # cubic spline errors shrink like h^4, h^3 and h^2 for the value and two jets
-        for jet, tol in (("val", 2e-7), ("d1", 4e-5), ("d2", 4e-3)):
-            got, want = getattr(spline, jet)(fine), getattr(exact, jet)(fine)
+        for order, got, want, tol in zip(range(3), spline.jets(fine, 2), exact.jets(fine, 2),
+                                         (2e-7, 4e-5, 4e-3)):
             assert got.shape == want.shape and got.dtype == want.dtype
-            assert np.max(np.abs(got - want)) < tol * np.max(np.abs(want)), jet
+            assert np.max(np.abs(got - want)) < tol * np.max(np.abs(want)), order
 
 
 @pytest.mark.parametrize("m", [4, 5, 7, 41, 200])
@@ -426,10 +427,87 @@ def test_spline_curves_match_scipy_cubic_spline(m):
     for values in (rng.normal(size=m) + 1j * rng.normal(size=m), rng.normal(size=(m, 2))):
         spline = Curve.from_samples(s, values)
         ref = CubicSpline(s, values, bc_type="not-a-knot")
-        for order, jet in enumerate(("val", "d1", "d2")):
-            got, want = getattr(spline, jet)(x), ref(x, order)
-            assert got.shape == want.shape and got.dtype == want.dtype, jet
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (jet, values.dtype)
+        for order, got in enumerate(spline.jets(x, 2)):
+            want = ref(x, order)
+            assert got.shape == want.shape and got.dtype == want.dtype, order
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (order, values.dtype)
+
+
+# every Curve constructor: the curve, the component shape and the dtype of its jets
+_SPLINE_S = np.linspace(-0.5, 0.5, 41)
+CURVE_CASES = {
+    "line": (Curve.line(1.0, 0.5j, (-1.0, 1.0)), (), complex),
+    "exponential": (Curve.exponential(1.0, complex(0.3, 1.0), (-0.5, 0.5)), (), complex),
+    "exponential-pair": (Curve.exponential([0.5, 2.0], [1.0, -1.0], (0.05, 1.5)), (2,), float),
+    "great-circle": (Curve.great_circle((0.1, 1.4)), (2,), complex),
+    "samples-complex": (Curve.from_samples(
+        _SPLINE_S, np.exp(complex(np.cos(0.6), np.sin(0.6)) * _SPLINE_S)), (), complex),
+    "samples-pair": (Curve.from_samples(
+        _SPLINE_S, np.stack([np.exp(_SPLINE_S), 0.5 * np.exp(-_SPLINE_S)], -1)), (2,), float),
+    "catenoid-n2": (catenoid_curve(2, 1.0, 0), (), complex),
+    "catenoid-n3": (catenoid_curve(3, -1.0, 3), (), complex),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_CASES))
+def test_curve_jets_truncate_and_differentiate(name):
+    curve, component, dtype = CURVE_CASES[name]
+    lo, hi = curve.interval
+    s = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 12).reshape(3, 4)
+    full = curve.jets(s, 2)
+    assert len(full) == 3
+    for jet in full:
+        assert jet.shape == s.shape + component and jet.dtype == dtype
+    # a lower order gives the leading entries of the full list, bit for bit
+    for order in range(3):
+        part = curve.jets(s, order)
+        assert len(part) == order + 1
+        for got, want in zip(part, full):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), order
+    # each derivative is the central difference of the order below
+    h = 1e-5 * (hi - lo)
+    for order in (1, 2):
+        below = order - 1
+        fd = (curve.jets(s + h, below)[below] - curve.jets(s - h, below)[below]) / (2.0 * h)
+        assert np.max(np.abs(fd - full[order])) <= 1e-6 * max(1.0, np.max(np.abs(full[order])))
+
+
+def _counting(curve):
+    """The curve with a record of the order of each jets call."""
+    calls = []
+
+    def jets(s, order):
+        calls.append(order)
+        return curve.jets(s, order)
+    return Curve(jets, curve.interval), calls
+
+
+def test_patch_jets_evaluate_each_curve_once():
+    gamma, gamma_calls = _counting(catenoid_curve(3, 1.0, 0))
+    r, r_calls = _counting(Curve.exponential(1.0, 0.3))
+    pair = hyperbola_product_spec()
+    g1, g1_calls = _counting(pair.gamma1)
+    g2, g2_calls = _counting(pair.gamma2)
+    sphere, sphere_calls = _counting(small_circle_hopf_spec().gamma)
+    cases = [
+        (Equivariant(sig=SIG13, epsilon=1, gamma=gamma), [gamma_calls]),
+        (dataclasses.replace(rotation_quadric_spec(), r=r), [r_calls]),
+        (dataclasses.replace(pair, gamma1=g1, gamma2=g2), [g1_calls, g2_calls]),
+        (Hopf(gamma=sphere), [sphere_calls]),
+    ]
+    rng = np.random.default_rng(15)
+    for spec, records in cases:
+        patch = build_family(spec)
+        u = interior_samples(patch, 5, rng)
+        for calls in records:
+            calls.clear()
+        patch.f(u)
+        patch.d1(u)
+        patch.d2(u)
+        # f, d1 and d2 each make one jets call of their own order on every curve
+        for calls in records:
+            assert calls == [0, 1, 2], type(spec).__name__
 
 
 def test_product_null_curves_structure():
@@ -469,9 +547,9 @@ def test_product_null_flags_degenerate_cross_pairing():
 
     pairings = []
     for u0 in np.linspace(*spec.gamma1.interval, 12):
-        du = embed(spec.gamma1.d1(u0))
+        du = embed(spec.gamma1.jets(u0, 1)[1])
         for v0 in np.linspace(*spec.gamma2.interval, 12):
-            dv = embed(spec.gamma2.d1(v0))
+            dv = embed(spec.gamma2.jets(v0, 1)[1])
             norm = np.linalg.norm(du) * np.linalg.norm(dv)
             pairings.append(abs(metric(du, 1j * dv, SIG12)) / norm)
     assert healthy.meta["min_cross_pairing"] == min(pairings)
@@ -499,12 +577,8 @@ def test_hopf_patch_validation_and_defect():
     rng = np.random.default_rng(13)
     for u in interior_samples(patch, 20, rng):
         assert lagrangian_defect(patch, u) < 1e-12
-    off_sphere = Curve(
-        val=lambda s: np.stack([1.1 * np.cos(np.asarray(s)).astype(complex),
-                                1.1 * np.sin(np.asarray(s)).astype(complex)], axis=-1),
-        d1=lambda s: np.stack([-1.1 * np.sin(np.asarray(s)).astype(complex),
-                               1.1 * np.cos(np.asarray(s)).astype(complex)], axis=-1),
-        d2=lambda s: np.zeros(2, dtype=complex), interval=(0.0, 1.0))
+    circle = Curve.great_circle()
+    off_sphere = Curve(lambda s, order: [1.1 * v for v in circle.jets(s, order)], (0.0, 1.0))
     with pytest.raises(FamilySpecError):
         build_family(Hopf(gamma=off_sphere))
     fiber = Curve.exponential([np.cos(np.pi / 4), np.sin(np.pi / 4)], [1j, 1j], (0.0, 1.0))
@@ -526,7 +600,7 @@ def test_equivariance_orbit_membership():
             a = special_orthogonal_sample(rng, sig)
             moved = a @ patch.f(u)
             # the moved point factors through the quadric again
-            g = complex(gamma.val(s))
+            g = complex(gamma.jets(s, 0)[0])
             xm = (moved / g).real
             assert np.max(np.abs(moved / g - xm)) < 1e-10
             assert abs(float(quadric_rhs(np.eye(sig.n), sig, xm)) - spec.epsilon) < 1e-8
