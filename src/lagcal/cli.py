@@ -62,12 +62,12 @@ from .calibration import (
     volume_compare,
 )
 from .immersion import (
-    dvol,
-    induced_metric,
+    _frame_metric,
     interior_samples,
     lagrangian_angle_at,
     lagrangian_defect,
     metric_signature,
+    tangent_frame,
 )
 
 EXPERIMENTS = ("verify", "angle", "curvature", "calibrate", "volume-compare", "plane-props")
@@ -482,7 +482,8 @@ def _run_verify(cfg: RunConfig) -> ExperimentReport:
     betas = np.empty(cfg.samples)
     bad_signature = 0
     p = cfg.signature.p
-    g, dv = induced_metric(patch, pts), dvol(patch, pts)
+    frame = tangent_frame(patch, pts)
+    g, dv = _frame_metric(frame, patch.sig), frame_quantities(frame, patch.sig)["dvol"]
     for k, u in enumerate(pts):
         defects[k] = lagrangian_defect(patch, u)
         betas[k] = lagrangian_angle_at(patch, u)
@@ -525,7 +526,7 @@ def _run_angle(cfg: RunConfig) -> ExperimentReport:
         chart = patch.meta["chart"]
 
         def law(u):
-            return evolving_quadric_angle(spec, u[-1], chart.value(u[:-1]))
+            return evolving_quadric_angle(spec, u[-1], chart.jets(u[:-1], 0)[0])
         statistic, gate = circ_spread, ANGLE_GATE_QUADRIC
     else:
         raise ConfigError("family", "the angle experiment needs an angle law "

@@ -225,6 +225,13 @@ _PADE_LOW = {
 _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
           7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
 
+# Most squarings after the degree-13 kernel.  Each squaring can double the
+# relative rounding error, so 2^13 u ~ 9e-13 keeps it 100 times below the
+# 1e-10 identity gate; past it, i.e. above a 1-norm of theta_13 2^13 ~ 4.4e4,
+# the exponential is refused.
+MAX_SQUARINGS = 13
+_MAX_NORM = _THETA[13] * 2.0 ** MAX_SQUARINGS
+
 
 def matrix_exp(a, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a Pade kernel.
@@ -246,9 +253,10 @@ def matrix_exp(a, out: np.ndarray | None = None) -> np.ndarray:
     and each degree group is gathered into a copy before its rows are
     overwritten.  Returns ``out``.
 
-    A matrix with a non-finite entry or 1-norm, or a scaled one whose
-    exponential overflows, raises DegenerateInput before any row of its
-    block is written.
+    A matrix with a non-finite entry or 1-norm, or with a 1-norm that needs
+    more than MAX_SQUARINGS squarings, or a scaled one whose exponential
+    overflows, raises DegenerateInput before any row of its block is
+    written.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -267,6 +275,12 @@ def matrix_exp(a, out: np.ndarray | None = None) -> np.ndarray:
         if bad.size:
             raise DegenerateInput(f"matrix {start + bad[0]} of the stack has a non-finite "
                                   f"entry or 1-norm; its exponential is undefined in doubles")
+        big = np.flatnonzero(norm1 > _MAX_NORM)
+        if big.size:
+            raise DegenerateInput(f"matrix {start + big[0]} of the stack has 1-norm "
+                                  f"{norm1[big[0]]:.3g} above {_MAX_NORM:.3g}; its exponential "
+                                  f"needs more than {MAX_SQUARINGS} squarings and loses "
+                                  f"accuracy or overflows in doubles")
         degree = np.full(norm1.shape, 13)
         for m in (9, 7, 5, 3):
             degree[norm1 <= _THETA[m]] = m

@@ -20,7 +20,7 @@ from .core import GeometryError, Signature, circ_mean, circ_spread
 from .immersion import (
     DegenerateFrame,
     ImmersionPatch,
-    induced_metric,
+    _frame_metric,
     interior_samples,
     lagrangian_angle_at,
     lagrangian_defect,
@@ -81,7 +81,7 @@ def mean_curvature_angle(patch: ImmersionPatch, u) -> np.ndarray:
         raise NotLagrangianError(
             f"defect {defect:.3e} above {DEFECT_TOL:.1e}: angle route needs a Lagrangian patch")
     frame = tangent_frame(patch, u)
-    g = induced_metric(patch, u)
+    g = _frame_metric(frame, patch.sig)
     dbeta = angle_gradient(patch, u)
     coeffs = _solve_gram(g, dbeta)
     grad_beta = coeffs @ frame
@@ -92,7 +92,7 @@ def mean_curvature_sff(patch: ImmersionPatch, u) -> np.ndarray:
     """Mean curvature as the metric trace of the second fundamental form."""
     u = np.asarray(u, dtype=float)
     frame = tangent_frame(patch, u)
-    g = induced_metric(patch, u)
+    g = _frame_metric(frame, patch.sig)
     sec = second_derivatives(patch, u)
     ginv = _solve_gram(g, np.eye(patch.n))
     traced = np.einsum("jk,jkz->z", ginv, sec)
@@ -110,7 +110,7 @@ def surface_H_null_coords(patch: ImmersionPatch, u) -> np.ndarray:
         raise GeometryError("null-coordinate formula applies to surfaces only")
     u = np.asarray(u, dtype=float)
     frame = tangent_frame(patch, u)
-    g = induced_metric(patch, u)
+    g = _frame_metric(frame, patch.sig)
     norms = np.linalg.norm(frame, axis=1) ** 2
     if abs(g[0, 0]) > DEFECT_TOL * norms[0] or abs(g[1, 1]) > DEFECT_TOL * norms[1]:
         raise NotLagrangianError(

@@ -192,11 +192,9 @@ def sample_quadric(M, c: float, sig: Signature, count: int, seed) -> np.ndarray:
 class QuadricChart:
     """Graph-coordinate chart of { x : <x, M x>_p = c } around a center point.
 
-    value() solves the defining quadratic for the coordinate solve_index
-    and broadcasts over stacked chart coordinates (..., n-1).  jacobian()
-    and hessian() take points x already solved by value(), shape (..., n),
-    broadcast the same way and never solve again; they come from implicit
-    differentiation of the defining quadratic.  The signed form
+    jets(t, order) solves the defining quadratic for the coordinate
+    solve_index once, broadcast over stacked chart coordinates (..., n-1),
+    and differentiates it implicitly up to the order asked.  The signed form
     q = diag(eps) M and its blocks are built once, with the chart.  The
     chart is oriented: the stacked real determinant det(tangents, x) is
     positive at the center.
@@ -239,14 +237,20 @@ class QuadricChart:
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
 
-    def _free_to_point(self, y) -> np.ndarray:
-        m = self.solve_index
-        y = np.asarray(y, dtype=float)
+    def jets(self, t, order: int) -> list:
+        """[x, dx/dt, d^2x/dt^2][:order + 1] at chart coordinates t (..., n-1), order <= 2.
+
+        Shapes (..., n), (..., n-1, n) and (..., n-1, n-1, n).  The points x
+        come from one root solve; their implicit derivatives share one q x.
+        """
+        m, free = self.solve_index, self.free
+        t = np.asarray(t, dtype=float)
+        y = self.center_coords + self.flip * (t - self.center_coords)
         a = self._q_mm
         b = y @ self._q_mf
         cc = np.einsum("...i,ij,...j->...", y, self._q_ff, y) - self.c
         x = np.empty(y.shape[:-1] + (self.sig.n,))
-        x[..., self.free] = y
+        x[..., free] = y
         if abs(a) > 1e-13:
             disc = b * b - a * cc
             if (disc <= 0.0).any():
@@ -257,39 +261,25 @@ class QuadricChart:
             if (np.abs(b) < 1e-13).any():
                 raise FamilySpecError("quadric chart degenerates (vanishing gradient)")
             x[..., m] = -cc / (2.0 * b)
-        return x
-
-    def _to_free(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return self.center_coords + self.flip * (t - self.center_coords)
-
-    def value(self, t) -> np.ndarray:
-        """Points x(t) on the quadric, shape (..., n), from one root solve."""
-        return self._free_to_point(self._to_free(t))
-
-    def jacobian(self, x) -> np.ndarray:
-        """Rows dx/dt_a at solved points x, shape (..., n-1, n)."""
-        grad = 2.0 * (x @ self.q.T)
-        m = self.solve_index
+        if order == 0:
+            return [x]
+        qx = x @ self.q.T
+        grad = 2.0 * qx
         gm = grad[..., m]
         scale = np.sqrt((grad * grad).sum(axis=-1))
         if (np.abs(gm) < 1e-12 * np.maximum(scale, 1e-300)).any():
             raise FamilySpecError("quadric chart degenerates (vanishing gradient component)")
         jac = np.empty(x.shape[:-1] + self._tangents.shape)
         jac[...] = self._tangents
-        jac[..., m] = self.flip * (-grad[..., self.free] / gm[..., None])
-        return jac
-
-    def hessian(self, x, jac) -> np.ndarray:
-        """d^2 x / dt_a dt_b at solved points x and their jacobian, shape (..., n-1, n-1, n)."""
-        m, free = self.solve_index, self.free
-        qx = x @ self.q.T
+        jac[..., m] = self.flip * (-grad[..., free] / gm[..., None])
+        if order == 1:
+            return [x, jac]
         qv = jac @ self.q.T  # row b is q @ (dx/dt_b)
         qx_m = qx[..., m, None, None]
         num = qv[..., free] * qx_m - qx[..., None, free] * qv[..., m, None]
-        out = np.zeros(jac.shape[:-1] + jac.shape[-2:])
-        out[..., m] = np.swapaxes(-self.flip * num / qx_m ** 2, -1, -2)
-        return out
+        hess = np.zeros(jac.shape[:-1] + jac.shape[-2:])
+        hess[..., m] = np.swapaxes(-self.flip * num / qx_m ** 2, -1, -2)
+        return [x, jac, hess]
 
 
 def quadric_chart(M, c: float, sig: Signature, center,
@@ -321,7 +311,7 @@ def quadric_chart(M, c: float, sig: Signature, center,
     chart = QuadricChart(M=M, c=float(c), sig=sig, center=center, solve_index=m,
                          branch=branch, box=box, flip=np.ones(sig.n - 1))
     # Orientation: det(tangent rows, position) > 0 at the center.
-    det = np.linalg.det(np.vstack([chart.jacobian(chart.value(chart.center_coords)), center]))
+    det = np.linalg.det(np.vstack([chart.jets(chart.center_coords, 1)[1], center]))
     if abs(det) < 1e-12:
         raise FamilySpecError("chart orientation is undefined (position tangent to quadric)",
                               ("chart_center",))
@@ -409,15 +399,15 @@ def _equivariant_patch(sig: Signature, gamma: Curve, chart: QuadricChart,
     def f(u):
         u = np.asarray(u, dtype=float)
         t, s = u[..., :n - 1], u[..., n - 1]
-        x = chart.value(t)
+        x = chart.jets(t, 0)[0]
         return np.asarray(gamma.jets(s, 0)[0])[..., None] * x
 
     def d1(u):
         t, s = u[..., :n - 1], u[..., n - 1]
         g, dg = map(np.asarray, gamma.jets(s, 1))
-        x = chart.value(t)
+        x, jac = chart.jets(t, 1)
         rows = np.empty(u.shape[:-1] + (n, n), dtype=complex)
-        rows[..., :n - 1, :] = g[..., None, None] * chart.jacobian(x)
+        rows[..., :n - 1, :] = g[..., None, None] * jac
         rows[..., n - 1, :] = dg[..., None] * x
         return rows
 
@@ -425,10 +415,9 @@ def _equivariant_patch(sig: Signature, gamma: Curve, chart: QuadricChart,
         t, s = u[..., :n - 1], u[..., n - 1]
         g, dg, ddg = map(np.asarray, gamma.jets(s, 2))
         g, dg, ddg = g[..., None, None, None], dg[..., None, None], ddg[..., None]
-        x = chart.value(t)
-        jac = chart.jacobian(x)
+        x, jac, hess = chart.jets(t, 2)
         out = np.empty(u.shape[:-1] + (n, n, n), dtype=complex)
-        out[..., :n - 1, :n - 1, :] = g * chart.hessian(x, jac)
+        out[..., :n - 1, :n - 1, :] = g * hess
         out[..., :n - 1, n - 1, :] = dg * jac
         out[..., n - 1, :n - 1, :] = dg * jac
         out[..., n - 1, n - 1, :] = ddg * x
@@ -528,32 +517,30 @@ def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
     def f(u):
         u = np.asarray(u, dtype=float)
         t, s = u[..., :n - 1], u[..., n - 1]
-        x = chart.value(t)
+        x = chart.jets(t, 0)[0]
         rx = np.einsum("...jk,...k->...j", mat_exp_iMs(M, s), x.astype(complex))
         return np.asarray(r.jets(s, 0)[0])[..., None] * rx
 
     def d1(u):
         t, s = u[..., :n - 1], u[..., n - 1]
-        x = chart.value(t)
+        x, jac = chart.jets(t, 1)
         e = mat_exp_iMs(M, s)
         rv, rd = (np.asarray(jet)[..., None] for jet in r.jets(s, 1))
         rows = np.empty(u.shape[:-1] + (n, n), dtype=complex)
-        rows[..., :n - 1, :] = rv[..., None] * (chart.jacobian(x) @ np.swapaxes(e, -1, -2))
+        rows[..., :n - 1, :] = rv[..., None] * (jac @ np.swapaxes(e, -1, -2))
         rows[..., n - 1, :] = (e @ (rd * x + 1j * rv * (x @ M.T))[..., None])[..., 0]
         return rows
 
     def d2(u):
         t, s = u[..., :n - 1], u[..., n - 1]
-        x = chart.value(t)
-        jac = chart.jacobian(x)
+        x, jac, hess = chart.jets(t, 2)
         e = mat_exp_iMs(M, s)
         e_t = np.swapaxes(e, -1, -2)
         rv, rd, rdd = (np.asarray(jet)[..., None] for jet in r.jets(s, 2))
         mx = x @ M.T
         last = rdd * x + 2j * rd * mx - rv * (mx @ M.T)
         out = np.empty(u.shape[:-1] + (n, n, n), dtype=complex)
-        out[..., :n - 1, :n - 1, :] = rv[..., None, None] * (chart.hessian(x, jac)
-                                                            @ e_t[..., None, :, :])
+        out[..., :n - 1, :n - 1, :] = rv[..., None, None] * (hess @ e_t[..., None, :, :])
         mixed = (rd[..., None] * jac + 1j * rv[..., None] * (jac @ M.T)) @ e_t
         out[..., :n - 1, n - 1, :] = mixed
         out[..., n - 1, :n - 1, :] = mixed

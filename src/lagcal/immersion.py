@@ -139,11 +139,15 @@ def second_derivatives(patch: ImmersionPatch, u) -> np.ndarray:
     return out
 
 
+def _frame_metric(frame: np.ndarray, sig: Signature) -> np.ndarray:
+    """Symmetrized Gram matrix g_jk = <X_j, X_k> of tangent frames (..., n, n)."""
+    g = herm_gram(frame, sig).real
+    return (g + np.swapaxes(g, -1, -2)) / 2.0
+
+
 def induced_metric(patch: ImmersionPatch, u) -> np.ndarray:
     """Pullback metric Gram matrix g_jk = <X_j, X_k> of the tangent frame at points u (..., n)."""
-    frame = tangent_frame(patch, u)
-    g = herm_gram(frame, patch.sig).real
-    return (g + np.swapaxes(g, -1, -2)) / 2.0
+    return _frame_metric(tangent_frame(patch, u), patch.sig)
 
 
 def metric_signature(g) -> tuple[int, int, int]:

@@ -177,7 +177,7 @@ def test_criterion_05_angle_formulas():
         ss = np.linspace(*spec.s_interval, 32)
         offsets = np.empty((32, 32))
         for i, t in enumerate(tt):
-            x = chart.value(np.atleast_1d(t))
+            x = chart.jets(np.atleast_1d(t), 0)[0]
             for j, s in enumerate(ss):
                 u = np.append(np.atleast_1d(t), s)
                 offsets[i, j] = wrap_angle(

@@ -317,6 +317,10 @@ def test_matrix_exp_rejects_non_finite_input_before_writing_its_block(monkeypatc
         "nan entry": ([[1.0, np.nan], [0.0, 1.0]], "non-finite"),
         "1-norm overflows": ([[1e308, 0.0], [1e308, 1.0]], "non-finite"),
         "exponential overflows": ([[1e308, 1e308], [0.0, 1.0]], "overflows"),
+        # more than MAX_SQUARINGS squarings: without the cap these came out
+        # as 0.99999976 on the diagonal and as the zero matrix
+        "1-norm 1e10": ([[0.0, 1e10], [0.0, 0.0]], "loses accuracy or overflows"),
+        "1-norm 1e100": ([[0.0, 1e100], [0.0, 0.0]], "loses accuracy or overflows"),
     }
     monkeypatch.setattr(core, "STACK_BLOCK", 7)
     rng = np.random.default_rng(15)
@@ -332,6 +336,20 @@ def test_matrix_exp_rejects_non_finite_input_before_writing_its_block(monkeypatc
             matrix_exp(a, out=out)
         assert np.array_equal(out[:7], matrix_exp(a[:7])), name
         assert not np.any(out[7:]), name
+
+
+def test_matrix_exp_is_accurate_up_to_its_squaring_cap():
+    # exp [[0, x], [0, 0]] = [[1, x], [0, 1]]; MAX_SQUARINGS squarings of the
+    # degree-13 kernel reach a 1-norm of about 4.4e4, and one ulp past it
+    # the matrix is refused
+    cap = core._THETA[13] * 2.0 ** core.MAX_SQUARINGS
+    assert 4.3e4 < cap < 4.5e4
+    for x in (0.999 * cap, cap):
+        exact = np.array([[1.0, x], [0.0, 1.0]])
+        got = matrix_exp(np.array([[0.0, x], [0.0, 0.0]], dtype=complex))
+        assert np.max(np.abs(got - exact)) <= 1e-12 * x, x
+    with pytest.raises(DegenerateInput, match="loses accuracy or overflows"):
+        matrix_exp(np.array([[0.0, np.nextafter(cap, np.inf)], [0.0, 0.0]], dtype=complex))
 
 
 def traced_peak(call, *args):

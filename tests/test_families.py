@@ -19,10 +19,15 @@ from conftest import (
 )
 from lagcal.core import (
     Signature,
+    apply_J,
     circ_dist,
     circ_spread,
+    from_components,
     herm_form,
     metric,
+    plane_props,
+    real_components,
+    spans_equal,
     special_orthogonal_sample,
     wrap_angle,
 )
@@ -34,6 +39,7 @@ from lagcal.families import (
     FamilySpecError,
     Hopf,
     ProductNullCurves,
+    QuadricChart,
     build_family,
     catenoid_curve,
     check_self_adjoint,
@@ -136,23 +142,20 @@ def test_quadric_chart_membership_jets_orientation(m, c, sig, center):
     rng = np.random.default_rng(4)
     n1 = sig.n - 1
     pts = rng.uniform(chart.box[:, 0] + 0.02, chart.box[:, 1] - 0.02, size=(12, n1))
-    vals = chart.value(pts)
+    vals = chart.jets(pts, 0)[0]
     assert np.max(np.abs(quadric_rhs(m, sig, vals) - c)) < 1e-10
     for t in pts[:4]:
-        x = chart.value(t)
-        jac = chart.jacobian(x)
+        x, jac, hess = chart.jets(t, 2)
         h = 1e-6
         for a in range(n1):
             e = np.zeros(n1)
             e[a] = h
-            fd = (chart.value(t + e) - chart.value(t - e)) / (2 * h)
+            fd = (chart.jets(t + e, 0)[0] - chart.jets(t - e, 0)[0]) / (2 * h)
             assert np.allclose(jac[a], fd, atol=1e-7)
-        hess = chart.hessian(x, jac)
         for a in range(n1):
             e = np.zeros(n1)
             e[a] = h
-            fd_jac = (chart.jacobian(chart.value(t + e))
-                      - chart.jacobian(chart.value(t - e))) / (2 * h)
+            fd_jac = (chart.jets(t + e, 1)[1] - chart.jets(t - e, 1)[1]) / (2 * h)
             assert np.allclose(hess[:, a], fd_jac, atol=5e-6)
         # oriented: det(tangents, position) stays positive across the chart
         assert np.linalg.det(np.vstack([jac, x])) > 0
@@ -198,15 +201,17 @@ def test_quadric_chart_jets_broadcast_over_stacks(m, c, sig, center, flipped):
     n = sig.n
     rng = np.random.default_rng(12)
     pts = rng.uniform(chart.box[:, 0] + 0.02, chart.box[:, 1] - 0.02, size=(12, n - 1))
-    x = chart.value(pts)
-    jac = chart.jacobian(x)
-    hess = chart.hessian(x, jac)
+    x, jac, hess = jets = chart.jets(pts, 2)
     assert x.shape == (12, n) and jac.shape == (12, n - 1, n)
     assert hess.shape == (12, n - 1, n - 1, n)
+    # a lower order returns the leading entries of the full list, bit for bit
+    for order in (0, 1):
+        lower = chart.jets(pts, order)
+        assert len(lower) == order + 1
+        for got, want in zip(lower, jets):
+            np.testing.assert_array_equal(got, want)
     for k, t in enumerate(pts):
-        xk = chart.value(t)
-        jk = chart.jacobian(xk)
-        hk = chart.hessian(xk, jk)
+        xk, jk, hk = chart.jets(t, 2)
         np.testing.assert_array_equal(jk, _loop_jacobian(chart, xk))
         np.testing.assert_array_equal(hk, _loop_hessian(chart, xk))
         np.testing.assert_allclose(x[k], xk, rtol=1e-14, atol=1e-15)
@@ -369,7 +374,7 @@ def test_evolving_quadric_angle_law_constant_offset():
         for t in np.linspace(chart.box[:, 0] + 0.03, chart.box[:, 1] - 0.03, 9):
             for s in np.linspace(*spec.s_interval, 9):
                 u = np.append(np.atleast_1d(t), s)
-                x = chart.value(np.atleast_1d(t))
+                x = chart.jets(np.atleast_1d(t), 0)[0]
                 direct = lagrangian_angle_at(patch, u)
                 law = evolving_quadric_angle(spec, s, x)
                 offsets.append(wrap_angle(direct - law))
@@ -483,7 +488,15 @@ def _counting(curve):
     return Curve(jets, curve.interval), calls
 
 
-def test_patch_jets_evaluate_each_curve_once():
+def test_patch_jets_evaluate_each_curve_once(monkeypatch):
+    chart_calls = []
+    chart_jets = QuadricChart.jets
+
+    def counted_chart_jets(chart, t, order):
+        chart_calls.append(order)
+        return chart_jets(chart, t, order)
+
+    monkeypatch.setattr(QuadricChart, "jets", counted_chart_jets)
     gamma, gamma_calls = _counting(catenoid_curve(3, 1.0, 0))
     r, r_calls = _counting(Curve.exponential(1.0, 0.3))
     pair = hyperbola_product_spec()
@@ -491,8 +504,8 @@ def test_patch_jets_evaluate_each_curve_once():
     g2, g2_calls = _counting(pair.gamma2)
     sphere, sphere_calls = _counting(small_circle_hopf_spec().gamma)
     cases = [
-        (Equivariant(sig=SIG13, epsilon=1, gamma=gamma), [gamma_calls]),
-        (dataclasses.replace(rotation_quadric_spec(), r=r), [r_calls]),
+        (Equivariant(sig=SIG13, epsilon=1, gamma=gamma), [gamma_calls, chart_calls]),
+        (dataclasses.replace(rotation_quadric_spec(), r=r), [r_calls, chart_calls]),
         (dataclasses.replace(pair, gamma1=g1, gamma2=g2), [g1_calls, g2_calls]),
         (Hopf(gamma=sphere), [sphere_calls]),
     ]
@@ -505,7 +518,8 @@ def test_patch_jets_evaluate_each_curve_once():
         patch.f(u)
         patch.d1(u)
         patch.d2(u)
-        # f, d1 and d2 each make one jets call of their own order on every curve
+        # f, d1 and d2 each make one jets call of their own order on every
+        # curve and on the quadric chart
         for calls in records:
             assert calls == [0, 1, 2], type(spec).__name__
 
@@ -572,6 +586,57 @@ def test_product_matches_rotation_quadric_pointwise():
         assert np.max(np.abs(fq - fp)) < 1e-12
 
 
+def _unit_null_fields(patch, count, rng):
+    """Both fields of unit null tangent vectors of a Lorentzian surface, (count, 4) real rows each.
+
+    The null lines at a point solve g00 a^2 + 2 g01 a b + g11 b^2 = 0.  The
+    line of one sign is spanned by (-g01 + sign root, g00) and, equally, by
+    (g11, -g01 - sign root); the longer of the two is taken.  Both never
+    vanish together where det g < 0, so each sign is one continuous line field.
+    """
+    pts = interior_samples(patch, count, rng)
+    frame = tangent_frame(patch, pts)
+    g = induced_metric(patch, pts)
+    g00, g01, g11 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
+    root = np.sqrt(g01 ** 2 - g00 * g11)
+    fields = []
+    for sign in (1.0, -1.0):
+        first = np.stack([-g01 + sign * root, g00], axis=-1)
+        second = np.stack([g11, -g01 - sign * root], axis=-1)
+        longer = np.linalg.norm(second, axis=-1) > np.linalg.norm(first, axis=-1)
+        v = np.einsum("kj,kjz->kz", np.where(longer[:, None], second, first), frame)
+        fields.append(real_components(v / np.linalg.norm(v, axis=-1, keepdims=True)))
+    return fields
+
+
+def test_neutral_minimal_surfaces_have_null_directions_in_p_and_jp(family_catalog):
+    # the paper's neutral minimal Lagrangian surfaces are gamma_1(u) + J gamma_2(v)
+    # with both curves in one totally null plane P: one field of null tangent
+    # directions spans P everywhere and the other J P.  The rank gap is the third
+    # singular value of a field's stacked unit vectors over the first.
+    line = build_family(Equivariant(sig=SIG12, epsilon=1, gamma=Curve.line(1.0, 1j, (-0.8, 0.8))))
+    surfaces = [(name, patch) for name, patch in family_catalog
+                if (patch.sig.p, patch.n) == (1, 2)] + [("equivariant-line(p=1)", line)]
+    controls = {"equivariant-spiral", "equivariant-line(p=1)"}  # non-minimal: the angle varies
+    assert len(surfaces) - len(controls) == 4  # both catenoids, rotation quadric, product
+    rng = np.random.default_rng(55)
+    for name, patch in surfaces:
+        fields = _unit_null_fields(patch, 300, rng)
+        gaps = []
+        planes = []
+        for field in fields:
+            _, sv, vt = np.linalg.svd(field, full_matrices=False)
+            gaps.append(sv[2] / sv[0])
+            planes.append(from_components(vt[:2]))
+        if name in controls:
+            assert min(gaps) >= 1e-2, (name, gaps)
+            continue
+        assert max(gaps) <= 1e-12, (name, gaps)
+        p_plane, q_plane = planes
+        assert plane_props(p_plane, patch.sig).totally_null, name
+        assert spans_equal(q_plane, apply_J(p_plane)), name
+
+
 def test_hopf_patch_validation_and_defect():
     patch = build_family(small_circle_hopf_spec())
     rng = np.random.default_rng(13)
@@ -596,7 +661,7 @@ def test_equivariance_orbit_membership():
         rng = np.random.default_rng(14)
         for u in interior_samples(patch, 10, rng):
             t, s = u[:-1], u[-1]
-            x = chart.value(t)
+            x = chart.jets(t, 0)[0]
             a = special_orthogonal_sample(rng, sig)
             moved = a @ patch.f(u)
             # the moved point factors through the quadric again
