@@ -61,6 +61,8 @@ from .spline import NotAKnotBicubic
 
 AMBIENT_BOUND = 1e6
 FLOW_GRID = (128, 128)
+# volume_compare checks that the base angle is constant at this many nodes
+ANGLE_PROBES = 64
 
 
 class FlowDivergence(GeometryError):
@@ -368,7 +370,12 @@ def volume_compare(base: ImmersionPatch, specs, grid, seed: int = 0,
     if np.any(base_flags):
         raise DegenerateInput("base patch is degenerate on the quadrature grid")
     base_volume = float(np.sum(base_dv) * cell)
-    betas = [lagrangian_angle_at(base, u) for u in nodes[:: max(1, len(nodes) // 64)]]
+    # probe along the grid's diagonal, so that every axis runs through its whole
+    # range; the longest axis advances at every step, so no node repeats
+    counts = np.broadcast_to(np.asarray(grid, dtype=int), (base.n,))
+    k = min(ANGLE_PROBES, int(counts.max()))
+    diagonal = np.ravel_multi_index(tuple((np.arange(k)[:, None] * counts // k).T), counts)
+    betas = [lagrangian_angle_at(base, u) for u in nodes[diagonal]]
     base_beta_spread = circ_spread(betas)
     if base_beta_spread > 1e-6:
         raise DegenerateInput(

@@ -4,10 +4,11 @@ One JSON document describes a run: the signature, a family, the
 experiment to perform and its sampling parameters.  Results land in two
 files, a JSON report with a fixed key set and a CSV table with one row
 per sample, written with LF line endings so that fixed seeds reproduce
-byte-identical output.  Every table cell is a plain Python int, float or
-str and is written as its ``str``: the shortest round-trip ``repr`` for
-floats.  No column name or cell contains a comma, quote or newline, so
-no cell is quoted.
+byte-identical output.  Each table column is a 1-d array; ``tolist``
+turns its cells into plain Python ints, floats or strs, and each is
+written as its ``str``: the shortest round-trip ``repr`` for floats.  No
+column name or cell contains a comma, quote or newline, so no cell is
+quoted.
 
 Exit codes: 0 success, 1 usage or validation error, 2 when an
 experiment threshold is violated.
@@ -79,6 +80,8 @@ CURVATURE_GATE = 1e-5
 SLACK_GATE = -1e-9
 IDENTITY_GATE = 1e-10
 VOLUME_SLACK_GATE = -1e-6
+# verify checks minimality, and curvature runs, on at most this many samples
+CURVATURE_SAMPLES = 300
 # Upper bound on samples: 10^7 frames already take gigabytes, and far larger
 # counts make numpy refuse the allocation with a bare ValueError.
 MAX_SAMPLES = 10 ** 7
@@ -107,10 +110,10 @@ class RunConfig:
 class ExperimentReport:
     """Fixed-schema result record; inapplicable scalars stay None.
 
-    ``rows`` is a sized, re-iterable sequence with one row per sample
-    (a list, or a ``ColumnRows`` view over column arrays).  The cells of
-    every row are plain Python ``int``, ``float`` or ``str`` values, never
-    numpy scalars.
+    ``table`` maps each samples.csv column name, in order, to a 1-d array
+    with one entry per sample.  ``tolist`` of every column gives plain
+    Python ``int``, ``float`` or ``str`` values (``object`` columns hold
+    ``""`` for empty cells).
     """
 
     config: dict
@@ -125,27 +128,7 @@ class ExperimentReport:
     slack_min: float | None = None
     identity_max_residual: float | None = None
     degenerate_count: int | None = None
-    columns: list | None = None
-    rows: "list | ColumnRows | None" = None
-
-
-class ColumnRows:
-    """Rows over equal-length 1-d column arrays, converted as they are read.
-
-    ``len`` is the number of rows.  Each pass converts STACK_BLOCK rows at
-    a time with ``tolist``, so the table is never held as Python objects
-    all at once, and every pass yields the same tuples of plain scalars.
-    """
-
-    def __init__(self, *columns: np.ndarray):
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __iter__(self):
-        for start in range(0, len(self), STACK_BLOCK):
-            yield from zip(*(c[start:start + STACK_BLOCK].tolist() for c in self.columns))
+    table: dict | None = None
 
 
 def _check_keys(obj: dict, allowed: set, where: str):
@@ -412,6 +395,8 @@ def validate_config(raw: dict) -> RunConfig:
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {', '.join(EXPERIMENTS)}")
+    if experiment == "volume-compare" and n != 2:
+        raise ConfigError("signature.n", "volume-compare deforms surfaces: n must be 2")
 
     # JSON true and false decode to bool, a subclass of int: compare exact types.
     samples = raw.get("samples", 20 if experiment == "volume-compare" else 1000)
@@ -473,37 +458,36 @@ def _grid_for(cfg: RunConfig, n: int) -> list:
 
 # --- experiments ------------------------------------------------------------------
 
+def _sample_table(pts: np.ndarray, **columns) -> dict:
+    """A samples table led by the sample index and the coordinates u0, u1, ..."""
+    return {"index": np.arange(len(pts)), **{f"u{j}": pts[:, j] for j in range(pts.shape[1])},
+            **columns}
+
+
 def _run_verify(cfg: RunConfig) -> ExperimentReport:
     patch = build_family(cfg.spec)
     rng = np.random.default_rng(cfg.seed)
     pts = interior_samples(patch, cfg.samples, rng)
-    rows = []
-    defects = np.empty(cfg.samples)
-    betas = np.empty(cfg.samples)
-    bad_signature = 0
-    p = cfg.signature.p
+    defects, betas = np.empty((2, cfg.samples))
+    negative, null = np.empty((2, cfg.samples), dtype=int)  # metric signature counts
     frame = tangent_frame(patch, pts)
     g, dv = _frame_metric(frame, patch.sig), frame_quantities(frame, patch.sig)["dvol"]
     for k, u in enumerate(pts):
         defects[k] = lagrangian_defect(patch, u)
         betas[k] = lagrangian_angle_at(patch, u)
-        pos, neg, null = metric_signature(g[k])
-        if neg != p or null != 0:
-            bad_signature += 1
-        rows.append([k, *u.tolist(), float(defects[k]), float(betas[k]), float(dv[k]),
-                     neg, null])
-    report = minimality_residual(patch, min(cfg.samples, 300),
+        negative[k], null[k] = metric_signature(g[k])[1:]
+    bad_signature = int(np.count_nonzero((negative != cfg.signature.p) | (null != 0)))
+    report = minimality_residual(patch, min(cfg.samples, CURVATURE_SAMPLES),
                                  np.random.default_rng(cfg.seed + 1))
-    passed = (float(np.max(defects)) <= cfg.tol) and bad_signature == 0
-    n = patch.n
+    max_defect = float(np.max(defects))
     return ExperimentReport(
-        config=_config_echo(cfg), seed=cfg.seed, version=__version__, passed=passed,
-        max_defect=float(np.max(defects)), beta_mean=circ_mean(betas),
+        config=_config_echo(cfg), seed=cfg.seed, version=__version__,
+        passed=max_defect <= cfg.tol and bad_signature == 0,
+        max_defect=max_defect, beta_mean=circ_mean(betas),
         beta_spread=circ_spread(betas), residual=report.residual,
         degenerate_count=bad_signature,
-        columns=["index", *[f"u{j}" for j in range(n)], "defect", "beta", "dvol",
-                 "signature_negative", "signature_null"],
-        rows=rows)
+        table=_sample_table(pts, defect=defects, beta=betas, dvol=dv,
+                            signature_negative=negative, signature_null=null))
 
 
 def _run_angle(cfg: RunConfig) -> ExperimentReport:
@@ -531,41 +515,37 @@ def _run_angle(cfg: RunConfig) -> ExperimentReport:
     else:
         raise ConfigError("family", "the angle experiment needs an angle law "
                           "(equivariant, catenoid or evolving-quadric family)")
-    rows = []
-    offsets = np.empty(cfg.samples)
+    betas, laws = np.empty((2, cfg.samples))
     for k, u in enumerate(pts):
-        beta = lagrangian_angle_at(patch, u)
-        beta_law = law(u)
-        offsets[k] = wrap_angle(beta - beta_law)
-        rows.append([k, *u.tolist(), beta, beta_law, float(offsets[k])])
+        betas[k] = lagrangian_angle_at(patch, u)
+        laws[k] = law(u)
+    offsets = wrap_angle(betas - laws)
     residual = statistic(offsets)
     return ExperimentReport(
         config=_config_echo(cfg), seed=cfg.seed, version=__version__,
         passed=residual <= max(cfg.tol, gate),
         beta_mean=circ_mean(offsets), beta_spread=circ_spread(offsets),
         residual=residual,
-        columns=["index", *[f"u{j}" for j in range(n)], "beta", "beta_law", "offset"],
-        rows=rows)
+        table=_sample_table(pts, beta=betas, beta_law=laws, offset=offsets))
 
 
 def _run_curvature(cfg: RunConfig) -> ExperimentReport:
     patch = build_family(cfg.spec)
     rng = np.random.default_rng(cfg.seed)
-    count = min(cfg.samples, 300)
+    count = min(cfg.samples, CURVATURE_SAMPLES)
     pts = interior_samples(patch, count, rng, margin=0.08)
-    rows = []
-    worst = 0.0
+    h_angle, h_sff, discrepancy = np.empty((3, count))
     for k, u in enumerate(pts):
         sample = curvature_sample(patch, u)
-        worst = max(worst, sample.discrepancy)
-        rows.append([k, *u.tolist(), float(np.linalg.norm(sample.H_angle)),
-                     float(np.linalg.norm(sample.H_sff)), sample.discrepancy])
+        h_angle[k] = np.linalg.norm(sample.H_angle)
+        h_sff[k] = np.linalg.norm(sample.H_sff)
+        discrepancy[k] = sample.discrepancy
+    worst = float(np.max(discrepancy))
     return ExperimentReport(
         config=_config_echo(cfg), seed=cfg.seed, version=__version__,
         passed=worst <= CURVATURE_GATE, residual=worst,
-        columns=["index", *[f"u{j}" for j in range(patch.n)],
-                 "h_angle_norm", "h_sff_norm", "discrepancy"],
-        rows=rows)
+        table=_sample_table(pts, h_angle_norm=h_angle, h_sff_norm=h_sff,
+                            discrepancy=discrepancy))
 
 
 def _run_calibrate(cfg: RunConfig) -> ExperimentReport:
@@ -584,7 +564,6 @@ def _run_calibrate(cfg: RunConfig) -> ExperimentReport:
     abs_det = np.abs(q["omega_det"])  # |det M| of the coefficient matrix
     tight_slack = ratio(q["dvol"] - abs_det, q["scale"])
     identity = ratio(np.abs(q["dvol"] - abs_det), q["dvol"])
-    rows = ColumnRows(np.arange(cfg.samples), beta0, q["beta"], q["dvol"], th, slack, identity)
     degenerate = cfg.samples - int(np.count_nonzero(ok))
     slack_min = identity_max = None  # if every frame is flagged
     if degenerate < cfg.samples:
@@ -597,37 +576,41 @@ def _run_calibrate(cfg: RunConfig) -> ExperimentReport:
         max_defect=float(np.max(q["defect"])),
         slack_min=slack_min, identity_max_residual=identity_max,
         degenerate_count=degenerate,
-        columns=["index", "beta0", "beta", "dvol", "theta0", "slack", "identity_residual"],
-        rows=rows)
+        table={"index": np.arange(cfg.samples), "beta0": beta0, "beta": q["beta"],
+               "dvol": q["dvol"], "theta0": th, "slack": slack, "identity_residual": identity})
 
 
 def _run_volume_compare(cfg: RunConfig) -> ExperimentReport:
     patch = build_family(cfg.spec)
     specs = random_perturbations(patch, cfg.samples, cfg.seed)
     report = volume_compare(patch, specs, _grid_for(cfg, patch.n), seed=cfg.seed)
-    rows = []
-    volumes = [report.base_volume]
-    for r in report.results:
-        rows.append([r.index, float(r.spec.amplitude), float(r.spec.radius),
-                     *map(float, r.spec.center), int(r.spec.steps),
-                     float(r.spec.step_size), r.status,
-                     r.volume if r.volume is not None else "",
-                     r.defect_max if r.defect_max is not None else "",
-                     r.degenerate_points])
-        if r.volume is not None:
-            volumes.append(r.volume)
-    ok = [r for r in report.results if r.status == "ok"]
+    results = report.results
+    perturbations = [r.spec for r in results]
+    centers = np.array([s.center for s in perturbations], dtype=float)
+
+    def blank_if_none(values):  # a competitor without a quadrature keeps empty cells
+        return np.array(["" if v is None else v for v in values], dtype=object)
+
+    ok = [r for r in results if r.status == "ok"]
     quorum = len(ok) >= (3 * len(specs)) // 4
     slack_min = report.min_slack() if ok else None
     passed = quorum and slack_min is not None and slack_min >= VOLUME_SLACK_GATE
     return ExperimentReport(
         config=_config_echo(cfg), seed=cfg.seed, version=__version__, passed=passed,
         max_defect=max((r.defect_max for r in ok), default=None),
-        volumes=volumes, slack_min=slack_min,
+        volumes=[report.base_volume, *(r.volume for r in results if r.volume is not None)],
+        slack_min=slack_min,
         degenerate_count=report.degenerate_count,
-        columns=["index", "amplitude", "radius", "center0", "center1", "steps",
-                 "step_size", "status", "volume", "defect_max", "degenerate_points"],
-        rows=rows)
+        table={"index": np.array([r.index for r in results]),
+               "amplitude": np.array([s.amplitude for s in perturbations], dtype=float),
+               "radius": np.array([s.radius for s in perturbations], dtype=float),
+               "center0": centers[:, 0], "center1": centers[:, 1],
+               "steps": np.array([s.steps for s in perturbations], dtype=int),
+               "step_size": np.array([s.step_size for s in perturbations], dtype=float),
+               "status": np.array([r.status for r in results]),
+               "volume": blank_if_none(r.volume for r in results),
+               "defect_max": blank_if_none(r.defect_max for r in results),
+               "degenerate_points": np.array([r.degenerate_points for r in results])})
 
 
 def _run_plane_props(cfg: RunConfig) -> ExperimentReport:
@@ -635,8 +618,8 @@ def _run_plane_props(cfg: RunConfig) -> ExperimentReport:
     if (sig.p, sig.n) != (1, 2):
         raise ConfigError("signature", "plane-props runs in signature (1, 2)")
     rng = np.random.default_rng(cfg.seed)
-    rows = []
-    violations = 0
+    flags = np.empty((cfg.samples, 3), dtype=int)  # totally null, Lagrangian, complex line
+    null_iff = np.empty(cfg.samples, dtype=bool)
     for k in range(cfg.samples):
         kind = k % 4
         if kind == 0:
@@ -648,20 +631,19 @@ def _run_plane_props(cfg: RunConfig) -> ExperimentReport:
         else:
             plane = random_complex_plane(rng, null=bool(k % 8 == 7), sig=sig)
         props = plane_props(plane, sig, tol=1e-8)
-        flags = (props.totally_null, props.lagrangian, props.complex_line)
-        two_of_three_ok = not (sum(flags) == 2)
+        flags[k] = props.totally_null, props.lagrangian, props.complex_line
         orth = symplectic_orthogonal(plane, sig)
-        null_iff = props.totally_null == spans_equal(apply_J(plane), orth, tol=1e-8)
-        if not two_of_three_ok or not null_iff:
-            violations += 1
-        rows.append([k, *[int(f) for f in flags], int(two_of_three_ok), int(null_iff)])
+        null_iff[k] = props.totally_null == spans_equal(apply_J(plane), orth, tol=1e-8)
+    two_of_three_ok = flags.sum(axis=1) != 2
+    violations = int(np.count_nonzero(~(two_of_three_ok & null_iff)))
     return ExperimentReport(
         config=_config_echo(cfg), seed=cfg.seed, version=__version__,
         passed=violations == 0, residual=float(violations),
         degenerate_count=0,
-        columns=["index", "totally_null", "lagrangian", "complex_line",
-                 "two_of_three_ok", "null_iff_jplane_ok"],
-        rows=rows)
+        table={"index": np.arange(cfg.samples), "totally_null": flags[:, 0],
+               "lagrangian": flags[:, 1], "complex_line": flags[:, 2],
+               "two_of_three_ok": two_of_three_ok.astype(int),
+               "null_iff_jplane_ok": null_iff.astype(int)})
 
 
 _RUNNERS = {
@@ -691,12 +673,16 @@ def emit_report(report: ExperimentReport, out_dir: str) -> tuple[str, str]:
     """Write report.json and samples.csv; returns the two paths."""
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "samples.csv")
-    # Cells are plain ints, floats and strs (see ExperimentReport), so "%s"
-    # gives the shortest round-trip repr of each float; lines are streamed.
-    line = ",".join(["%s"] * len(report.columns)) + "\n"
+    # tolist gives plain ints, floats and strs, so "%s" gives the shortest
+    # round-trip repr of each float.  STACK_BLOCK rows are converted at a
+    # time, so the table is never held as Python objects all at once.
+    columns = list(report.table.values())
+    line = ",".join(["%s"] * len(columns)) + "\n"
     with open(csv_path, "w", newline="") as handle:
-        handle.write(",".join(report.columns) + "\n")
-        handle.writelines(line % tuple(row) for row in report.rows)
+        handle.write(",".join(report.table) + "\n")
+        for start in range(0, len(columns[0]), STACK_BLOCK):
+            rows = zip(*(c[start:start + STACK_BLOCK].tolist() for c in columns))
+            handle.writelines(line % row for row in rows)
 
     payload = {
         "config": report.config,

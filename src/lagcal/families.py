@@ -285,6 +285,8 @@ class QuadricChart:
 def quadric_chart(M, c: float, sig: Signature, center,
                   half_width: float = CHART_HALF_WIDTH) -> QuadricChart:
     """Build an oriented graph chart of the quadric around a center point."""
+    if sig.n < 2:
+        raise FamilySpecError("quadric charts need n >= 2", ("sig.n",))
     M = np.asarray(M, dtype=float)
     center = np.asarray(center, dtype=float)
     if center.shape != (sig.n,):

@@ -20,7 +20,7 @@ from lagcal.calibration import (
     volume_compare,
 )
 from lagcal.core import Signature, hol_volume
-from lagcal.families import Catenoid, build_family
+from lagcal.families import Catenoid, Curve, Equivariant, build_family
 from lagcal.immersion import (
     ImmersionPatch,
     _central_frames,
@@ -426,6 +426,16 @@ def test_volume_compare_reproducible():
     r1 = volume_compare(FLAT, specs, [24, 24], flow_grid=(64, 64))
     r2 = volume_compare(FLAT, specs, [24, 24], flow_grid=(64, 64))
     assert [a.volume for a in r1.results] == [b.volume for b in r2.results]
+
+
+@pytest.mark.parametrize("grid", [[64, 64], [64, 32]])
+def test_volume_compare_rejects_a_non_minimal_base(grid):
+    # gamma(s) = 1 + i s has angle pi/2 + arctan s.  Every 64th node of
+    # these grids has the same s, so only probes across both axes see it.
+    base = build_family(Equivariant(sig=Signature(0, 2), epsilon=1,
+                                    gamma=Curve.line(1.0, 1j, (0.0, 1.0))))
+    with pytest.raises(DegenerateInput, match="not minimal"):
+        volume_compare(base, [], grid)
 
 
 def test_random_perturbations_admissible():

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lagcal.cli import (
     MAX_SAMPLES,
@@ -253,6 +253,8 @@ def test_curvature_experiment_on_hopf():
     pytest.param("verify", {}, ["--tol", "x"], "tol", id="tol-flag-x"),
     pytest.param("verify", {"tol": float("nan")}, [], "tol", id="tol-nan"),
     pytest.param("volume-compare", {"grid": [16, 32, 8]}, [], "grid", id="grid-length-3"),
+    pytest.param("volume-compare", {"signature": {"p": 1, "n": 3}, "grid": [8]}, [],
+                 "signature.n", id="volume-compare-n-3"),
 ])
 def test_cli_rejects_malformed_values(tmp_path, capsys, experiment, doc, args, fieldname):
     # command line overrides and document values pass the same validation
@@ -320,6 +322,56 @@ def test_cli_names_fields_of_family_constraints(tmp_path, capsys, change, fieldn
     err = capsys.readouterr().err
     assert err.startswith(f"error: {fieldname}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family", [
+    pytest.param(CATENOID_CONFIG["family"], id="catenoid"),
+    pytest.param({"kind": "equivariant", "gamma": {"form": "circle"}}, id="equivariant"),
+    pytest.param({"kind": "evolving-quadric", "matrix": [[1]], "c": 1}, id="evolving-quadric"),
+])
+def test_cli_names_the_dimension_of_quadric_chart_families(tmp_path, capsys, family):
+    # a quadric chart solves for one coordinate over the n - 1 others: n = 1 leaves none
+    doc = {"signature": {"p": 0, "n": 1}, "family": family, "samples": 2}
+    parse_config(json.dumps({**doc, "experiment": "verify"}))
+    code = main(["verify", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: signature.n: ") and err.count("\n") == 1, err
+
+
+def catenoid_sweep():
+    """verify documents of every catenoid with n in {2, 3, 4}: each p, both
+    epsilon and each sector, with the sign of c that the sector carries."""
+    for n in (2, 3, 4):
+        for p in range(n + 1):
+            for epsilon in (1, -1):
+                for sector in range(2 * n):
+                    family = {"kind": "catenoid", "epsilon": epsilon, "sector": sector,
+                              "c": (-1) ** sector}
+                    yield {"signature": {"p": p, "n": n}, "family": family,
+                           "experiment": "verify", "samples": 4}
+
+
+def test_every_catenoid_with_a_non_empty_quadric_is_minimal_lagrangian():
+    # the paper's equivariant characterization: Im(gamma^n) = c on the
+    # quadric <x, x>_p = epsilon, which is empty for epsilon = 1 at p = n
+    # and for epsilon = -1 at p = 0
+    minimal = empty = 0
+    for doc in catenoid_sweep():
+        p, n = doc["signature"]["p"], doc["signature"]["n"]
+        cfg = parse_config(json.dumps(doc))
+        if p == (n if doc["family"]["epsilon"] == 1 else 0):
+            with pytest.raises(ConfigError) as info:
+                run_experiment(cfg)
+            assert "family.epsilon" in info.value.fieldname.split(", "), doc
+            empty += 1
+        else:
+            report = run_experiment(cfg)
+            assert report.passed and report.degenerate_count == 0, doc
+            assert report.residual <= 1e-9, doc
+            minimal += 1
+    assert (minimal, empty) == (116, 36)
 
 
 PRODUCT_NULL = {"kind": "product-null-curves",
@@ -542,46 +594,50 @@ TABLE_CONFIGS = {**{e: small_config(e) for e in OUTPUT_DIGESTS},
 
 
 @pytest.fixture(scope="module", params=sorted(TABLE_CONFIGS))
-def table_report(request):
-    return run_experiment(parse_config(json.dumps(TABLE_CONFIGS[request.param])))
+def table_run(request):
+    config = TABLE_CONFIGS[request.param]
+    return config, run_experiment(parse_config(json.dumps(config)))
 
 
-def test_table_cells_are_plain_python_scalars(table_report):
-    # emit_report writes str(cell): a numpy scalar would print differently
-    assert len(table_report.rows) > 0
-    for row in table_report.rows:
-        assert len(row) == len(table_report.columns)
-        assert {type(v) for v in row} <= {int, float, str}, row
+def test_table_cells_are_plain_python_scalars(table_run):
+    # one entry per sample in every column; emit_report writes str of the
+    # tolist cells, and a numpy scalar would print differently
+    config, report = table_run
+    assert len(report.table) > 0
+    for name, column in report.table.items():
+        assert isinstance(column, np.ndarray) and column.shape == (config["samples"],), name
+        assert {type(v) for v in column.tolist()} <= {int, float, str}, name
 
 
-def test_samples_csv_round_trips(tmp_path, table_report):
-    emit_report(table_report, str(tmp_path))
+def test_samples_csv_round_trips(tmp_path, table_run):
+    _, report = table_run
+    emit_report(report, str(tmp_path))
     with open(tmp_path / "samples.csv", newline="") as handle:
         header, *cells = csv.reader(handle)
-    assert header == table_report.columns
-    assert len(cells) == len(table_report.rows)
-    for written, row in zip(cells, table_report.rows):
+    assert header == list(report.table)
+    rows = list(zip(*(c.tolist() for c in report.table.values())))
+    assert len(cells) == len(rows)
+    for written, row in zip(cells, rows):
         assert written == [str(v) for v in row]
         for text, value in zip(written, row):
             if type(value) is float:
                 assert float(text) == value
 
 
-def test_calibrate_rows_are_a_reiterable_view_of_the_columns(tmp_path):
+def test_calibrate_table_is_written_in_blocks(tmp_path):
     # two full blocks of rows and a ragged one of 5
     samples = 2 * STACK_BLOCK + 5
     doc = {**small_config("calibrate"), "samples": samples}
     report = run_experiment(parse_config(json.dumps(doc)))
-    assert len(report.rows) == samples
-    first, second = list(report.rows), list(report.rows)
-    assert first == second
-    # the table as it was built before the view: whole columns through tolist
-    columns = report.rows.columns[1:]
-    assert first == list(zip(range(samples), *(c.tolist() for c in columns)))
     paths = [emit_report(report, str(tmp_path / name)) for name in ("first", "second")]
     for a, b in zip(*paths):
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read(), a
+    # the bytes of the whole columns converted at once
+    rows = zip(*(c.tolist() for c in report.table.values()))
+    lines = [",".join(report.table)] + [",".join(map(str, row)) for row in rows]
+    assert (tmp_path / "first" / "samples.csv").read_bytes() == "".join(
+        line + "\n" for line in lines).encode()
 
 
 def test_calibrate_peak_memory_follows_the_block_not_the_stack():
@@ -609,8 +665,9 @@ def test_cli_uses_the_library_self_adjoint_tolerance(monkeypatch):
 
 
 # Fuzzing of the config path: mutations of a valid catenoid document.  Every
-# mutated document is invalid on its own field, so parse_config and main must
-# reject it with that field (or an enclosing one) named, never a traceback.
+# mutated document is invalid on its own field, so the config path (parse_config,
+# or run_experiment for the family generator's checks) and main must reject it
+# with that field (or an enclosing one) named, never a traceback.
 FUZZ_DOCUMENT = {
     "signature": {"p": 0, "n": 2},
     "family": {"kind": "catenoid", "c": 1, "epsilon": 1, "sector": 0,
@@ -624,10 +681,11 @@ NON_INTEGRAL = st.floats(allow_nan=False, allow_infinity=False).filter(
     lambda x: not x.is_integer())
 # Values outside each field's range while the rest of the document is valid:
 # p = n = 2 or a sector of the wrong sign would be rejected by the family
-# generator, not by a field check, so they are not drawn.
+# generator naming other fields too, so they are not drawn; n = 1 is rejected
+# by the quadric chart, naming signature.n.
 OUT_OF_RANGE = {
     "signature.p": st.integers(max_value=-1) | st.integers(min_value=3) | NON_INTEGRAL,
-    "signature.n": st.integers(max_value=0) | NON_INTEGRAL,
+    "signature.n": st.integers(max_value=1) | NON_INTEGRAL,
     "family.c": st.sampled_from([0, 0.0, -0.0]),
     "family.epsilon": st.integers().filter(lambda e: e not in (-1, 1)) | NON_INTEGRAL,
     "family.sector": st.integers(max_value=-1) | st.integers(min_value=4) | NON_INTEGRAL,
@@ -672,11 +730,12 @@ def names_mutated_field(fieldname, applied):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(mutations=st.lists(MUTATION, min_size=1, max_size=3))
+@example(mutations=[("signature.n", 1)])
 def test_fuzzed_configs_name_the_bad_field(tmp_path_factory, mutations):
     doc, applied = mutate(FUZZ_DOCUMENT, mutations)
     text = json.dumps(doc)
     with pytest.raises(ConfigError) as info:
-        parse_config(text)
+        run_experiment(parse_config(text))
     assert names_mutated_field(info.value.fieldname, applied), (info.value, applied)
 
     directory = tmp_path_factory.mktemp("fuzz")
