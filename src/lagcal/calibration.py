@@ -204,7 +204,6 @@ class _PolarFlow:
         off_prev = np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 1.5])
         self.w_last = _fd_weights(off_last) / self.d_rho
         self.w_prev = _fd_weights(off_prev) / self.d_rho
-        self.degenerate = False
 
     def _d_rho_of(self, d: np.ndarray) -> np.ndarray:
         g = self.g_rho
@@ -246,7 +245,6 @@ class _PolarFlow:
         # the factor rho in y_t does not weaken the predicate near the center
         scale = (a_rr[0] + a_rr[1]) * (a_tt[0] + a_tt[1])
         if np.any(np.abs(det) < 1e-10 * np.maximum(scale, 1e-300)):
-            self.degenerate = True
             raise FlowDegeneracy("induced metric degenerated during the flow")
         # -J grad h = -i (dh/drho) (g^rr y_r + g^rt y_t)
         coef = self.slope / det

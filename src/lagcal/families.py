@@ -2,7 +2,9 @@
 
 Every generator returns an :class:`~lagcal.immersion.ImmersionPatch`
 with closed-form first and second jets, so defect and curvature tests
-run at analytic accuracy:
+run at analytic accuracy.  Each curved family states its value and jets
+once, in one ``jets(u, order)`` closure handed to
+:meth:`~lagcal.immersion.ImmersionPatch.from_jets`:
 
 * flat plane             f(u) = sum u_j e_j
 * equivariant            f(t, s) = gamma(s) x(t), x on the quadric <x,x>_p = eps
@@ -398,34 +400,27 @@ def _equivariant_patch(sig: Signature, gamma: Curve, chart: QuadricChart,
     lo, hi = gamma.interval
     domain = np.vstack([chart.box, [lo, hi]])
 
-    def f(u):
+    def jets(u, order):
         u = np.asarray(u, dtype=float)
         t, s = u[..., :n - 1], u[..., n - 1]
-        x = chart.jets(t, 0)[0]
-        return np.asarray(gamma.jets(s, 0)[0])[..., None] * x
-
-    def d1(u):
-        t, s = u[..., :n - 1], u[..., n - 1]
-        g, dg = map(np.asarray, gamma.jets(s, 1))
-        x, jac = chart.jets(t, 1)
-        rows = np.empty(u.shape[:-1] + (n, n), dtype=complex)
-        rows[..., :n - 1, :] = g[..., None, None] * jac
-        rows[..., n - 1, :] = dg[..., None] * x
-        return rows
-
-    def d2(u):
-        t, s = u[..., :n - 1], u[..., n - 1]
-        g, dg, ddg = map(np.asarray, gamma.jets(s, 2))
-        g, dg, ddg = g[..., None, None, None], dg[..., None, None], ddg[..., None]
-        x, jac, hess = chart.jets(t, 2)
-        out = np.empty(u.shape[:-1] + (n, n, n), dtype=complex)
-        out[..., :n - 1, :n - 1, :] = g * hess
-        out[..., :n - 1, n - 1, :] = dg * jac
-        out[..., n - 1, :n - 1, :] = dg * jac
-        out[..., n - 1, n - 1, :] = ddg * x
+        g = [np.asarray(jet) for jet in gamma.jets(s, order)]
+        x = chart.jets(t, order)
+        out = [g[0][..., None] * x[0]]
+        if order > 0:
+            rows = np.empty(u.shape[:-1] + (n, n), dtype=complex)
+            rows[..., :n - 1, :] = g[0][..., None, None] * x[1]
+            rows[..., n - 1, :] = g[1][..., None] * x[0]
+            out.append(rows)
+        if order > 1:
+            second = np.empty(u.shape[:-1] + (n, n, n), dtype=complex)
+            second[..., :n - 1, :n - 1, :] = g[0][..., None, None, None] * x[2]
+            second[..., :n - 1, n - 1, :] = second[..., n - 1, :n - 1, :] = \
+                g[1][..., None, None] * x[1]
+            second[..., n - 1, n - 1, :] = g[2][..., None] * x[0]
+            out.append(second)
         return out
 
-    return ImmersionPatch(sig=sig, domain=domain, f=f, d1=d1, d2=d2, meta=meta)
+    return ImmersionPatch.from_jets(sig, domain, jets, meta)
 
 
 def make_equivariant(spec: Equivariant) -> ImmersionPatch:
@@ -516,42 +511,34 @@ def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
     r = spec.r
     domain = np.vstack([chart.box, list(spec.s_interval)])
 
-    def f(u):
+    def jets(u, order):
         u = np.asarray(u, dtype=float)
         t, s = u[..., :n - 1], u[..., n - 1]
-        x = chart.jets(t, 0)[0]
-        rx = np.einsum("...jk,...k->...j", mat_exp_iMs(M, s), x.astype(complex))
-        return np.asarray(r.jets(s, 0)[0])[..., None] * rx
-
-    def d1(u):
-        t, s = u[..., :n - 1], u[..., n - 1]
-        x, jac = chart.jets(t, 1)
+        x = chart.jets(t, order)
         e = mat_exp_iMs(M, s)
-        rv, rd = (np.asarray(jet)[..., None] for jet in r.jets(s, 1))
-        rows = np.empty(u.shape[:-1] + (n, n), dtype=complex)
-        rows[..., :n - 1, :] = rv[..., None] * (jac @ np.swapaxes(e, -1, -2))
-        rows[..., n - 1, :] = (e @ (rd * x + 1j * rv * (x @ M.T))[..., None])[..., 0]
-        return rows
-
-    def d2(u):
-        t, s = u[..., :n - 1], u[..., n - 1]
-        x, jac, hess = chart.jets(t, 2)
-        e = mat_exp_iMs(M, s)
+        rj = [np.asarray(jet)[..., None] for jet in r.jets(s, order)]
+        out = [rj[0] * np.einsum("...jk,...k->...j", e, x[0].astype(complex))]
+        if order == 0:
+            return out
         e_t = np.swapaxes(e, -1, -2)
-        rv, rd, rdd = (np.asarray(jet)[..., None] for jet in r.jets(s, 2))
-        mx = x @ M.T
-        last = rdd * x + 2j * rd * mx - rv * (mx @ M.T)
-        out = np.empty(u.shape[:-1] + (n, n, n), dtype=complex)
-        out[..., :n - 1, :n - 1, :] = rv[..., None, None] * (hess @ e_t[..., None, :, :])
-        mixed = (rd[..., None] * jac + 1j * rv[..., None] * (jac @ M.T)) @ e_t
-        out[..., :n - 1, n - 1, :] = mixed
-        out[..., n - 1, :n - 1, :] = mixed
-        out[..., n - 1, n - 1, :] = (e @ last[..., None])[..., 0]
+        mx = x[0] @ M.T
+        rows = np.empty(u.shape[:-1] + (n, n), dtype=complex)
+        rows[..., :n - 1, :] = rj[0][..., None] * (x[1] @ e_t)
+        rows[..., n - 1, :] = (e @ (rj[1] * x[0] + 1j * rj[0] * mx)[..., None])[..., 0]
+        out.append(rows)
+        if order > 1:
+            last = rj[2] * x[0] + 2j * rj[1] * mx - rj[0] * (mx @ M.T)
+            second = np.empty(u.shape[:-1] + (n, n, n), dtype=complex)
+            second[..., :n - 1, :n - 1, :] = rj[0][..., None, None] * (x[2] @ e_t[..., None, :, :])
+            second[..., :n - 1, n - 1, :] = second[..., n - 1, :n - 1, :] = \
+                (rj[1][..., None] * x[1] + 1j * rj[0][..., None] * (x[1] @ M.T)) @ e_t
+            second[..., n - 1, n - 1, :] = (e @ last[..., None])[..., 0]
+            out.append(second)
         return out
 
     meta = {"family": "evolving-quadric", "matrix": M, "c": spec.c, "chart": chart,
             "r": r}
-    return ImmersionPatch(sig=sig, domain=domain, f=f, d1=d1, d2=d2, meta=meta)
+    return ImmersionPatch.from_jets(sig, domain, jets, meta)
 
 
 def evolving_quadric_angle(spec: EvolvingQuadric, s: float, x) -> float:
@@ -585,19 +572,17 @@ def make_product_null_curves(spec: ProductNullCurves) -> ImmersionPatch:
         coeffs = np.asarray(coeffs, dtype=float)
         return coeffs[..., :1] * b0 + coeffs[..., 1:] * b1
 
-    def f(u):
+    def jets(u, order):
         u = np.asarray(u, dtype=float)
-        return (embed(spec.gamma1.jets(u[..., 0], 0)[0])
-                + 1j * embed(spec.gamma2.jets(u[..., 1], 0)[0]))
-
-    def d1(u):
-        return np.stack([embed(spec.gamma1.jets(u[..., 0], 1)[1]),
-                         1j * embed(spec.gamma2.jets(u[..., 1], 1)[1])], axis=-2)
-
-    def d2(u):
-        out = np.zeros(u.shape[:-1] + (2, 2, 2), dtype=complex)
-        out[..., 0, 0, :] = embed(spec.gamma1.jets(u[..., 0], 2)[2])
-        out[..., 1, 1, :] = 1j * embed(spec.gamma2.jets(u[..., 1], 2)[2])
+        g1, g2 = spec.gamma1.jets(u[..., 0], order), spec.gamma2.jets(u[..., 1], order)
+        out = [embed(g1[0]) + 1j * embed(g2[0])]
+        if order > 0:
+            out.append(np.stack([embed(g1[1]), 1j * embed(g2[1])], axis=-2))
+        if order > 1:
+            second = np.zeros(u.shape[:-1] + (2, 2, 2), dtype=complex)
+            second[..., 0, 0, :] = embed(g1[2])
+            second[..., 1, 1, :] = 1j * embed(g2[2])
+            out.append(second)
         return out
 
     domain = np.array([list(spec.gamma1.interval), list(spec.gamma2.interval)])
@@ -612,7 +597,7 @@ def make_product_null_curves(spec: ProductNullCurves) -> ImmersionPatch:
     if meta["min_cross_pairing"] < 1e-8:
         meta["degenerate_pairing_warning"] = True
 
-    return ImmersionPatch(sig=sig, domain=domain, f=f, d1=d1, d2=d2, meta=meta)
+    return ImmersionPatch.from_jets(sig, domain, jets, meta)
 
 
 def make_hopf(spec: Hopf) -> ImmersionPatch:
@@ -633,32 +618,26 @@ def make_hopf(spec: Hopf) -> ImmersionPatch:
         raise FamilySpecError(
             "degenerate immersion: the curve follows the circle action", ("gamma",))
 
-    def f(u):
+    def jets(u, order):
         u = np.asarray(u, dtype=float)
-        s, t = u[..., 0], u[..., 1]
-        return np.asarray(gamma.jets(s, 0)[0]) * np.exp(1j * t)[..., None]
-
-    def d1(u):
-        s, t = u[..., 0], u[..., 1]
-        g, dg = map(np.asarray, gamma.jets(s, 1))
-        phase = np.exp(1j * t)[..., None]
-        return np.stack([dg * phase, 1j * g * phase], axis=-2)
-
-    def d2(u):
-        s, t = u[..., 0], u[..., 1]
-        g, dg, ddg = map(np.asarray, gamma.jets(s, 2))
-        phase = np.exp(1j * t)[..., None]
-        out = np.empty(u.shape[:-1] + (2, 2, 2), dtype=complex)
-        out[..., 0, 0, :] = ddg * phase
-        out[..., 0, 1, :] = out[..., 1, 0, :] = 1j * dg * phase
-        out[..., 1, 1, :] = -g * phase
+        g = [np.asarray(jet) for jet in gamma.jets(u[..., 0], order)]
+        phase = np.exp(1j * u[..., 1])[..., None]
+        out = [g[0] * phase]
+        if order > 0:
+            out.append(np.stack([g[1] * phase, 1j * g[0] * phase], axis=-2))
+        if order > 1:
+            second = np.empty(u.shape[:-1] + (2, 2, 2), dtype=complex)
+            second[..., 0, 0, :] = g[2] * phase
+            second[..., 0, 1, :] = second[..., 1, 0, :] = 1j * g[1] * phase
+            second[..., 1, 1, :] = -g[0] * phase
+            out.append(second)
         return out
 
     domain = np.array([[lo, hi], [0.0, 2.0 * np.pi]])
     meta = {"family": "hopf", "min_circle_pairing": float(np.min(np.abs(pairing)))}
     if meta["min_circle_pairing"] < 1e-8:
         meta["tangential_circle_pairing_warning"] = True
-    return ImmersionPatch(sig=sig, domain=domain, f=f, d1=d1, d2=d2, meta=meta)
+    return ImmersionPatch.from_jets(sig, domain, jets, meta)
 
 
 def build_family(spec) -> ImmersionPatch:

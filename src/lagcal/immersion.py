@@ -63,6 +63,13 @@ class ImmersionPatch:
             raise DimensionMismatch("domain intervals must have positive width")
         object.__setattr__(self, "domain", dom)
 
+    @classmethod
+    def from_jets(cls, sig: Signature, domain, jets: Callable, meta: dict) -> "ImmersionPatch":
+        """Patch whose f, d1 and d2 are entries 0, 1 and 2 of one closure
+        jets(u, order), order <= 2, that returns [f, d1, d2][:order + 1] at points u."""
+        return cls(sig=sig, domain=domain, f=lambda u: jets(u, 0)[0],
+                   d1=lambda u: jets(u, 1)[1], d2=lambda u: jets(u, 2)[2], meta=meta)
+
     @property
     def n(self) -> int:
         return self.sig.n

@@ -24,7 +24,7 @@ from lagcal.curvature import (
     normal_projection,
     surface_H_null_coords,
 )
-from lagcal.families import Catenoid, build_family
+from lagcal.families import Catenoid, Curve, Equivariant, build_family
 from lagcal.immersion import (
     ImmersionPatch,
     induced_metric,
@@ -99,6 +99,43 @@ def test_line_profile_is_not_minimal_but_routes_agree():
         assert sample.discrepancy < 1e-5
         norms.append(np.linalg.norm(sample.H_angle))
     assert max(norms) > 1e-2
+
+
+# every (sig, epsilon) with 2 <= n <= 4 whose quadric <x, x>_p = epsilon is non-empty
+NON_EMPTY_QUADRICS = [(Signature(p, n), eps) for n in (2, 3, 4) for p in range(n + 1)
+                      for eps in (1, -1) if (p < n if eps == 1 else p > 0)]
+
+
+@pytest.mark.parametrize("sig, epsilon", NON_EMPTY_QUADRICS,
+                         ids=lambda v: f"{v.p}-{v.n}" if isinstance(v, Signature) else f"{v:+d}")
+def test_equivariant_mean_curvature_closed_form(sig, epsilon):
+    # f = gamma(s) x(t): |H| = |beta'| |x| / (n |gamma'|) with
+    # beta' = Im(gamma''/gamma' + (n-1) gamma'/gamma), on a random smooth
+    # spline profile, and H = 0 with beta' = 0 on the catenoid
+    n = sig.n
+    rng = np.random.default_rng(100 * n + 10 * sig.p + epsilon)
+    s = np.linspace(-0.5, 0.5, 9)
+    # gamma = exp(phi), phi a random cubic whose turning rate Im phi' near
+    # [1, 2] keeps beta' = Im(phi''/phi' + n phi') away from zero
+    rate = complex(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.0))
+    coef = 0.1 * rng.normal(size=(2, 2)) @ np.array([1.0, 1j])
+    values = np.exp(rate * s + coef[0] * s ** 2 + coef[1] * s ** 3
+                    + 1j * rng.uniform(0.0, 2.0 * np.pi))
+    profile = build_family(Equivariant(sig=sig, epsilon=epsilon,
+                                       gamma=Curve.from_samples(s, values)))
+    catenoid = build_family(Catenoid(sig=sig, epsilon=epsilon, c=1.0, sector=0))
+    for patch, minimal in ((profile, False), (catenoid, True)):
+        us = interior_samples(patch, 20, rng)
+        g, dg, ddg = patch.meta["gamma"].jets(us[:, -1], 2)
+        x = patch.meta["chart"].jets(us[:, :-1], 0)[0]
+        beta_d = np.imag(ddg / dg + (n - 1) * dg / g)
+        closed = np.abs(beta_d) * np.linalg.norm(x, axis=-1) / (n * np.abs(dg))
+        h = np.array([np.linalg.norm(mean_curvature_sff(patch, u)) for u in us])
+        if minimal:
+            assert max(np.max(closed), np.max(h)) <= 1e-10
+        else:
+            assert np.min(closed) > 0.1
+            assert np.max(np.abs(h - closed) / closed) <= 1e-8
 
 
 def test_mean_curvature_is_normal(family_catalog):
