@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,9 +51,7 @@ from .families import (
     FlatPlane,
     Hopf,
     ProductNullCurves,
-    SELF_ADJOINT_TOL,
     build_family,
-    check_self_adjoint,
     evolving_quadric_angle,
 )
 from .calibration import (
@@ -292,24 +290,17 @@ def _parse_plane(obj, where: str) -> np.ndarray:
 
 def _chart_fields(obj: dict, sig: Signature, where: str) -> dict:
     """The optional quadric-chart keys of a family spec, as spec keyword arguments."""
-    half_width = _real(obj.get("chart_half_width", 0.35), where + ".chart_half_width")
-    if half_width <= 0.0:
-        raise ConfigError(where + ".chart_half_width", "must be positive")
     return {
         "chart_center": (_real_array(obj["chart_center"], (sig.n,), where + ".chart_center")
                          if "chart_center" in obj else None),
-        "chart_half_width": half_width,
+        "chart_half_width": _real(obj.get("chart_half_width", 0.35),
+                                  where + ".chart_half_width"),
     }
 
 
-def _epsilon(obj: dict, where: str) -> int:
-    epsilon = _integer(obj.get("epsilon", 1), where + ".epsilon")
-    if epsilon not in (-1, 1):
-        raise ConfigError(where + ".epsilon", "must be +1 or -1")
-    return epsilon
-
-
 def parse_family(obj, sig: Signature) -> object:
+    """The family spec of a document object.  Only types and shapes are checked
+    here; the generators in lagcal.families judge the values, naming the fields."""
     where = "family"
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(where, "family specs are objects with a 'kind' key")
@@ -320,30 +311,23 @@ def parse_family(obj, sig: Signature) -> object:
     if kind == "equivariant":
         _check_keys(obj, {"kind", "epsilon", "gamma", "chart_center", "chart_half_width"}, where)
         return Equivariant(
-            sig=sig, epsilon=_epsilon(obj, where),
+            sig=sig, epsilon=_integer(obj.get("epsilon", 1), where + ".epsilon"),
             gamma=_parse_curve(_require(obj, "gamma", where), where + ".gamma"),
             **_chart_fields(obj, sig, where))
     if kind == "catenoid":
         _check_keys(obj, {"kind", "epsilon", "c", "sector", "chart_center",
                           "chart_half_width"}, where)
-        c = _real(_require(obj, "c", where), where + ".c")
-        if c == 0.0:
-            raise ConfigError(where + ".c", "must be nonzero")
-        sector = _integer(obj.get("sector", 0), where + ".sector")
-        if not 0 <= sector < 2 * sig.n:
-            raise ConfigError(where + ".sector", f"must lie in [0, {2 * sig.n})")
-        return Catenoid(sig=sig, epsilon=_epsilon(obj, where), c=c, sector=sector,
+        return Catenoid(sig=sig, c=_real(_require(obj, "c", where), where + ".c"),
+                        sector=_integer(obj.get("sector", 0), where + ".sector"),
+                        epsilon=_integer(obj.get("epsilon", 1), where + ".epsilon"),
                         **_chart_fields(obj, sig, where))
     if kind == "evolving-quadric":
         _check_keys(obj, {"kind", "matrix", "c", "r", "s_interval", "chart_center",
                           "chart_half_width"}, where)
-        matrix = _real_array(_require(obj, "matrix", where), (sig.n, sig.n), where + ".matrix")
-        residual = check_self_adjoint(matrix, sig)
-        if residual > SELF_ADJOINT_TOL:
-            raise ConfigError(where + ".matrix",
-                              f"matrix is not self-adjoint: residual {residual:.3e}")
         return EvolvingQuadric(
-            sig=sig, matrix=matrix, c=_real(_require(obj, "c", where), where + ".c"),
+            sig=sig,
+            matrix=_real_array(_require(obj, "matrix", where), (sig.n, sig.n), where + ".matrix"),
+            c=_real(_require(obj, "c", where), where + ".c"),
             r=_parse_profile(obj.get("r"), where + ".r"),
             s_interval=_interval(obj.get("s_interval", [-0.4, 0.4]), where + ".s_interval"),
             **_chart_fields(obj, sig, where))
@@ -684,21 +668,8 @@ def emit_report(report: ExperimentReport, out_dir: str) -> tuple[str, str]:
             rows = zip(*(c[start:start + STACK_BLOCK].tolist() for c in columns))
             handle.writelines(line % row for row in rows)
 
-    payload = {
-        "config": report.config,
-        "seed": report.seed,
-        "version": report.version,
-        "passed": report.passed,
-        "max_defect": report.max_defect,
-        "beta_mean": report.beta_mean,
-        "beta_spread": report.beta_spread,
-        "residual": report.residual,
-        "volumes": report.volumes,
-        "slack_min": report.slack_min,
-        "identity_max_residual": report.identity_max_residual,
-        "degenerate_count": report.degenerate_count,
-        "samples_table": "samples.csv",
-    }
+    payload = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "table"}
+    payload["samples_table"] = "samples.csv"
     json_path = os.path.join(out_dir, "report.json")
     with open(json_path, "w", newline="") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

@@ -30,6 +30,7 @@ import numpy as np
 
 from .core import (
     GeometryError,
+    DegenerateInput,
     DimensionMismatch,
     Signature,
     matrix_exp,
@@ -287,6 +288,8 @@ class QuadricChart:
 def quadric_chart(M, c: float, sig: Signature, center,
                   half_width: float = CHART_HALF_WIDTH) -> QuadricChart:
     """Build an oriented graph chart of the quadric around a center point."""
+    if not half_width > 0.0:
+        raise FamilySpecError("the chart half-width must be positive", ("chart_half_width",))
     if sig.n < 2:
         raise FamilySpecError("quadric charts need n >= 2", ("sig.n",))
     M = np.asarray(M, dtype=float)
@@ -456,7 +459,7 @@ def catenoid_curve(n: int, c: float, sector: int) -> Curve:
     if c == 0.0:
         raise FamilySpecError("the catenoid constant c must be nonzero", ("c",))
     if not 0 <= sector < 2 * n:
-        raise FamilySpecError(f"sector must lie in [0, {2 * n})", ("sector", "sig.n"))
+        raise FamilySpecError(f"sector must lie in [0, {2 * n})", ("sector",))
     if (1 if sector % 2 == 0 else -1) != np.sign(c):
         raise FamilySpecError(
             f"sector {sector} carries sin(n phi) of sign {(-1) ** sector}; "
@@ -499,9 +502,14 @@ def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
     residual = check_self_adjoint(M, sig)
     if residual > SELF_ADJOINT_TOL:
         raise FamilySpecError(
-            f"matrix is not <.,.>_p self-adjoint (residual {residual:.3e})")
+            f"matrix is not <.,.>_p self-adjoint (residual {residual:.3e})", ("matrix",))
     if abs(np.linalg.det(M)) < 1e-12 * max(np.max(np.abs(M)) ** sig.n, 1e-300):
         raise FamilySpecError("matrix must be invertible", ("matrix",))
+    try:  # the 1-norm of s M is largest at the ends of s_interval
+        mat_exp_iMs(M, spec.s_interval)
+    except DegenerateInput as exc:
+        raise FamilySpecError(f"exp(i s M) fails at the ends of s_interval: {exc}",
+                              ("matrix", "s_interval")) from exc
     if np.min(spec.r.jets(np.linspace(*spec.s_interval, 64), 0)[0]) <= 0.0:
         raise FamilySpecError("the radial profile must stay positive on s_interval", ("r",))
     center = (np.asarray(spec.chart_center, dtype=float)
@@ -563,7 +571,10 @@ def make_product_null_curves(spec: ProductNullCurves) -> ImmersionPatch:
     if sig.n != 2:
         raise FamilySpecError("products of null curves are surfaces: n must be 2", ("sig.n",))
     plane = np.asarray(spec.plane, dtype=complex)
-    props = plane_props(plane, sig)
+    try:
+        props = plane_props(plane, sig)
+    except DegenerateInput as exc:
+        raise FamilySpecError(str(exc), ("plane",)) from exc
     if not props.totally_null:
         raise FamilySpecError("the carrier plane must be totally null", ("plane",))
     b0, b1 = plane

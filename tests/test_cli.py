@@ -61,13 +61,14 @@ def test_parse_rejects_unknown_keys():
 
 
 def test_parse_rejects_non_self_adjoint_matrix():
+    # the family generator judges the matrix, naming family.matrix
     bad = {
         "signature": {"p": 0, "n": 2},
         "family": {"kind": "evolving-quadric", "matrix": [[0, -1], [1, 0]], "c": 1},
         "experiment": "verify",
     }
     with pytest.raises(ConfigError, match="residual"):
-        parse_config(json.dumps(bad))
+        run_experiment(parse_config(json.dumps(bad)))
 
 
 def test_verify_experiment_passes_on_catenoid(tmp_path):
@@ -390,6 +391,12 @@ PRODUCT_NULL = {"kind": "product-null-curves",
                  {**EVOLVING_QUADRIC, "r": {"form": "exp", "rate": 0.3, "scale": -1}},
                  "family.r", id="negative-profile"),
     pytest.param({"p": 1, "n": 3}, PRODUCT_NULL, "signature.n", id="product-null-in-n3"),
+    pytest.param({"p": 1, "n": 2}, {**PRODUCT_NULL, "plane": {"basis": [[1, 0], [2, 0]]}},
+                 "family.plane", id="rank-deficient-plane"),
+    pytest.param({"p": 0, "n": 2},
+                 {"kind": "evolving-quadric", "matrix": [[1, 0], [0, 2]], "c": 1,
+                  "s_interval": [-1e5, 1e5]},
+                 "family.matrix, family.s_interval", id="exponential-out-of-reach"),
 ])
 def test_cli_names_fields_of_other_family_constraints(tmp_path, capsys, signature, family,
                                                       fieldname):
@@ -659,9 +666,9 @@ def test_cli_uses_the_library_self_adjoint_tolerance(monkeypatch):
     doc = {"signature": {"p": 0, "n": 2}, "experiment": "verify",
            "family": {"kind": "evolving-quadric", "matrix": [[1, 1e-9], [0, -1]], "c": 1}}
     with pytest.raises(ConfigError, match="family.matrix"):
-        parse_config(json.dumps(doc))
-    monkeypatch.setattr("lagcal.cli.SELF_ADJOINT_TOL", 1e-8)
-    parse_config(json.dumps(doc))
+        run_experiment(parse_config(json.dumps(doc)))
+    monkeypatch.setattr("lagcal.families.SELF_ADJOINT_TOL", 1e-8)
+    run_experiment(parse_config(json.dumps(doc)))
 
 
 # Fuzzing of the config path: mutations of a valid catenoid document.  Every

@@ -400,9 +400,18 @@ def test_coupled_evolving_quadric_jets_match_finite_differences():
 
 
 def test_evolving_quadric_rejects_non_self_adjoint():
-    with pytest.raises(FamilySpecError):
+    with pytest.raises(FamilySpecError) as info:
         build_family(EvolvingQuadric(sig=Signature(0, 2), matrix=ROTATION_GENERATOR,
                                      c=1.0, chart_center=np.array([0.0, 1.0])))
+    assert info.value.fields == ("matrix",)
+
+
+@pytest.mark.parametrize("half_width", [0.0, -0.1])
+def test_quadric_chart_families_name_a_non_positive_half_width(half_width):
+    with pytest.raises(FamilySpecError) as info:
+        build_family(Catenoid(sig=Signature(0, 2), epsilon=1, c=1.0, sector=0,
+                              chart_half_width=half_width))
+    assert info.value.fields == ("chart_half_width",)
 
 
 def test_spline_curves_match_analytic_exponentials():
