@@ -34,7 +34,6 @@ from .core import (
     circ_spread,
     plane_props,
     random_complex_plane,
-    random_lagrangian_plane,
     random_plane,
     random_totally_null_plane,
     spans_equal,
@@ -289,13 +288,11 @@ def _parse_plane(obj, where: str) -> np.ndarray:
 
 
 def _chart_fields(obj: dict, sig: Signature, where: str) -> dict:
-    """The optional quadric-chart keys of a family spec, as spec keyword arguments."""
-    return {
-        "chart_center": (_real_array(obj["chart_center"], (sig.n,), where + ".chart_center")
-                         if "chart_center" in obj else None),
-        "chart_half_width": _real(obj.get("chart_half_width", 0.35),
-                                  where + ".chart_half_width"),
-    }
+    """The optional chart keys a family spec gives (chart_center, chart_half_width
+    and s_interval), as spec keyword arguments; absent keys keep the spec defaults."""
+    parsers = {"chart_center": lambda value, at: _real_array(value, (sig.n,), at),
+               "chart_half_width": _real, "s_interval": _interval}
+    return {key: parse(obj[key], f"{where}.{key}") for key, parse in parsers.items() if key in obj}
 
 
 def parse_family(obj, sig: Signature) -> object:
@@ -329,7 +326,6 @@ def parse_family(obj, sig: Signature) -> object:
             matrix=_real_array(_require(obj, "matrix", where), (sig.n, sig.n), where + ".matrix"),
             c=_real(_require(obj, "c", where), where + ".c"),
             r=_parse_profile(obj.get("r"), where + ".r"),
-            s_interval=_interval(obj.get("s_interval", [-0.4, 0.4]), where + ".s_interval"),
             **_chart_fields(obj, sig, where))
     if kind == "product-null-curves":
         _check_keys(obj, {"kind", "plane", "gamma1", "gamma2"}, where)
@@ -403,6 +399,9 @@ def validate_config(raw: dict) -> RunConfig:
     if len(grid) not in (0, 1, n):
         raise ConfigError("grid", f"must give one cell count or one per axis ({n}), "
                                   f"got {len(grid)}")
+    nodes = math.prod(grid if len(grid) == n else grid * n)
+    if nodes > MAX_SAMPLES:
+        raise ConfigError("grid", f"{nodes} quadrature nodes exceed {MAX_SAMPLES}")
 
     family = raw.get("family")
     spec = None
@@ -611,7 +610,7 @@ def _run_plane_props(cfg: RunConfig) -> ExperimentReport:
         elif kind == 1:
             plane = random_totally_null_plane(rng, sig)
         elif kind == 2:
-            plane = random_lagrangian_plane(rng, sig)
+            plane = random_lagrangian_frames(sig, 1, rng)[0]
         else:
             plane = random_complex_plane(rng, null=bool(k % 8 == 7), sig=sig)
         props = plane_props(plane, sig, tol=1e-8)

@@ -10,10 +10,11 @@ package: its real part is a flat pseudo-Riemannian metric of signature
 form, and the canonical complex structure J acts as multiplication
 by i.  They are tied together by omega(z, w) = metric(J z, w).
 
-Data conventions: a vector is a complex numpy array of shape (n,); a
-frame is an (n, n) complex array whose rows are the frame vectors; a
-real 2-plane in C^2 is a (2, 2) complex array whose rows span it over
-the reals.  Angles live in R / 2 pi Z and are always compared through
+Data conventions: a vector is a complex numpy array of shape (n,), and
+herm_form, metric and symplectic broadcast over stacks (..., n) of
+them; a frame is an (n, n) complex array whose rows are the frame
+vectors; a real 2-plane in C^2 is a (2, 2) complex array whose rows span
+it over the reals.  Angles live in R / 2 pi Z and are always compared through
 circular distance.
 """
 
@@ -70,28 +71,24 @@ def _sign_vector(p: int, n: int) -> np.ndarray:
     return eps
 
 
-def as_cvec(z, sig: Signature | None = None) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    if z.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {z.shape}")
-    if sig is not None and z.shape[0] != sig.n:
-        raise DimensionMismatch(f"vector has length {z.shape[0]}, signature needs {sig.n}")
-    return z
+def herm_form(z, w, sig: Signature):
+    """The defining pseudo-Hermitian pairing <<z, w>>_p; conjugate-symmetric.
+
+    Broadcasts over the leading axes of z and w (vectors on the last
+    axis); a pair of single vectors gives a scalar.
+    """
+    if np.shape(z)[-1:] != (sig.n,) or np.shape(w)[-1:] != (sig.n,):
+        raise DimensionMismatch(f"pairing needs vectors of length {sig.n} on the last axis, "
+                                f"got shapes {np.shape(z)} and {np.shape(w)}")
+    return np.sum(sig.eps * z * np.conj(w), axis=-1)[()]
 
 
-def herm_form(z, w, sig: Signature) -> complex:
-    """The defining pseudo-Hermitian pairing; conjugate-symmetric."""
-    z = as_cvec(z, sig)
-    w = as_cvec(w, sig)
-    return complex(np.sum(sig.eps * z * np.conj(w)))
-
-
-def metric(z, w, sig: Signature) -> float:
+def metric(z, w, sig: Signature):
     """Real part of the Hermitian pairing: the flat pseudo-metric."""
     return herm_form(z, w, sig).real
 
 
-def symplectic(z, w, sig: Signature) -> float:
+def symplectic(z, w, sig: Signature):
     """Negated imaginary part of the Hermitian pairing: the symplectic form."""
     return -herm_form(z, w, sig).imag
 
@@ -422,18 +419,6 @@ def _check_plane(plane) -> np.ndarray:
     return plane
 
 
-def _omega_matrix(sig: Signature) -> np.ndarray:
-    """Matrix of the symplectic form on the real coordinates of C^n."""
-    n2 = 2 * sig.n
-    eye = np.eye(n2)
-    basis = from_components(eye)
-    w = np.empty((n2, n2))
-    for a in range(n2):
-        for b in range(n2):
-            w[a, b] = symplectic(basis[a], basis[b], sig)
-    return w
-
-
 def symplectic_orthogonal(plane, sig: Signature) -> np.ndarray:
     """Basis of { v : omega_p(v, x) = 0 for all x in the plane }.
 
@@ -444,8 +429,8 @@ def symplectic_orthogonal(plane, sig: Signature) -> np.ndarray:
     plane = _check_plane(plane)
     if sig.n != 2:
         raise DimensionMismatch("symplectic_orthogonal is defined for n = 2")
-    w = _omega_matrix(sig)
-    constraints = (w @ real_components(plane).T).T
+    # row i, column a: omega_p(e_a, plane_i) over the real coordinate basis e_a
+    constraints = symplectic(from_components(np.eye(4)), plane[:, None], sig)
     _, sv, vt = np.linalg.svd(constraints)
     if sv[1] <= TOL * sv[0]:
         raise DegenerateInput("rank-deficient constraint system: degenerate input plane")
@@ -468,13 +453,11 @@ def plane_props(plane, sig: Signature, tol: float = TOL) -> PlaneProps:
     plane = _check_plane(plane)
     if sig.n != 2:
         raise DimensionMismatch("plane_props is defined for n = 2")
-    b0, b1 = plane
     norms = np.linalg.norm(plane, axis=1)
-    null = all(
-        abs(metric(plane[i], plane[j], sig)) <= tol * norms[i] * norms[j]
-        for i in range(2) for j in range(i, 2)
-    )
-    lagr = abs(symplectic(b0, b1, sig)) <= tol * norms[0] * norms[1]
+    form = herm_form(plane[:, None], plane, sig)  # [<<b_i, b_j>>_p]
+    bound = tol * norms[:, None] * norms
+    null = bool(np.all(np.abs(form.real) <= bound))
+    lagr = bool(abs(form[0, 1].imag) <= bound[0, 1])
     cplx = spans_equal(apply_J(plane), plane, tol)
     return PlaneProps(totally_null=null, lagrangian=lagr, complex_line=cplx)
 
@@ -507,15 +490,6 @@ def random_totally_null_plane(rng: np.random.Generator, sig: Signature) -> np.nd
     o = special_orthogonal_sample(rng, Signature(2, 4))
     moved = from_components(real_components(NULL_PLANE_BASIS) @ o.T)
     return _random_gl2(rng) @ moved
-
-
-def random_lagrangian_plane(rng: np.random.Generator, sig: Signature) -> np.ndarray:
-    """Random Lagrangian 2-plane: a pseudo-unitary image of a remixed real R^2."""
-    if sig.n != 2:
-        raise DimensionMismatch("plane sampling lives in C^2")
-    real_rows = _random_gl2(rng).astype(complex)
-    u = pseudo_unitary_sample(rng, sig)
-    return real_rows @ u.T
 
 
 def random_complex_plane(rng: np.random.Generator, null: bool = False, sig: Signature | None = None) -> np.ndarray:

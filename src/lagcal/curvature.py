@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeometryError, Signature, circ_mean, circ_spread
+from .core import GeometryError, Signature, circ_mean, circ_spread, metric
 from .immersion import (
     DegenerateFrame,
     ImmersionPatch,
@@ -50,8 +50,7 @@ def normal_projection(vector: np.ndarray, frame: np.ndarray, g: np.ndarray,
     Works in indefinite signature where an orthonormal normal basis may
     not exist: the tangential component solves g a = [<V, X_m>].
     """
-    pair = (frame * sig.eps) @ np.conj(vector)
-    coeffs = _solve_gram(g, pair.real)
+    coeffs = _solve_gram(g, metric(frame, vector, sig))
     return vector - coeffs @ frame
 
 

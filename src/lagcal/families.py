@@ -34,6 +34,7 @@ from .core import (
     DimensionMismatch,
     Signature,
     matrix_exp,
+    metric,
     plane_props,
     wrap_angle,
 )
@@ -338,7 +339,7 @@ def find_quadric_point(M, c: float, sig: Signature) -> np.ndarray:
     """
     for x in sample_quadric(M, c, sig, 64, seed=20240):
         mx = np.asarray(M, dtype=float) @ x
-        if abs(float(np.sum(sig.eps * mx * mx))) > 0.1 * float(mx @ mx):
+        if abs(float(metric(mx, mx, sig))) > 0.1 * float(mx @ mx):
             return x
     raise FamilySpecError("could not locate a non-degenerate quadric point",
                           ("sig", "matrix", "c"))
@@ -558,7 +559,7 @@ def evolving_quadric_angle(spec: EvolvingQuadric, s: float, x) -> float:
     M = np.asarray(spec.matrix, dtype=float)
     x = np.asarray(x, dtype=float)
     mx = M @ x
-    mx2 = float(np.sum(spec.sig.eps * mx * mx))
+    mx2 = float(metric(mx, mx, spec.sig))
     rv, rd = map(float, spec.r.jets(s, 1))
     inner = complex(spec.c * rd / rv, mx2)
     if abs(inner) < 1e-300:
@@ -602,7 +603,7 @@ def make_product_null_curves(spec: ProductNullCurves) -> ImmersionPatch:
     # Sampled non-degeneracy of the cross pairing <gamma_1', J gamma_2'>.
     du = embed(spec.gamma1.jets(np.linspace(*spec.gamma1.interval, 12), 1)[1])[:, None, :]
     dv = embed(spec.gamma2.jets(np.linspace(*spec.gamma2.interval, 12), 1)[1])[None, :, :]
-    pairings = np.sum(sig.eps * du * np.conj(1j * dv), axis=-1).real
+    pairings = metric(du, 1j * dv, sig)
     norms = np.linalg.norm(du, axis=-1) * np.linalg.norm(dv, axis=-1)
     meta["min_cross_pairing"] = float(np.min(np.abs(pairings) / np.maximum(norms, 1e-300)))
     if meta["min_cross_pairing"] < 1e-8:
@@ -622,7 +623,7 @@ def make_hopf(spec: Hopf) -> ImmersionPatch:
     if np.max(np.abs(norms - 1.0)) > 1e-9:
         raise FamilySpecError(
             "the profile curve must lie on the unit sphere |gamma| = 1", ("gamma",))
-    pairing = np.sum((ders * np.conj(1j * vals)), axis=-1).real
+    pairing = metric(ders, 1j * vals, sig)
     speed2 = np.sum(np.abs(ders) ** 2, axis=-1)
     det_g = speed2 - pairing ** 2
     if np.min(np.abs(det_g)) < 1e-10 * max(np.max(speed2), 1.0):

@@ -39,7 +39,6 @@ from lagcal.core import (
     circ_spread,
     plane_props,
     random_complex_plane,
-    random_lagrangian_plane,
     random_plane,
     random_totally_null_plane,
     spans_equal,
@@ -272,7 +271,7 @@ def test_criterion_10_plane_lemmas():
     builders = [
         lambda: random_plane(rng),
         lambda: random_totally_null_plane(rng, sig),
-        lambda: random_lagrangian_plane(rng, sig),
+        lambda: random_lagrangian_frames(sig, 1, rng)[0],
         lambda: random_complex_plane(rng, null=bool(rng.integers(2)), sig=sig),
     ]
     for k in range(1000):

@@ -254,6 +254,7 @@ def test_curvature_experiment_on_hopf():
     pytest.param("verify", {}, ["--tol", "x"], "tol", id="tol-flag-x"),
     pytest.param("verify", {"tol": float("nan")}, [], "tol", id="tol-nan"),
     pytest.param("volume-compare", {"grid": [16, 32, 8]}, [], "grid", id="grid-length-3"),
+    pytest.param("volume-compare", {"grid": [1000000]}, [], "grid", id="grid-too-many-nodes"),
     pytest.param("volume-compare", {"signature": {"p": 1, "n": 3}, "grid": [8]}, [],
                  "signature.n", id="volume-compare-n-3"),
 ])

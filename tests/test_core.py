@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagcal import core
+from lagcal.calibration import random_lagrangian_frames
 from lagcal.core import (
     NULL_PLANE_BASIS,
     DegenerateInput,
@@ -27,7 +28,6 @@ from lagcal.core import (
     plane_props,
     pseudo_unitary_sample,
     random_complex_plane,
-    random_lagrangian_plane,
     random_plane,
     random_totally_null_plane,
     special_orthogonal_sample,
@@ -81,11 +81,39 @@ def test_herm_form_frozen_values():
 def test_herm_form_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         herm_form(np.ones(3), np.ones(3), SIG12)
+    # a stack of vectors of the wrong length, named with both shapes
+    with pytest.raises(DimensionMismatch, match=r"\(2, 3\) and \(2,\)"):
+        herm_form(np.ones((2, 3)), E1, SIG12)
 
 
 @given(cvec_strategy, cvec_strategy)
 def test_herm_form_conjugate_symmetric(z, w):
     assert herm_form(w, z, SIG12) == pytest.approx(np.conj(herm_form(z, w, SIG12)))
+
+
+def test_herm_form_broadcasts_row_by_row():
+    rng = np.random.default_rng(24)
+    for p, n in [(0, 1), (1, 2), (1, 3), (2, 4)]:
+        sig = Signature(p, n)
+        z = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+        w = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+        rows = [herm_form(z[k], w[k], sig) for k in range(5)]
+        np.testing.assert_array_equal(herm_form(z, w, sig), rows)
+        # a single vector pairs with every row of a stack
+        np.testing.assert_array_equal(herm_form(z, w[0], sig),
+                                      [herm_form(z[k], w[0], sig) for k in range(5)])
+        np.testing.assert_array_equal(metric(z, w, sig), np.real(rows))
+        np.testing.assert_array_equal(symplectic(z, w, sig), -np.imag(rows))
+
+
+def test_herm_form_conjugate_symmetric_on_stacks():
+    rng = np.random.default_rng(25)
+    sig = Signature(1, 3)
+    z = rng.normal(size=(4, 6, 3)) + 1j * rng.normal(size=(4, 6, 3))
+    w = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    form = herm_form(z, w, sig)
+    assert form.shape == (4, 6)
+    np.testing.assert_allclose(herm_form(w, z, sig), np.conj(form), rtol=1e-14, atol=1e-14)
 
 
 def test_metric_symplectic_frozen_values():
@@ -494,7 +522,7 @@ def test_two_of_three_on_random_planes():
     for _ in range(250):
         planes.append(random_totally_null_plane(rng, SIG12))
     for _ in range(250):
-        planes.append(random_lagrangian_plane(rng, SIG12))
+        planes.append(random_lagrangian_frames(SIG12, 1, rng)[0])
     for _ in range(125):
         planes.append(random_complex_plane(rng))
     for _ in range(125):
