@@ -294,9 +294,8 @@ def hamiltonian_perturb(patch: ImmersionPatch, spec: PerturbationSpec,
     polar solution grid (not-a-knot bicubic, with the exact zero ring and
     center values pinned).  Jets are finite differences of the evaluation map.
     """
-    meta = dict(patch.meta, perturbation=spec)
     if spec.steps == 0 or spec.amplitude == 0.0:
-        return replace(patch, meta=meta)
+        return patch
 
     flow = _PolarFlow(patch, spec, grid)
     displacement = NotAKnotBicubic(*_padded_polar_grid(flow, flow.run()))
@@ -317,7 +316,7 @@ def hamiltonian_perturb(patch: ImmersionPatch, spec: PerturbationSpec,
         out[inside] += planes[:, :2] + 1j * planes[:, 2:]
         return out
 
-    return replace(patch, f=f, d1=None, d2=None, meta=meta)
+    return replace(patch, f=f, d1=None, d2=None)
 
 
 # --- volume comparison -----------------------------------------------------------

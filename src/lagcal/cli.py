@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -230,8 +230,6 @@ def _parse_curve(obj, where: str) -> Curve:
 
 def _parse_profile(obj, where: str) -> Curve:
     """A radial profile r(s); make_evolving_quadric checks that it stays positive."""
-    if obj is None:
-        return Curve.exponential(1.0, 0.0)
     if not isinstance(obj, dict) or "form" not in obj:
         raise ConfigError(where, "radial profiles are objects with a 'form' key")
     if obj["form"] == "constant":
@@ -287,58 +285,43 @@ def _parse_plane(obj, where: str) -> np.ndarray:
     raise ConfigError(where, "planes are 'null-x1y2' or {'basis': [[z, z], [z, z]]}")
 
 
-def _chart_fields(obj: dict, sig: Signature, where: str) -> dict:
-    """The optional chart keys a family spec gives (chart_center, chart_half_width
-    and s_interval), as spec keyword arguments; absent keys keep the spec defaults."""
-    parsers = {"chart_center": lambda value, at: _real_array(value, (sig.n,), at),
-               "chart_half_width": _real, "s_interval": _interval}
-    return {key: parse(obj[key], f"{where}.{key}") for key, parse in parsers.items() if key in obj}
+FAMILY_KINDS = {
+    "flat": FlatPlane,
+    "equivariant": Equivariant,
+    "catenoid": Catenoid,
+    "evolving-quadric": EvolvingQuadric,
+    "product-null-curves": ProductNullCurves,
+    "hopf": Hopf,
+}
 
 
 def parse_family(obj, sig: Signature) -> object:
-    """The family spec of a document object.  Only types and shapes are checked
-    here; the generators in lagcal.families judge the values, naming the fields."""
+    """The family spec of a document object.  Its keys, required fields and
+    defaults are the fields of the kind's spec class, less ``sig``.  Only types
+    and shapes are checked here; the generators in lagcal.families judge the
+    values, naming the fields."""
     where = "family"
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(where, "family specs are objects with a 'kind' key")
     kind = obj["kind"]
-    if kind == "flat":
-        _check_keys(obj, {"kind"}, where)
-        return FlatPlane(sig=sig)
-    if kind == "equivariant":
-        _check_keys(obj, {"kind", "epsilon", "gamma", "chart_center", "chart_half_width"}, where)
-        return Equivariant(
-            sig=sig, epsilon=_integer(obj.get("epsilon", 1), where + ".epsilon"),
-            gamma=_parse_curve(_require(obj, "gamma", where), where + ".gamma"),
-            **_chart_fields(obj, sig, where))
-    if kind == "catenoid":
-        _check_keys(obj, {"kind", "epsilon", "c", "sector", "chart_center",
-                          "chart_half_width"}, where)
-        return Catenoid(sig=sig, c=_real(_require(obj, "c", where), where + ".c"),
-                        sector=_integer(obj.get("sector", 0), where + ".sector"),
-                        epsilon=_integer(obj.get("epsilon", 1), where + ".epsilon"),
-                        **_chart_fields(obj, sig, where))
-    if kind == "evolving-quadric":
-        _check_keys(obj, {"kind", "matrix", "c", "r", "s_interval", "chart_center",
-                          "chart_half_width"}, where)
-        return EvolvingQuadric(
-            sig=sig,
-            matrix=_real_array(_require(obj, "matrix", where), (sig.n, sig.n), where + ".matrix"),
-            c=_real(_require(obj, "c", where), where + ".c"),
-            r=_parse_profile(obj.get("r"), where + ".r"),
-            **_chart_fields(obj, sig, where))
-    if kind == "product-null-curves":
-        _check_keys(obj, {"kind", "plane", "gamma1", "gamma2"}, where)
-        return ProductNullCurves(
-            sig=sig, plane=_parse_plane(obj.get("plane", "null-x1y2"), where + ".plane"),
-            gamma1=_parse_pair_curve(_require(obj, "gamma1", where), where + ".gamma1"),
-            gamma2=_parse_pair_curve(_require(obj, "gamma2", where), where + ".gamma2"))
-    if kind == "hopf":
-        _check_keys(obj, {"kind", "gamma"}, where)
-        if (sig.p, sig.n) != (0, 2):
-            raise ConfigError("signature", "the hopf family lives in signature (0, 2)")
-        return Hopf(gamma=_parse_sphere_curve(_require(obj, "gamma", where), where + ".gamma"))
-    raise ConfigError(where + ".kind", f"unknown family kind '{kind}'")
+    spec_class = FAMILY_KINDS.get(kind) if isinstance(kind, str) else None
+    if spec_class is None:
+        raise ConfigError(where + ".kind", f"unknown family kind '{kind}'")
+    schema = [f for f in fields(spec_class) if f.name != "sig"]
+    _check_keys(obj, {"kind", *(f.name for f in schema)}, where)
+    parsers = {
+        "epsilon": _integer, "sector": _integer, "c": _real, "chart_half_width": _real,
+        "chart_center": lambda value, at: _real_array(value, (sig.n,), at),
+        "matrix": lambda value, at: _real_array(value, (sig.n, sig.n), at),
+        "s_interval": _interval, "r": _parse_profile, "plane": _parse_plane,
+        "gamma": _parse_sphere_curve if spec_class is Hopf else _parse_curve,
+        "gamma1": _parse_pair_curve, "gamma2": _parse_pair_curve,
+    }
+    # an absent key keeps its spec default; _require names an absent required one
+    required = {f.name for f in schema if f.default is MISSING and f.default_factory is MISSING}
+    return spec_class(sig=sig, **{
+        f.name: parsers[f.name](_require(obj, f.name, where), f"{where}.{f.name}")
+        for f in schema if f.name in obj or f.name in required})
 
 
 def _load_document(text: str) -> dict:

@@ -32,6 +32,7 @@ from .core import (
     GeometryError,
     DegenerateInput,
     DimensionMismatch,
+    NULL_PLANE_BASIS,
     Signature,
     matrix_exp,
     metric,
@@ -346,32 +347,33 @@ def find_quadric_point(M, c: float, sig: Signature) -> np.ndarray:
 
 
 # --- family specifications ----------------------------------------------------
+# Each spec class is its kind's document schema: lagcal.cli.parse_family reads its fields.
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class FlatPlane:
     sig: Signature
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class Equivariant:
     sig: Signature
-    epsilon: int
     gamma: Curve
+    epsilon: int = 1
     chart_center: np.ndarray | None = None
     chart_half_width: float = CHART_HALF_WIDTH
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class Catenoid:
     sig: Signature
-    epsilon: int
     c: float
-    sector: int
+    epsilon: int = 1
+    sector: int = 0
     chart_center: np.ndarray | None = None
     chart_half_width: float = CHART_HALF_WIDTH
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class EvolvingQuadric:
     sig: Signature
     matrix: np.ndarray
@@ -382,27 +384,46 @@ class EvolvingQuadric:
     chart_half_width: float = CHART_HALF_WIDTH
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class ProductNullCurves:
     sig: Signature
-    plane: np.ndarray
     gamma1: Curve
     gamma2: Curve
+    plane: np.ndarray = field(default_factory=lambda: NULL_PLANE_BASIS)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class Hopf:
+    sig: Signature
     gamma: Curve
 
 
 # --- generators ----------------------------------------------------------------
 
-def _equivariant_patch(sig: Signature, gamma: Curve, chart: QuadricChart,
-                       meta: dict) -> ImmersionPatch:
-    """Common assembly for gamma(s) * x(t) patches (chart axes first, s last)."""
+def make_equivariant(spec: Equivariant) -> ImmersionPatch:
+    """The patch gamma(s) x(t), x on the quadric <x,x>_p = epsilon (chart axes first, s last)."""
+    sig, gamma = spec.sig, spec.gamma
+    if spec.epsilon not in (-1, 1):
+        raise FamilySpecError("epsilon must be +1 or -1", ("epsilon",))
+    if spec.epsilon == 1 and sig.p == sig.n:
+        raise FamilySpecError("the quadric <x,x>_p = 1 is empty for p = n", ("sig", "epsilon"))
+    if spec.epsilon == -1 and sig.p == 0:
+        raise FamilySpecError("the quadric <x,x>_p = -1 is empty for p = 0", ("sig.p", "epsilon"))
+    values, speeds = map(np.abs, gamma.jets(np.linspace(*gamma.interval, 64), 1))
+    if np.min(values) < 1e-12:
+        raise FamilySpecError("the profile curve must avoid the origin", ("gamma",))
+    if np.min(speeds) < 1e-12 * np.max(values):
+        raise FamilySpecError("the profile curve must not be stationary: gamma' vanishes",
+                              ("gamma",))
+    if spec.chart_center is not None:
+        center = np.asarray(spec.chart_center, dtype=float)
+    else:
+        center = np.zeros(sig.n)
+        center[0 if spec.epsilon == -1 else sig.n - 1] = 1.0
+    chart = quadric_chart(np.eye(sig.n), float(spec.epsilon), sig, center,
+                          spec.chart_half_width)
     n = sig.n
-    lo, hi = gamma.interval
-    domain = np.vstack([chart.box, [lo, hi]])
+    domain = np.vstack([chart.box, gamma.interval])
 
     def jets(u, order):
         u = np.asarray(u, dtype=float)
@@ -424,31 +445,7 @@ def _equivariant_patch(sig: Signature, gamma: Curve, chart: QuadricChart,
             out.append(second)
         return out
 
-    return ImmersionPatch.from_jets(sig, domain, jets, meta)
-
-
-def make_equivariant(spec: Equivariant) -> ImmersionPatch:
-    sig = spec.sig
-    if spec.epsilon not in (-1, 1):
-        raise FamilySpecError("epsilon must be +1 or -1", ("epsilon",))
-    if spec.epsilon == 1 and sig.p == sig.n:
-        raise FamilySpecError("the quadric <x,x>_p = 1 is empty for p = n", ("sig", "epsilon"))
-    if spec.epsilon == -1 and sig.p == 0:
-        raise FamilySpecError("the quadric <x,x>_p = -1 is empty for p = 0", ("sig.p", "epsilon"))
-    lo, hi = spec.gamma.interval
-    samples = np.asarray(spec.gamma.jets(np.linspace(lo, hi, 64), 0)[0])
-    if np.min(np.abs(samples)) < 1e-12:
-        raise FamilySpecError("the profile curve must avoid the origin", ("gamma",))
-    if spec.chart_center is not None:
-        center = np.asarray(spec.chart_center, dtype=float)
-    else:
-        center = np.zeros(sig.n)
-        center[0 if spec.epsilon == -1 else sig.n - 1] = 1.0
-    chart = quadric_chart(np.eye(sig.n), float(spec.epsilon), sig, center,
-                          spec.chart_half_width)
-    meta = {"family": "equivariant", "epsilon": spec.epsilon, "chart": chart,
-            "gamma": spec.gamma}
-    return _equivariant_patch(sig, spec.gamma, chart, meta)
+    return ImmersionPatch.from_jets(sig, domain, jets, chart=chart, gamma=gamma)
 
 
 def catenoid_curve(n: int, c: float, sector: int) -> Curve:
@@ -457,8 +454,9 @@ def catenoid_curve(n: int, c: float, sector: int) -> Curve:
     Along the branch Im(gamma^n) = c exactly, so the associated
     equivariant patch has constant Lagrangian angle.
     """
-    if c == 0.0:
-        raise FamilySpecError("the catenoid constant c must be nonzero", ("c",))
+    if abs(c) ** (1.0 / n) < 1e-12:  # the least |gamma| on the branch, where |sin(n phi)| = 1
+        raise FamilySpecError("the catenoid constant c must be nonzero, and |c|^(1/n) at "
+                              "least 1e-12 for the curve to clear the origin", ("c",))
     if not 0 <= sector < 2 * n:
         raise FamilySpecError(f"sector must lie in [0, {2 * n})", ("sector",))
     if (1 if sector % 2 == 0 else -1) != np.sign(c):
@@ -490,11 +488,9 @@ def catenoid_curve(n: int, c: float, sector: int) -> Curve:
 
 def make_catenoid(spec: Catenoid) -> ImmersionPatch:
     curve = catenoid_curve(spec.sig.n, spec.c, spec.sector)
-    patch = make_equivariant(Equivariant(
+    return make_equivariant(Equivariant(
         sig=spec.sig, epsilon=spec.epsilon, gamma=curve,
         chart_center=spec.chart_center, chart_half_width=spec.chart_half_width))
-    patch.meta.update({"family": "catenoid", "c": spec.c, "sector": spec.sector})
-    return patch
 
 
 def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
@@ -545,9 +541,7 @@ def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
             out.append(second)
         return out
 
-    meta = {"family": "evolving-quadric", "matrix": M, "c": spec.c, "chart": chart,
-            "r": r}
-    return ImmersionPatch.from_jets(sig, domain, jets, meta)
+    return ImmersionPatch.from_jets(sig, domain, jets, chart=chart, r=r)
 
 
 def evolving_quadric_angle(spec: EvolvingQuadric, s: float, x) -> float:
@@ -597,24 +591,24 @@ def make_product_null_curves(spec: ProductNullCurves) -> ImmersionPatch:
             out.append(second)
         return out
 
-    domain = np.array([list(spec.gamma1.interval), list(spec.gamma2.interval)])
-    meta = {"family": "product-null-curves", "plane": plane}
-
     # Sampled non-degeneracy of the cross pairing <gamma_1', J gamma_2'>.
     du = embed(spec.gamma1.jets(np.linspace(*spec.gamma1.interval, 12), 1)[1])[:, None, :]
     dv = embed(spec.gamma2.jets(np.linspace(*spec.gamma2.interval, 12), 1)[1])[None, :, :]
     pairings = metric(du, 1j * dv, sig)
     norms = np.linalg.norm(du, axis=-1) * np.linalg.norm(dv, axis=-1)
-    meta["min_cross_pairing"] = float(np.min(np.abs(pairings) / np.maximum(norms, 1e-300)))
-    if meta["min_cross_pairing"] < 1e-8:
-        meta["degenerate_pairing_warning"] = True
+    if np.min(np.abs(pairings) / np.maximum(norms, 1e-300)) < 1e-8:
+        raise FamilySpecError("degenerate immersion: the cross pairing <gamma_1', J gamma_2'> "
+                              "vanishes", ("gamma1", "gamma2"))
 
-    return ImmersionPatch.from_jets(sig, domain, jets, meta)
+    domain = np.array([list(spec.gamma1.interval), list(spec.gamma2.interval)])
+    return ImmersionPatch.from_jets(sig, domain, jets)
 
 
 def make_hopf(spec: Hopf) -> ImmersionPatch:
     """Doubly rotated sphere curve f(s, t) = (gamma_1 e^{it}, gamma_2 e^{it})."""
-    sig = Signature(0, 2)
+    sig = spec.sig
+    if (sig.p, sig.n) != (0, 2):
+        raise FamilySpecError("the hopf family lives in signature (0, 2)", ("sig",))
     gamma = spec.gamma
     lo, hi = gamma.interval
     ss = np.linspace(lo, hi, 64)
@@ -646,24 +640,21 @@ def make_hopf(spec: Hopf) -> ImmersionPatch:
         return out
 
     domain = np.array([[lo, hi], [0.0, 2.0 * np.pi]])
-    meta = {"family": "hopf", "min_circle_pairing": float(np.min(np.abs(pairing)))}
-    if meta["min_circle_pairing"] < 1e-8:
-        meta["tangential_circle_pairing_warning"] = True
-    return ImmersionPatch.from_jets(sig, domain, jets, meta)
+    return ImmersionPatch.from_jets(sig, domain, jets)
+
+
+GENERATORS = {
+    FlatPlane: lambda spec: make_flat_patch(spec.sig),
+    Equivariant: make_equivariant,
+    Catenoid: make_catenoid,
+    EvolvingQuadric: make_evolving_quadric,
+    ProductNullCurves: make_product_null_curves,
+    Hopf: make_hopf,
+}
 
 
 def build_family(spec) -> ImmersionPatch:
     """Dispatch a family specification to its generator."""
-    if isinstance(spec, FlatPlane):
-        return make_flat_patch(spec.sig)
-    if isinstance(spec, Equivariant):
-        return make_equivariant(spec)
-    if isinstance(spec, Catenoid):
-        return make_catenoid(spec)
-    if isinstance(spec, EvolvingQuadric):
-        return make_evolving_quadric(spec)
-    if isinstance(spec, ProductNullCurves):
-        return make_product_null_curves(spec)
-    if isinstance(spec, Hopf):
-        return make_hopf(spec)
-    raise FamilySpecError(f"unknown family specification: {type(spec).__name__}")
+    if type(spec) not in GENERATORS:
+        raise FamilySpecError(f"unknown family specification: {type(spec).__name__}")
+    return GENERATORS[type(spec)](spec)

@@ -8,8 +8,10 @@ defect, Lagrangian angle, volume element) is a pure function of the
 patch and a parameter point.
 """
 
+import cmath
+import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,9 +66,9 @@ class ImmersionPatch:
         object.__setattr__(self, "domain", dom)
 
     @classmethod
-    def from_jets(cls, sig: Signature, domain, jets: Callable, meta: dict) -> "ImmersionPatch":
-        """Patch whose f, d1 and d2 are entries 0, 1 and 2 of one closure
-        jets(u, order), order <= 2, that returns [f, d1, d2][:order + 1] at points u."""
+    def from_jets(cls, sig: Signature, domain, jets: Callable, **meta) -> "ImmersionPatch":
+        """Patch whose f, d1 and d2 are entries 0, 1 and 2 of jets(u, order), order <= 2,
+        which returns [f, d1, d2][:order + 1] at points u; the keywords become its meta."""
         return cls(sig=sig, domain=domain, f=lambda u: jets(u, 0)[0],
                    d1=lambda u: jets(u, 1)[1], d2=lambda u: jets(u, 2)[2], meta=meta)
 
@@ -182,6 +184,8 @@ def lagrangian_angle_at(patch: ImmersionPatch, u) -> float:
     frame = tangent_frame(patch, u)
     det = hol_volume(frame)
     scale = float(np.prod(np.linalg.norm(frame, axis=1)))
+    if not (cmath.isfinite(det) and math.isfinite(scale)):
+        raise DegenerateFrame(f"the frame is not finite at {u}")
     if abs(det) <= DEGENERACY_TOL * max(scale, TINY):
         raise DegenerateFrame(f"holomorphic volume {abs(det):.3e} below tolerance at {u}")
     return float(np.angle(det))
@@ -249,14 +253,7 @@ def reparametrize(patch: ImmersionPatch, matrix, offset, new_domain) -> Immersio
             s = np.asarray(patch.d2(v @ a.T + b))
             return np.einsum("jk,ml,...jmz->...klz", a, a, s)
 
-    return ImmersionPatch(
-        sig=patch.sig,
-        domain=np.asarray(new_domain, dtype=float),
-        f=f,
-        d1=d1,
-        d2=d2,
-        meta=dict(patch.meta, reparametrized=True),
-    )
+    return replace(patch, domain=np.asarray(new_domain, dtype=float), f=f, d1=d1, d2=d2)
 
 
 def interior_samples(patch: ImmersionPatch, count: int, rng: np.random.Generator,
@@ -285,5 +282,4 @@ def make_flat_patch(sig: Signature) -> ImmersionPatch:
         f=f,
         d1=lambda u: np.broadcast_to(eye, np.shape(u)[:-1] + (n, n)).copy(),
         d2=lambda u: np.zeros(np.shape(u)[:-1] + (n, n, n), dtype=complex),
-        meta={"family": "flat"},
     )

@@ -99,12 +99,13 @@ def line_equivariant_spec() -> Equivariant:
 
 def small_circle_hopf_spec() -> Hopf:
     # (cos a e^{i k1 s}, sin a e^{i k2 s}) with a = pi/4, k1 = 1, k2 = 2
-    return Hopf(gamma=Curve.exponential([np.cos(np.pi / 4), np.sin(np.pi / 4)], [1j, 2j],
+    return Hopf(sig=Signature(0, 2),
+                gamma=Curve.exponential([np.cos(np.pi / 4), np.sin(np.pi / 4)], [1j, 2j],
                                         (0.0, 2.0 * np.pi)))
 
 
 def great_circle_hopf_spec() -> Hopf:
-    return Hopf(gamma=Curve.great_circle((0.1, 1.4)))
+    return Hopf(sig=Signature(0, 2), gamma=Curve.great_circle((0.1, 1.4)))
 
 
 def spiral_lorentzian_surface(psi: float = 0.6) -> ImmersionPatch:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lagcal.cli import (
+    FAMILY_KINDS,
     MAX_SAMPLES,
     ConfigError,
     emit_report,
@@ -311,6 +313,7 @@ def test_cli_names_malformed_family_fields(tmp_path, capsys, signature, family, 
     pytest.param({"signature": {"n": 100}}, "signature.n", id="sector-too-narrow"),
     pytest.param({"family": {"chart_center": [1, 2]}}, "family.chart_center",
                  id="chart-center-off-quadric"),
+    pytest.param({"family": {"c": 1e-320}}, "family.c", id="curve-meets-origin"),
 ])
 def test_cli_names_fields_of_family_constraints(tmp_path, capsys, change, fieldname):
     # each document passes validation; the family generator rejects it in run_experiment
@@ -398,6 +401,22 @@ PRODUCT_NULL = {"kind": "product-null-curves",
                  {"kind": "evolving-quadric", "matrix": [[1, 0], [0, 2]], "c": 1,
                   "s_interval": [-1e5, 1e5]},
                  "family.matrix, family.s_interval", id="exponential-out-of-reach"),
+    pytest.param({"p": 1, "n": 2},
+                 {**PRODUCT_NULL,
+                  "gamma1": {**PRODUCT_NULL["gamma1"], "c1": [1, 1], "c2": [1, 1]},
+                  "gamma2": {**PRODUCT_NULL["gamma2"], "c1": [1, 1], "c2": [1, 1]}},
+                 "family.gamma1, family.gamma2", id="parallel-null-velocities"),
+    pytest.param({"p": 0, "n": 2},
+                 {**EQUIVARIANT_LINE, "gamma": {**EQUIVARIANT_LINE["gamma"], "z1": 0}},
+                 "family.gamma", id="stationary-line"),
+    pytest.param({"p": 0, "n": 2},
+                 {"kind": "equivariant",
+                  "gamma": {"form": "exp", "z0": 1, "rate": 0, "interval": [0, 1]}},
+                 "family.gamma", id="stationary-exp"),
+    pytest.param({"p": 0, "n": 2},
+                 {"kind": "equivariant",
+                  "gamma": {"form": "samples", "s": [0, 0.3, 0.6, 1], "values": [1, 1, 1, 1]}},
+                 "family.gamma", id="stationary-samples"),
 ])
 def test_cli_names_fields_of_other_family_constraints(tmp_path, capsys, signature, family,
                                                       fieldname):
@@ -409,6 +428,21 @@ def test_cli_names_fields_of_other_family_constraints(tmp_path, capsys, signatur
     err = capsys.readouterr().err
     assert err.startswith(f"error: {fieldname}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [1e200, 1e308])
+def test_cli_rejects_an_overflowing_frame(tmp_path, capsys, value):
+    # a radial profile this large overflows the tangent frame, and
+    # lagrangian_angle_at raises DegenerateFrame saying so
+    family = {"kind": "evolving-quadric", "matrix": [[0, -1], [1, 0]], "c": 2,
+              "r": {"form": "constant", "value": value}}
+    doc = {"signature": {"p": 1, "n": 2}, "family": family, "samples": 5}
+    with np.errstate(all="ignore"):
+        code = main(["verify", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the frame is not finite") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("experiment", ["calibrate", "plane-props"])
@@ -683,8 +717,8 @@ FUZZ_DOCUMENT = {
     "experiment": "verify", "samples": 3, "seed": 5, "tol": 1e-9, "grid": [8],
 }
 DROP = object()
-WRONG_TYPES = st.sampled_from([True, False, "1", "x", [1], [], {}, None,
-                               math.nan, math.inf, -math.inf])
+WRONG_VALUES = [True, False, "1", "x", [1], [], {}, None, math.nan, math.inf, -math.inf]
+WRONG_TYPES = st.sampled_from(WRONG_VALUES)
 NON_INTEGRAL = st.floats(allow_nan=False, allow_infinity=False).filter(
     lambda x: not x.is_integer())
 # Values outside each field's range while the rest of the document is valid:
@@ -756,6 +790,46 @@ def test_fuzzed_configs_name_the_bad_field(tmp_path_factory, mutations):
     message = err.getvalue()
     assert message.startswith("error: ") and message.count("\n") == 1, message
     assert names_mutated_field(message[len("error: "):].split(": ")[0], applied), message
+
+
+# One valid document per family kind of the CLI, with a signature it runs in.
+KIND_DOCUMENTS = {
+    "flat": ({"p": 0, "n": 2}, {"kind": "flat"}),
+    "equivariant": ({"p": 0, "n": 2}, EQUIVARIANT_LINE),
+    "catenoid": ({"p": 0, "n": 2}, CATENOID_CONFIG["family"]),
+    "evolving-quadric": ({"p": 0, "n": 2}, EVOLVING_QUADRIC),
+    "product-null-curves": ({"p": 1, "n": 2}, {
+        "kind": "product-null-curves",
+        "gamma1": {"form": "real-exp", "c1": [0.5, 1], "c2": [0.5, -1], "interval": [0.05, 1.5]},
+        "gamma2": {"form": "real-exp", "c1": [-0.5, 1], "c2": [-0.5, -1],
+                   "interval": [-1.5, -0.05]}}),
+    "hopf": ({"p": 0, "n": 2}, {"kind": "hopf", "gamma": {"form": "great-circle"}}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
+def test_fuzzed_families_name_the_bad_field(tmp_path, capsys, kind):
+    # the fields of a kind's spec class are its keys: each one replaced by a
+    # value of the wrong type, and each required one dropped, is named
+    signature, family = KIND_DOCUMENTS[kind]
+    assert family["kind"] == kind
+
+    def run(family):
+        doc = {"signature": signature, "family": family, "samples": 2}
+        code = main(["verify", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    assert run(family)[0] == 0
+    schema = [f for f in dataclasses.fields(FAMILY_KINDS[kind]) if f.name != "sig"]
+    mutations = [({**family, f.name: value}, f.name) for f in schema for value in WRONG_VALUES]
+    mutations += [(without(family, f.name), f.name) for f in schema
+                  if f.default is dataclasses.MISSING
+                  and f.default_factory is dataclasses.MISSING]
+    for mutated, name in mutations:
+        code, err = run(mutated)
+        assert code == 1 and err.startswith(f"error: family.{name}: "), (mutated, err)
+        assert err.count("\n") == 1, err
 
 
 # Command line values are judged like document values: each is an int if it

@@ -24,7 +24,6 @@ from lagcal.core import (
     circ_spread,
     from_components,
     herm_form,
-    metric,
     plane_props,
     real_components,
     spans_equal,
@@ -516,7 +515,7 @@ def test_patch_jets_evaluate_each_curve_once(monkeypatch):
         (Equivariant(sig=SIG13, epsilon=1, gamma=gamma), [gamma_calls, chart_calls]),
         (dataclasses.replace(rotation_quadric_spec(), r=r), [r_calls, chart_calls]),
         (dataclasses.replace(pair, gamma1=g1, gamma2=g2), [g1_calls, g2_calls]),
-        (Hopf(gamma=sphere), [sphere_calls]),
+        (Hopf(sig=Signature(0, 2), gamma=sphere), [sphere_calls]),
     ]
     rng = np.random.default_rng(15)
     for spec, records in cases:
@@ -554,28 +553,12 @@ def test_product_null_rejects_non_null_plane():
 
 
 def test_product_null_flags_degenerate_cross_pairing():
-    from lagcal.core import NULL_PLANE_BASIS
-
     # parallel coefficient velocities kill <gamma_1', J gamma_2'> identically
     same = Curve.exponential([1.0, 1.0], [1.0, 1.0], (-0.5, 0.5))
-    patch = build_family(ProductNullCurves(sig=SIG12, plane=NULL_PLANE_BASIS,
-                                           gamma1=same, gamma2=same))
-    assert patch.meta.get("degenerate_pairing_warning") is True
-    spec = hyperbola_product_spec()
-    healthy = build_family(spec)
-    assert "degenerate_pairing_warning" not in healthy.meta
-    # loop reference: the pairing of every sampled pair of velocities, one at a time
-    def embed(coeffs):
-        return coeffs[0] * NULL_PLANE_BASIS[0] + coeffs[1] * NULL_PLANE_BASIS[1]
-
-    pairings = []
-    for u0 in np.linspace(*spec.gamma1.interval, 12):
-        du = embed(spec.gamma1.jets(u0, 1)[1])
-        for v0 in np.linspace(*spec.gamma2.interval, 12):
-            dv = embed(spec.gamma2.jets(v0, 1)[1])
-            norm = np.linalg.norm(du) * np.linalg.norm(dv)
-            pairings.append(abs(metric(du, 1j * dv, SIG12)) / norm)
-    assert healthy.meta["min_cross_pairing"] == min(pairings)
+    with pytest.raises(FamilySpecError) as info:
+        build_family(ProductNullCurves(sig=SIG12, gamma1=same, gamma2=same))
+    assert info.value.fields == ("gamma1", "gamma2")
+    build_family(hyperbola_product_spec())
 
 
 def test_product_matches_rotation_quadric_pointwise():
@@ -654,10 +637,13 @@ def test_hopf_patch_validation_and_defect():
     circle = Curve.great_circle()
     off_sphere = Curve(lambda s, order: [1.1 * v for v in circle.jets(s, order)], (0.0, 1.0))
     with pytest.raises(FamilySpecError):
-        build_family(Hopf(gamma=off_sphere))
+        build_family(Hopf(sig=Signature(0, 2), gamma=off_sphere))
     fiber = Curve.exponential([np.cos(np.pi / 4), np.sin(np.pi / 4)], [1j, 1j], (0.0, 1.0))
     with pytest.raises(FamilySpecError):
-        build_family(Hopf(gamma=fiber))
+        build_family(Hopf(sig=Signature(0, 2), gamma=fiber))
+    with pytest.raises(FamilySpecError) as info:
+        build_family(Hopf(sig=Signature(1, 3), gamma=Curve.great_circle()))
+    assert info.value.fields == ("sig",)
 
 
 def test_equivariance_orbit_membership():
