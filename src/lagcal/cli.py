@@ -70,7 +70,6 @@ from .immersion import (
 
 EXPERIMENTS = ("verify", "angle", "curvature", "calibrate", "volume-compare", "plane-props")
 
-MINIMALITY_GATE = 1e-6
 ANGLE_GATE_EQUIVARIANT = 1e-9
 ANGLE_GATE_QUADRIC = 1e-8
 CURVATURE_GATE = 1e-5
@@ -161,19 +160,22 @@ def _integer(value, where: str) -> int:
     return value
 
 
-def _real_array(value, shape: tuple, where: str) -> np.ndarray:
-    """Nested lists of finite numbers with the given shape (None: any length)."""
+def _real_array(*shape):
+    """The parser of nested lists of finite numbers with this shape (None: any length)."""
     def fits(v, dims) -> bool:
         if not dims:
             return _is_real(v)
         return (isinstance(v, list) and dims[0] in (None, len(v))
                 and all(fits(x, dims[1:]) for x in v))
 
-    if not fits(value, shape):
-        dims = ", ".join("k" if d is None else str(d) for d in shape)
-        raise ConfigError(where, f"must be nested lists of finite numbers of shape "
-                                 f"({dims}{',' if len(shape) == 1 else ''})")
-    return np.array(value, dtype=float)
+    def parse(value, where: str) -> np.ndarray:
+        if not fits(value, shape):
+            dims = ", ".join("k" if d is None else str(d) for d in shape)
+            raise ConfigError(where, f"must be nested lists of finite numbers of shape "
+                                     f"({dims}{',' if len(shape) == 1 else ''})")
+        return np.array(value, dtype=float)
+
+    return parse
 
 
 def _complex(value, where: str) -> complex:
@@ -191,88 +193,60 @@ def _interval(value, where: str) -> tuple[float, float]:
     return float(value[0]), float(value[1])
 
 
-def _from_samples(s, values, where: str) -> Curve:
-    """A spline curve through sample values; spline errors name the curve."""
-    try:
-        return Curve.from_samples(s, values)
-    except ValueError as exc:
-        raise ConfigError(where, f"cannot interpolate the samples: {exc}")
+def _complex_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(where, "must be a list of complex values")
+    return [_complex(v, where) for v in value]
 
 
-def _parse_curve(obj, where: str) -> Curve:
-    if not isinstance(obj, dict) or "form" not in obj:
-        raise ConfigError(where, "curve specs are objects with a 'form' key")
-    form = obj["form"]
-    if form == "circle":
-        _check_keys(obj, {"form", "interval"}, where)
-        return Curve.exponential(1.0, 1j, _interval(obj.get("interval", [0.0, 2 * np.pi]),
-                                                    where + ".interval"))
-    if form == "line":
-        _check_keys(obj, {"form", "z0", "z1", "interval"}, where)
-        return Curve.line(*(_complex(_require(obj, key, where), f"{where}.{key}")
-                            for key in ("z0", "z1")),
-                          _interval(_require(obj, "interval", where), where + ".interval"))
-    if form == "exp":
-        _check_keys(obj, {"form", "z0", "rate", "interval"}, where)
-        return Curve.exponential(*(_complex(_require(obj, key, where), f"{where}.{key}")
-                                   for key in ("z0", "rate")),
-                                 _interval(_require(obj, "interval", where), where + ".interval"))
-    if form == "samples":
-        _check_keys(obj, {"form", "s", "values"}, where)
-        s = _real_array(_require(obj, "s", where), (None,), where + ".s")
-        values = _require(obj, "values", where)
-        if not isinstance(values, list):
-            raise ConfigError(where + ".values", "must be a list of complex values")
-        values = [_complex(v, where + ".values") for v in values]
-        return _from_samples(s, values, where)
-    raise ConfigError(where, f"unknown curve form '{form}'")
+# The forms of each curve field: form name -> (constructor, {key: (parser,
+# default if the key is optional)}).  The constructor takes the parsed keys in
+# this order.  Radial profiles have no interval: the family's s_interval is theirs.
+FULL_TURN = (_interval, [0.0, 2 * np.pi])
+CURVE = {
+    "circle": (lambda interval: Curve.exponential(1.0, 1j, interval), {"interval": FULL_TURN}),
+    "line": (Curve.line, {"z0": (_complex,), "z1": (_complex,), "interval": (_interval,)}),
+    "exp": (Curve.exponential,
+            {"z0": (_complex,), "rate": (_complex,), "interval": (_interval,)}),
+    "samples": (Curve.from_samples, {"s": (_real_array(None),), "values": (_complex_list,)}),
+}
+PROFILE = {
+    "constant": (lambda value: Curve.exponential(value, 0.0), {"value": (_real, 1.0)}),
+    "exp": (Curve.exponential, {"scale": (_real, 1.0), "rate": (_real,)}),
+}
+SPHERE_CURVE = {
+    "great-circle": (Curve.great_circle, {"interval": FULL_TURN}),
+    "torus": (lambda alpha, k1, k2, interval: Curve.exponential(
+                  [np.cos(alpha), np.sin(alpha)], [1j * k1, 1j * k2], interval),
+              {"alpha": (_real,), "k1": (_real,), "k2": (_real,), "interval": FULL_TURN}),
+}
+# real coefficients in the plane basis: c1 = (a0, la) and c2 = (b0, mu) give
+# (a0 e^{la u}, b0 e^{mu u})
+PAIR = {
+    "real-exp": (lambda c1, c2, interval: Curve.exponential(*zip(c1, c2), interval),
+                 {"c1": (_real_array(2),), "c2": (_real_array(2),), "interval": (_interval,)}),
+    "samples": (Curve.from_samples,
+                {"u": (_real_array(None),), "values": (_real_array(None, 2),)}),
+}
 
 
-def _parse_profile(obj, where: str) -> Curve:
-    """A radial profile r(s); make_evolving_quadric checks that it stays positive."""
-    if not isinstance(obj, dict) or "form" not in obj:
-        raise ConfigError(where, "radial profiles are objects with a 'form' key")
-    if obj["form"] == "constant":
-        _check_keys(obj, {"form", "value"}, where)
-        return Curve.exponential(_real(obj.get("value", 1.0), where + ".value"), 0.0)
-    if obj["form"] == "exp":
-        _check_keys(obj, {"form", "rate", "scale"}, where)
-        return Curve.exponential(_real(obj.get("scale", 1.0), where + ".scale"),
-                                 _real(_require(obj, "rate", where), where + ".rate"))
-    raise ConfigError(where, f"unknown profile form '{obj['form']}'")
+def _parse_curve(forms: dict):
+    """The parser of a curve field whose forms are ``forms``, one of the tables above."""
+    def parse(obj, where: str) -> Curve:
+        form = obj.get("form") if isinstance(obj, dict) else None
+        if not isinstance(form, str) or form not in forms:
+            raise ConfigError(where, f"curves are objects whose 'form' is one of "
+                                     f"{', '.join(forms)}")
+        build, keys = forms[form]
+        _check_keys(obj, {"form", *keys}, where)
+        args = [parser(obj.get(key, default[0]) if default else _require(obj, key, where),
+                       f"{where}.{key}") for key, (parser, *default) in keys.items()]
+        try:
+            return build(*args)
+        except ValueError as exc:  # on parsed keys only the spline constructor raises
+            raise ConfigError(where, f"cannot interpolate the samples: {exc}")
 
-
-def _parse_sphere_curve(obj, where: str) -> Curve:
-    if not isinstance(obj, dict) or "form" not in obj:
-        raise ConfigError(where, "sphere curves are objects with a 'form' key")
-    interval = _interval(obj.get("interval", [0.0, 2 * np.pi]), where + ".interval")
-    if obj["form"] == "great-circle":
-        _check_keys(obj, {"form", "interval"}, where)
-        return Curve.great_circle(interval)
-    if obj["form"] == "torus":
-        _check_keys(obj, {"form", "alpha", "k1", "k2", "interval"}, where)
-        alpha, k1, k2 = (_real(_require(obj, key, where), f"{where}.{key}")
-                         for key in ("alpha", "k1", "k2"))
-        return Curve.exponential([np.cos(alpha), np.sin(alpha)], [1j * k1, 1j * k2], interval)
-    raise ConfigError(where, f"unknown sphere curve form '{obj['form']}'")
-
-
-def _parse_pair_curve(obj, where: str) -> Curve:
-    if not isinstance(obj, dict) or "form" not in obj:
-        raise ConfigError(where, "pair curves are objects with a 'form' key")
-    if obj["form"] == "real-exp":
-        _check_keys(obj, {"form", "c1", "c2", "interval"}, where)
-        # c1 = (a0, la) and c2 = (b0, mu) give (a0 e^{la u}, b0 e^{mu u})
-        (a0, la), (b0, mu) = (_real_array(_require(obj, key, where), (2,), f"{where}.{key}")
-                              for key in ("c1", "c2"))
-        return Curve.exponential([a0, b0], [la, mu],
-                                 _interval(_require(obj, "interval", where), where + ".interval"))
-    if obj["form"] == "samples":
-        _check_keys(obj, {"form", "u", "values"}, where)
-        u = _real_array(_require(obj, "u", where), (None,), where + ".u")
-        values = _real_array(_require(obj, "values", where), (None, 2), where + ".values")
-        return _from_samples(u, values, where)
-    raise ConfigError(where, f"unknown pair curve form '{obj['form']}'")
+    return parse
 
 
 def _parse_plane(obj, where: str) -> np.ndarray:
@@ -311,11 +285,10 @@ def parse_family(obj, sig: Signature) -> object:
     _check_keys(obj, {"kind", *(f.name for f in schema)}, where)
     parsers = {
         "epsilon": _integer, "sector": _integer, "c": _real, "chart_half_width": _real,
-        "chart_center": lambda value, at: _real_array(value, (sig.n,), at),
-        "matrix": lambda value, at: _real_array(value, (sig.n, sig.n), at),
-        "s_interval": _interval, "r": _parse_profile, "plane": _parse_plane,
-        "gamma": _parse_sphere_curve if spec_class is Hopf else _parse_curve,
-        "gamma1": _parse_pair_curve, "gamma2": _parse_pair_curve,
+        "chart_center": _real_array(sig.n), "matrix": _real_array(sig.n, sig.n),
+        "s_interval": _interval, "r": _parse_curve(PROFILE), "plane": _parse_plane,
+        "gamma": _parse_curve(SPHERE_CURVE if spec_class is Hopf else CURVE),
+        "gamma1": _parse_curve(PAIR), "gamma2": _parse_curve(PAIR),
     }
     # an absent key keeps its spec default; _require names an absent required one
     required = {f.name for f in schema if f.default is MISSING and f.default_factory is MISSING}

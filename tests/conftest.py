@@ -118,36 +118,21 @@ def spiral_lorentzian_surface(psi: float = 0.6) -> ImmersionPatch:
     """
     rate = complex(np.cos(psi), np.sin(psi))
 
-    def gamma(s):
-        return np.exp(rate * np.asarray(s, dtype=float))
-
-    def x(t):
-        t = np.asarray(t, dtype=float)
-        return np.stack([np.sinh(t).astype(complex), np.cosh(t).astype(complex)], axis=-1)
-
-    def xd(t):
-        t = np.asarray(t, dtype=float)
-        return np.stack([np.cosh(t).astype(complex), np.sinh(t).astype(complex)], axis=-1)
-
-    def f(u):
+    def jets(u, order):
         u = np.asarray(u, dtype=float)
-        return gamma(u[..., 0])[..., None] * x(u[..., 1])
-
-    def d1(u):
-        s, t = u
-        return np.stack([rate * gamma(s) * x(t), gamma(s) * xd(t)])
-
-    def d2(u):
-        s, t = u
-        out = np.empty((2, 2, 2), dtype=complex)
-        out[0, 0] = rate * rate * gamma(s) * x(t)
-        out[0, 1] = out[1, 0] = rate * gamma(s) * xd(t)
-        out[1, 1] = gamma(s) * x(t)
+        gamma, t = np.exp(rate * u[..., 0])[..., None], u[..., 1]
+        x = np.stack([np.sinh(t), np.cosh(t)], axis=-1).astype(complex)
+        out = [gamma * x]
+        if order > 0:
+            xd = np.stack([np.cosh(t), np.sinh(t)], axis=-1).astype(complex)
+            out.append(np.stack([rate * gamma * x, gamma * xd], axis=-2))
+        if order > 1:
+            mixed = rate * gamma * xd
+            out.append(np.stack([np.stack([rate * rate * gamma * x, mixed], axis=-2),
+                                 np.stack([mixed, gamma * x], axis=-2)], axis=-3))
         return out
 
-    return ImmersionPatch(sig=Signature(1, 2), domain=[[-0.5, 0.5], [-0.6, 0.6]],
-                          f=f, d1=d1, d2=d2,
-                          meta={"family": "spiral-lorentzian"})
+    return ImmersionPatch.from_jets(Signature(1, 2), [[-0.5, 0.5], [-0.6, 0.6]], jets)
 
 
 def null_reparametrized_spiral(psi: float = 0.6) -> ImmersionPatch:
@@ -155,9 +140,7 @@ def null_reparametrized_spiral(psi: float = 0.6) -> ImmersionPatch:
     base = spiral_lorentzian_surface(psi)
     a = np.array([[0.5, 0.5], [0.5, -0.5]])
     domain = [[-0.45, 0.45], [-0.45, 0.45]]
-    patch = reparametrize(base, a, np.zeros(2), domain)
-    patch.meta["null_coordinates"] = True
-    return patch
+    return reparametrize(base, a, np.zeros(2), domain)
 
 
 def lagrangian_family_catalog():

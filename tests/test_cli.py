@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,8 +17,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lagcal.cli import (
+    CURVE,
     FAMILY_KINDS,
     MAX_SAMPLES,
+    PAIR,
+    PROFILE,
+    SPHERE_CURVE,
     ConfigError,
     emit_report,
     main,
@@ -25,6 +30,7 @@ from lagcal.cli import (
     run_experiment,
 )
 from lagcal.core import STACK_BLOCK
+from lagcal.families import Curve
 
 CATENOID_CONFIG = {
     "signature": {"p": 0, "n": 2},
@@ -379,11 +385,14 @@ def test_every_catenoid_with_a_non_empty_quadric_is_minimal_lagrangian():
     assert (minimal, empty) == (116, 36)
 
 
+# The two hyperbola branches (e^u / 2, e^-u / 2) and (-e^v / 2, -e^-v / 2) in the
+# plane null-x1y2: their velocities are parallel only where u = v, which the
+# intervals keep apart.  test_fuzzed_families_name_the_bad_field runs it through verify.
 PRODUCT_NULL = {"kind": "product-null-curves",
-                "gamma1": {"form": "real-exp", "c1": [1, 1], "c2": [1, -1],
-                           "interval": [-0.5, 0.5]},
-                "gamma2": {"form": "real-exp", "c1": [1, -1], "c2": [1, 1],
-                           "interval": [-0.5, 0.5]}}
+                "gamma1": {"form": "real-exp", "c1": [0.5, 1], "c2": [0.5, -1],
+                           "interval": [0.05, 1.5]},
+                "gamma2": {"form": "real-exp", "c1": [-0.5, 1], "c2": [-0.5, -1],
+                           "interval": [-1.5, -0.05]}}
 
 
 @pytest.mark.parametrize("signature, family, fieldname", [
@@ -402,9 +411,7 @@ PRODUCT_NULL = {"kind": "product-null-curves",
                   "s_interval": [-1e5, 1e5]},
                  "family.matrix, family.s_interval", id="exponential-out-of-reach"),
     pytest.param({"p": 1, "n": 2},
-                 {**PRODUCT_NULL,
-                  "gamma1": {**PRODUCT_NULL["gamma1"], "c1": [1, 1], "c2": [1, 1]},
-                  "gamma2": {**PRODUCT_NULL["gamma2"], "c1": [1, 1], "c2": [1, 1]}},
+                 {**PRODUCT_NULL, "gamma2": PRODUCT_NULL["gamma1"]},
                  "family.gamma1, family.gamma2", id="parallel-null-velocities"),
     pytest.param({"p": 0, "n": 2},
                  {**EQUIVARIANT_LINE, "gamma": {**EQUIVARIANT_LINE["gamma"], "z1": 0}},
@@ -798,11 +805,7 @@ KIND_DOCUMENTS = {
     "equivariant": ({"p": 0, "n": 2}, EQUIVARIANT_LINE),
     "catenoid": ({"p": 0, "n": 2}, CATENOID_CONFIG["family"]),
     "evolving-quadric": ({"p": 0, "n": 2}, EVOLVING_QUADRIC),
-    "product-null-curves": ({"p": 1, "n": 2}, {
-        "kind": "product-null-curves",
-        "gamma1": {"form": "real-exp", "c1": [0.5, 1], "c2": [0.5, -1], "interval": [0.05, 1.5]},
-        "gamma2": {"form": "real-exp", "c1": [-0.5, 1], "c2": [-0.5, -1],
-                   "interval": [-1.5, -0.05]}}),
+    "product-null-curves": ({"p": 1, "n": 2}, PRODUCT_NULL),
     "hopf": ({"p": 0, "n": 2}, {"kind": "hopf", "gamma": {"form": "great-circle"}}),
 }
 
@@ -829,6 +832,74 @@ def test_fuzzed_families_name_the_bad_field(tmp_path, capsys, kind):
     for mutated, name in mutations:
         code, err = run(mutated)
         assert code == 1 and err.startswith(f"error: family.{name}: "), (mutated, err)
+        assert err.count("\n") == 1, err
+
+
+# The curve field each form table parses, in a KIND_DOCUMENTS family.
+CURVE_TABLES = [(CURVE, "equivariant", "gamma"), (PROFILE, "evolving-quadric", "r"),
+                (SPHERE_CURVE, "hopf", "gamma"), (PAIR, "product-null-curves", "gamma1")]
+SAMPLE_S = [0.0, 0.3, 0.6, 1.0]
+SAMPLE_GAMMA = [[1.0, 0.1 * s] for s in SAMPLE_S]
+SAMPLE_U = np.linspace(0.05, 1.5, 6).tolist()
+SAMPLE_PAIR = [[0.5 * math.exp(u), 0.5 * math.exp(-u)] for u in SAMPLE_U]
+# One valid document per form, giving exactly its required keys, and the
+# constructor call the README names for it.
+FORM_DOCUMENTS = {
+    ("equivariant", "circle"): ({"form": "circle"},
+                                Curve.exponential(1.0, 1j, (0.0, 2 * np.pi))),
+    ("equivariant", "line"): (EQUIVARIANT_LINE["gamma"], Curve.line(1, 1j, (-0.8, 0.8))),
+    ("equivariant", "exp"): ({"form": "exp", "z0": 1, "rate": [0.8, 0.6], "interval": [0, 1]},
+                             Curve.exponential(1, 0.8 + 0.6j, (0, 1))),
+    ("equivariant", "samples"): ({"form": "samples", "s": SAMPLE_S, "values": SAMPLE_GAMMA},
+                                 Curve.from_samples(SAMPLE_S,
+                                                    [complex(*z) for z in SAMPLE_GAMMA])),
+    ("evolving-quadric", "constant"): ({"form": "constant"}, Curve.exponential(1.0, 0.0)),
+    ("evolving-quadric", "exp"): ({"form": "exp", "rate": 0.3}, Curve.exponential(1.0, 0.3)),
+    ("hopf", "great-circle"): ({"form": "great-circle"}, Curve.great_circle((0.0, 2 * np.pi))),
+    ("hopf", "torus"): ({"form": "torus", "alpha": math.pi / 4, "k1": 1, "k2": 2},
+                        Curve.exponential([math.cos(math.pi / 4), math.sin(math.pi / 4)],
+                                          [1j, 2j], (0.0, 2 * np.pi))),
+    ("product-null-curves", "real-exp"): (PRODUCT_NULL["gamma1"],
+                                          Curve.exponential([0.5, 0.5], [1, -1], (0.05, 1.5))),
+    ("product-null-curves", "samples"): ({"form": "samples", "u": SAMPLE_U,
+                                          "values": SAMPLE_PAIR},
+                                         Curve.from_samples(SAMPLE_U, SAMPLE_PAIR)),
+}
+
+
+@pytest.mark.parametrize("forms, kind, name, form", [
+    pytest.param(forms, kind, name, form, id=f"{kind}-{form}")
+    for forms, kind, name in CURVE_TABLES for form in forms])
+def test_fuzzed_curve_forms_name_the_bad_field(tmp_path, capsys, forms, kind, name, form):
+    # the keys of a form's table entry are its keys: each one replaced by a
+    # value of the wrong type, each required one dropped, and a bad form are named
+    signature, family = KIND_DOCUMENTS[kind]
+    document, expected = FORM_DOCUMENTS[kind, form]
+    assert document["form"] == form
+
+    def run(curve):
+        doc = {"signature": signature, "family": {**family, name: curve}, "samples": 2}
+        code = main(["verify", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    _, keys = forms[form]
+    required = {key for key, (_, *default) in keys.items() if not default}
+    assert set(document) == {"form", *required}
+    assert run(document)[0] == 0
+    doc = {"signature": signature, "family": {**family, name: document}, "experiment": "verify"}
+    curve = getattr(parse_config(json.dumps(doc)).spec, name)
+    assert curve.interval == expected.interval
+    s = np.linspace(*(expected.interval or (-0.4, 0.4)), 7)
+    for got, want in zip(curve.jets(s, 2), expected.jets(s, 2), strict=True):
+        assert np.array_equal(got, want)
+
+    mutations = [{**document, key: value} for key in keys for value in WRONG_VALUES]
+    mutations += [without(document, key) for key in required]
+    mutations += [{**document, "form": value} for value in ([form], {"form": form}, "bogus")]
+    for mutated in mutations:
+        code, err = run(mutated)
+        assert code == 1 and re.match(rf"error: family\.{name}[.:]", err), (mutated, err)
         assert err.count("\n") == 1, err
 
 

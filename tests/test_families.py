@@ -13,8 +13,10 @@ from conftest import (
     circle_equivariant_spec,
     expanding_quadric_spec,
     hyperbola_product_spec,
+    null_reparametrized_spiral,
     rotation_quadric_spec,
     small_circle_hopf_spec,
+    spiral_lorentzian_surface,
     varying_profile_quadric_spec,
 )
 from lagcal.core import (
@@ -264,7 +266,9 @@ def test_jets_broadcast_over_stacked_points(family_catalog):
     shear = np.eye(3) + 0.1 * np.roll(np.eye(3), 1, axis=1)
     box = np.stack([c - base.widths / 4, c + base.widths / 4], axis=-1)
     patches = family_catalog + [
-        ("reparametrized-catenoid", reparametrize(base, shear, c - shear @ c, box))]
+        ("reparametrized-catenoid", reparametrize(base, shear, c - shear @ c, box)),
+        ("spiral-lorentzian", spiral_lorentzian_surface()),
+        ("null-spiral", null_reparametrized_spiral())]
     rng = np.random.default_rng(21)
     for name, patch in patches:
         pts = interior_samples(patch, 25, rng, margin=0.1)
