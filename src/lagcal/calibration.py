@@ -47,6 +47,7 @@ from .core import (
     circ_spread,
     frame_quantities,  # re-exported: the calibration arithmetic on frame stacks
     pseudo_unitary_sample,
+    random_invertible,
 )
 from .immersion import (
     ImmersionPatch,
@@ -78,21 +79,12 @@ class FlowDegeneracy(GeometryError):
 def random_lagrangian_frames(sig: Signature, count: int, rng: np.random.Generator) -> np.ndarray:
     """Batch of frames spanning non-degenerate Lagrangian n-planes.
 
-    Random real invertible matrices (entries uniform in [-1, 1], redrawn
-    until |det| > 0.05) act on the canonical real basis; a random
-    pseudo-unitary map then mixes tangent and normal directions while
-    preserving the symplectic form, hence the Lagrangian property.
+    Random real invertible matrices (core.random_invertible) act on the
+    canonical real basis; a random pseudo-unitary map then mixes tangent
+    and normal directions while preserving the symplectic form, hence the
+    Lagrangian property.
     """
-    real = rng.uniform(-1.0, 1.0, (count, sig.n, sig.n))
-    bad = np.flatnonzero(np.abs(np.linalg.det(real)) <= 0.05)
-    for _ in range(100):
-        if not bad.size:
-            break
-        # only the redrawn rows can change, so only they are checked again
-        real[bad] = rng.uniform(-1.0, 1.0, (bad.size, sig.n, sig.n))
-        bad = bad[np.abs(np.linalg.det(real[bad])) <= 0.05]
-    if bad.size:
-        raise DegenerateInput("failed to draw invertible real frames in 100 attempts")
+    real = random_invertible(rng, count, sig.n)
     # the frames overwrite the pseudo-unitary factors block by block
     frames = pseudo_unitary_sample(rng, sig, count)
     for start in range(0, count, STACK_BLOCK):

@@ -41,18 +41,7 @@ from .core import (
     wrap_angle,
 )
 from .curvature import curvature_sample, minimality_residual
-from .families import (
-    Catenoid,
-    Curve,
-    Equivariant,
-    EvolvingQuadric,
-    FamilySpecError,
-    FlatPlane,
-    Hopf,
-    ProductNullCurves,
-    build_family,
-    evolving_quadric_angle,
-)
+from .families import FAMILY_KINDS, Curve, FamilySpecError, Hopf, build_family
 from .calibration import (
     frame_quantities,
     random_lagrangian_frames,
@@ -67,8 +56,6 @@ from .immersion import (
     metric_signature,
     tangent_frame,
 )
-
-EXPERIMENTS = ("verify", "angle", "curvature", "calibrate", "volume-compare", "plane-props")
 
 ANGLE_GATE_EQUIVARIANT = 1e-9
 ANGLE_GATE_QUADRIC = 1e-8
@@ -109,12 +96,10 @@ class ExperimentReport:
     ``table`` maps each samples.csv column name, in order, to a 1-d array
     with one entry per sample.  ``tolist`` of every column gives plain
     Python ``int``, ``float`` or ``str`` values (``object`` columns hold
-    ``""`` for empty cells).
+    ``""`` for empty cells).  The runners leave ``config``, ``seed`` and
+    ``version`` to run_experiment, which stamps them on every report.
     """
 
-    config: dict
-    seed: int
-    version: str
     passed: bool
     max_defect: float | None = None
     beta_mean: float | None = None
@@ -125,6 +110,9 @@ class ExperimentReport:
     identity_max_residual: float | None = None
     degenerate_count: int | None = None
     table: dict | None = None
+    config: dict | None = None
+    seed: int | None = None
+    version: str | None = None
 
 
 def _check_keys(obj: dict, allowed: set, where: str):
@@ -257,16 +245,6 @@ def _parse_plane(obj, where: str) -> np.ndarray:
             and all(isinstance(row, list) and len(row) == 2 for row in obj["basis"])):
         return np.array([[_complex(z, where + ".basis") for z in row] for row in obj["basis"]])
     raise ConfigError(where, "planes are 'null-x1y2' or {'basis': [[z, z], [z, z]]}")
-
-
-FAMILY_KINDS = {
-    "flat": FlatPlane,
-    "equivariant": Equivariant,
-    "catenoid": Catenoid,
-    "evolving-quadric": EvolvingQuadric,
-    "product-null-curves": ProductNullCurves,
-    "hopf": Hopf,
-}
 
 
 def parse_family(obj, sig: Signature) -> object:
@@ -403,8 +381,7 @@ def _sample_table(pts: np.ndarray, **columns) -> dict:
             **columns}
 
 
-def _run_verify(cfg: RunConfig) -> ExperimentReport:
-    patch = build_family(cfg.spec)
+def _run_verify(cfg: RunConfig, patch) -> ExperimentReport:
     rng = np.random.default_rng(cfg.seed)
     pts = interior_samples(patch, cfg.samples, rng)
     defects, betas = np.empty((2, cfg.samples))
@@ -420,7 +397,6 @@ def _run_verify(cfg: RunConfig) -> ExperimentReport:
                                  np.random.default_rng(cfg.seed + 1))
     max_defect = float(np.max(defects))
     return ExperimentReport(
-        config=_config_echo(cfg), seed=cfg.seed, version=__version__,
         passed=max_defect <= cfg.tol and bad_signature == 0,
         max_defect=max_defect, beta_mean=circ_mean(betas),
         beta_spread=circ_spread(betas), residual=report.residual,
@@ -429,47 +405,28 @@ def _run_verify(cfg: RunConfig) -> ExperimentReport:
                             signature_negative=negative, signature_null=null))
 
 
-def _run_angle(cfg: RunConfig) -> ExperimentReport:
-    spec = cfg.spec
-    patch = build_family(spec)
-    rng = np.random.default_rng(cfg.seed)
-    pts = interior_samples(patch, cfg.samples, rng)
-    gamma = patch.meta.get("gamma")
-    n = patch.n
-    # the angle law, the residual statistic of the offsets and the gate
-    if gamma is not None:
-        def law(u):
-            g, dg = gamma.jets(u[-1], 1)
-            return float(np.angle(complex(dg) * complex(g) ** (n - 1)))
-
-        def statistic(offsets):
-            return float(np.max(np.abs(offsets)))
-        gate = ANGLE_GATE_EQUIVARIANT
-    elif isinstance(spec, EvolvingQuadric):
-        chart = patch.meta["chart"]
-
-        def law(u):
-            return evolving_quadric_angle(spec, u[-1], chart.jets(u[:-1], 0)[0])
-        statistic, gate = circ_spread, ANGLE_GATE_QUADRIC
-    else:
+def _run_angle(cfg: RunConfig, patch) -> ExperimentReport:
+    law = patch.meta.get("angle_law")
+    if law is None:
         raise ConfigError("family", "the angle experiment needs an angle law "
                           "(equivariant, catenoid or evolving-quadric family)")
-    betas, laws = np.empty((2, cfg.samples))
-    for k, u in enumerate(pts):
-        betas[k] = lagrangian_angle_at(patch, u)
-        laws[k] = law(u)
+    pts = interior_samples(patch, cfg.samples, np.random.default_rng(cfg.seed))
+    betas = np.array([lagrangian_angle_at(patch, u) for u in pts])
+    laws = law.beta(pts)
     offsets = wrap_angle(betas - laws)
-    residual = statistic(offsets)
+    # an exact law must hold pointwise; one up to a constant must keep its offset
+    if law.exact:
+        residual, gate = float(np.max(np.abs(offsets))), ANGLE_GATE_EQUIVARIANT
+    else:
+        residual, gate = circ_spread(offsets), ANGLE_GATE_QUADRIC
     return ExperimentReport(
-        config=_config_echo(cfg), seed=cfg.seed, version=__version__,
         passed=residual <= max(cfg.tol, gate),
         beta_mean=circ_mean(offsets), beta_spread=circ_spread(offsets),
         residual=residual,
         table=_sample_table(pts, beta=betas, beta_law=laws, offset=offsets))
 
 
-def _run_curvature(cfg: RunConfig) -> ExperimentReport:
-    patch = build_family(cfg.spec)
+def _run_curvature(cfg: RunConfig, patch) -> ExperimentReport:
     rng = np.random.default_rng(cfg.seed)
     count = min(cfg.samples, CURVATURE_SAMPLES)
     pts = interior_samples(patch, count, rng, margin=0.08)
@@ -481,13 +438,12 @@ def _run_curvature(cfg: RunConfig) -> ExperimentReport:
         discrepancy[k] = sample.discrepancy
     worst = float(np.max(discrepancy))
     return ExperimentReport(
-        config=_config_echo(cfg), seed=cfg.seed, version=__version__,
         passed=worst <= CURVATURE_GATE, residual=worst,
         table=_sample_table(pts, h_angle_norm=h_angle, h_sff_norm=h_sff,
                             discrepancy=discrepancy))
 
 
-def _run_calibrate(cfg: RunConfig) -> ExperimentReport:
+def _run_calibrate(cfg: RunConfig, patch) -> ExperimentReport:
     sig = cfg.signature
     rng = np.random.default_rng(cfg.seed)
     # no name holds the frames, so their stack is freed before the columns are built
@@ -510,7 +466,6 @@ def _run_calibrate(cfg: RunConfig) -> ExperimentReport:
                               np.min(tight_slack, where=ok, initial=np.inf)))
         identity_max = float(np.max(identity, where=ok, initial=0.0))
     return ExperimentReport(
-        config=_config_echo(cfg), seed=cfg.seed, version=__version__,
         passed=degenerate == 0 and slack_min >= SLACK_GATE and identity_max <= IDENTITY_GATE,
         max_defect=float(np.max(q["defect"])),
         slack_min=slack_min, identity_max_residual=identity_max,
@@ -519,8 +474,7 @@ def _run_calibrate(cfg: RunConfig) -> ExperimentReport:
                "dvol": q["dvol"], "theta0": th, "slack": slack, "identity_residual": identity})
 
 
-def _run_volume_compare(cfg: RunConfig) -> ExperimentReport:
-    patch = build_family(cfg.spec)
+def _run_volume_compare(cfg: RunConfig, patch) -> ExperimentReport:
     specs = random_perturbations(patch, cfg.samples, cfg.seed)
     report = volume_compare(patch, specs, _grid_for(cfg, patch.n), seed=cfg.seed)
     results = report.results
@@ -535,7 +489,7 @@ def _run_volume_compare(cfg: RunConfig) -> ExperimentReport:
     slack_min = report.min_slack() if ok else None
     passed = quorum and slack_min is not None and slack_min >= VOLUME_SLACK_GATE
     return ExperimentReport(
-        config=_config_echo(cfg), seed=cfg.seed, version=__version__, passed=passed,
+        passed=passed,
         max_defect=max((r.defect_max for r in ok), default=None),
         volumes=[report.base_volume, *(r.volume for r in results if r.volume is not None)],
         slack_min=slack_min,
@@ -552,7 +506,7 @@ def _run_volume_compare(cfg: RunConfig) -> ExperimentReport:
                "degenerate_points": np.array([r.degenerate_points for r in results])})
 
 
-def _run_plane_props(cfg: RunConfig) -> ExperimentReport:
+def _run_plane_props(cfg: RunConfig, patch) -> ExperimentReport:
     sig = cfg.signature
     if (sig.p, sig.n) != (1, 2):
         raise ConfigError("signature", "plane-props runs in signature (1, 2)")
@@ -576,7 +530,6 @@ def _run_plane_props(cfg: RunConfig) -> ExperimentReport:
     two_of_three_ok = flags.sum(axis=1) != 2
     violations = int(np.count_nonzero(~(two_of_three_ok & null_iff)))
     return ExperimentReport(
-        config=_config_echo(cfg), seed=cfg.seed, version=__version__,
         passed=violations == 0, residual=float(violations),
         degenerate_count=0,
         table={"index": np.arange(cfg.samples), "totally_null": flags[:, 0],
@@ -593,19 +546,25 @@ _RUNNERS = {
     "volume-compare": _run_volume_compare,
     "plane-props": _run_plane_props,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentReport:
-    """Run one validated config.  A family check that names the spec fields
-    it reads (``sig.n``, ``sector``, ...) becomes a ConfigError naming them."""
+    """Run one validated config: build its family, if it has one, run the
+    experiment on it and stamp the report.  A family check that names the
+    spec fields it reads (``sig.n``, ``sector``, ...) becomes a ConfigError
+    naming them."""
     try:
-        return _RUNNERS[cfg.experiment](cfg)
+        patch = None if cfg.spec is None else build_family(cfg.spec)
+        report = _RUNNERS[cfg.experiment](cfg, patch)
     except FamilySpecError as exc:
         if not exc.fields:
             raise
         names = ["signature" + f[3:] if f.split(".")[0] == "sig" else "family." + f
                  for f in exc.fields]
         raise ConfigError(", ".join(names), str(exc)) from exc
+    report.config, report.seed, report.version = _config_echo(cfg), cfg.seed, __version__
+    return report
 
 
 def emit_report(report: ExperimentReport, out_dir: str) -> tuple[str, str]:

@@ -369,6 +369,22 @@ def pseudo_unitary_sample(rng: np.random.Generator, sig: Signature, count: int |
     return matrix_exp(generators, out=generators)
 
 
+def random_invertible(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """count real n x n matrices with entries uniform in [-1, 1], each redrawn
+    until |det| > 0.05; DegenerateInput after 100 redraws of the stack."""
+    real = rng.uniform(-1.0, 1.0, (count, n, n))
+    bad = np.flatnonzero(np.abs(np.linalg.det(real)) <= 0.05)
+    for _ in range(100):
+        if not bad.size:
+            return real
+        # only the redrawn matrices can change, so only they are checked again
+        real[bad] = rng.uniform(-1.0, 1.0, (bad.size, n, n))
+        bad = bad[np.abs(np.linalg.det(real[bad])) <= 0.05]
+    if bad.size:
+        raise DegenerateInput("failed to draw invertible real matrices in 100 attempts")
+    return real
+
+
 def special_orthogonal_sample(rng: np.random.Generator, sig: Signature) -> np.ndarray:
     """Random element of SO(p, n-p): exp(diag(eps) @ S) with S real antisymmetric."""
     s = rng.uniform(-0.5, 0.5, (sig.n, sig.n))
@@ -475,13 +491,6 @@ def random_plane(rng: np.random.Generator) -> np.ndarray:
             return basis
 
 
-def _random_gl2(rng: np.random.Generator) -> np.ndarray:
-    while True:
-        m = rng.uniform(-1.0, 1.0, (2, 2))
-        if abs(np.linalg.det(m)) > 0.05:
-            return m
-
-
 def random_totally_null_plane(rng: np.random.Generator, sig: Signature) -> np.ndarray:
     """Random metric-null 2-plane, as an O(2, 2) orbit point of the reference one."""
     if (sig.p, sig.n) != (1, 2):
@@ -489,7 +498,7 @@ def random_totally_null_plane(rng: np.random.Generator, sig: Signature) -> np.nd
     # the real components of C^2 with signature (1, 2) carry the signs of (2, 4)
     o = special_orthogonal_sample(rng, Signature(2, 4))
     moved = from_components(real_components(NULL_PLANE_BASIS) @ o.T)
-    return _random_gl2(rng) @ moved
+    return random_invertible(rng, 1, 2)[0] @ moved
 
 
 def random_complex_plane(rng: np.random.Generator, null: bool = False, sig: Signature | None = None) -> np.ndarray:
@@ -501,4 +510,4 @@ def random_complex_plane(rng: np.random.Generator, null: bool = False, sig: Sign
         v = rng.uniform(0.3, 1.5) * phases
     else:
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return _random_gl2(rng) @ np.stack([v, apply_J(v)])
+    return random_invertible(rng, 1, 2)[0] @ np.stack([v, apply_J(v)])

@@ -38,7 +38,7 @@ class NotLagrangianError(GeometryError):
 
 def _solve_gram(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     scale = np.max(np.abs(g))
-    if scale == 0.0 or abs(np.linalg.det(g)) < 1e-12 * scale ** g.shape[0]:
+    if scale == 0.0 or abs(np.linalg.det(g / scale)) < 1e-12:
         raise DegenerateFrame("induced metric is numerically degenerate")
     return np.linalg.solve(g, rhs)
 

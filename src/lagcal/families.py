@@ -16,6 +16,10 @@ once, in one ``jets(u, order)`` closure handed to
 * circle-rotation torus  f(s, t) = (gamma_1(s) e^{it}, gamma_2(s) e^{it}),
                          gamma on the unit 3-sphere
 
+The equivariant families (catenoids included) and the evolving quadric
+also hand their patch a closed-form Lagrangian angle law, ``meta["angle_law"]``,
+an :class:`AngleLaw` over stacked points.
+
 Quadric hypersurfaces are charted in graph coordinates: one coordinate
 is solved from the quadratic equation, the rest stay free, and the jets
 come from implicit differentiation.  Charts are oriented so that the
@@ -25,6 +29,7 @@ the sign conventions of the Lagrangian angle formulas.
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +39,7 @@ from .core import (
     DimensionMismatch,
     NULL_PLANE_BASIS,
     Signature,
+    frame_quantities,
     matrix_exp,
     metric,
     plane_props,
@@ -398,7 +404,26 @@ class Hopf:
     gamma: Curve
 
 
+# the spec class of each family kind a document names
+FAMILY_KINDS = {
+    "flat": FlatPlane,
+    "equivariant": Equivariant,
+    "catenoid": Catenoid,
+    "evolving-quadric": EvolvingQuadric,
+    "product-null-curves": ProductNullCurves,
+    "hopf": Hopf,
+}
+
+
 # --- generators ----------------------------------------------------------------
+
+class AngleLaw(NamedTuple):
+    """A family's closed-form Lagrangian angle ``beta(u)`` at stacked points u (..., n):
+    exact, or (``exact`` False) up to an additive constant."""
+
+    beta: Callable
+    exact: bool
+
 
 def make_equivariant(spec: Equivariant) -> ImmersionPatch:
     """The patch gamma(s) x(t), x on the quadric <x,x>_p = epsilon (chart axes first, s last)."""
@@ -445,7 +470,15 @@ def make_equivariant(spec: Equivariant) -> ImmersionPatch:
             out.append(second)
         return out
 
-    return ImmersionPatch.from_jets(sig, domain, jets, chart=chart, gamma=gamma)
+    law = AngleLaw(lambda u: equivariant_angle(gamma, n, np.asarray(u)[..., -1]), exact=True)
+    return ImmersionPatch.from_jets(sig, domain, jets, chart=chart, gamma=gamma, angle_law=law)
+
+
+def equivariant_angle(gamma: Curve, n: int, s) -> np.ndarray:
+    """The Lagrangian angle arg(gamma'(s) gamma(s)^(n-1)) of the equivariant family,
+    exact on the charts quadric_chart orients, broadcast over s."""
+    g, dg = gamma.jets(s, 1)
+    return np.angle(dg * g ** (n - 1))
 
 
 def catenoid_curve(n: int, c: float, sector: int) -> Curve:
@@ -487,10 +520,21 @@ def catenoid_curve(n: int, c: float, sector: int) -> Curve:
 
 
 def make_catenoid(spec: Catenoid) -> ImmersionPatch:
-    curve = catenoid_curve(spec.sig.n, spec.c, spec.sector)
-    return make_equivariant(Equivariant(
-        sig=spec.sig, epsilon=spec.epsilon, gamma=curve,
-        chart_center=spec.chart_center, chart_half_width=spec.chart_half_width))
+    sig = spec.sig
+    curve = catenoid_curve(sig.n, spec.c, spec.sector)
+    # |gamma| and |gamma'| grow toward the sector ends, so the frames and their
+    # volume elements are largest at the corners of the parameter box; at the
+    # largest |c| the curve itself overflows, in make_equivariant's checks too
+    with np.errstate(over="ignore", invalid="ignore"):
+        patch = make_equivariant(Equivariant(
+            sig=sig, epsilon=spec.epsilon, gamma=curve,
+            chart_center=spec.chart_center, chart_half_width=spec.chart_half_width))
+        corners = np.stack(np.meshgrid(*patch.domain, indexing="ij"), -1).reshape(-1, sig.n)
+        dvol = frame_quantities(patch.d1(corners), sig)["dvol"]
+    if not np.isfinite(dvol).all():
+        raise FamilySpecError(f"|c| = {abs(spec.c):g} is too large: the volume element of "
+                              f"the frames overflows", ("c",))
+    return patch
 
 
 def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
@@ -541,24 +585,29 @@ def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
             out.append(second)
         return out
 
-    return ImmersionPatch.from_jets(sig, domain, jets, chart=chart, r=r)
+    def law(u):
+        u = np.asarray(u, dtype=float)
+        return evolving_quadric_angle(spec, u[..., -1], chart.jets(u[..., :-1], 0)[0])
+
+    return ImmersionPatch.from_jets(sig, domain, jets, chart=chart, r=r,
+                                    angle_law=AngleLaw(law, exact=False))
 
 
-def evolving_quadric_angle(spec: EvolvingQuadric, s: float, x) -> float:
-    """Closed-form Lagrangian angle law of the evolving-quadric family.
+def evolving_quadric_angle(spec: EvolvingQuadric, s, x):
+    """Closed-form Lagrangian angle law of the evolving-quadric family, broadcast
+    over s (...) and quadric points x (..., n).
 
     beta(s, x) = tr(M) s + arg(c r'/r + i |M x|_p^2) + pi/2, up to a
     chart-dependent constant fixed by orientation conventions.
     """
     M = np.asarray(spec.matrix, dtype=float)
-    x = np.asarray(x, dtype=float)
-    mx = M @ x
-    mx2 = float(metric(mx, mx, spec.sig))
-    rv, rd = map(float, spec.r.jets(s, 1))
-    inner = complex(spec.c * rd / rv, mx2)
-    if abs(inner) < 1e-300:
+    mx = np.asarray(x, dtype=float) @ M.T
+    mx2 = metric(mx, mx, spec.sig)
+    rv, rd = spec.r.jets(s, 1)
+    ratio = spec.c * rd / rv
+    if (np.hypot(ratio, mx2) < 1e-300).any():
         raise FamilySpecError("angle law undefined at a degenerate quadric point")
-    return float(wrap_angle(np.trace(M) * s + np.angle(inner) + np.pi / 2.0))
+    return wrap_angle(np.trace(M) * s + np.arctan2(mx2, ratio) + np.pi / 2.0)
 
 
 def make_product_null_curves(spec: ProductNullCurves) -> ImmersionPatch:

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -265,13 +266,57 @@ def test_curvature_experiment_on_hopf():
     pytest.param("volume-compare", {"grid": [1000000]}, [], "grid", id="grid-too-many-nodes"),
     pytest.param("volume-compare", {"signature": {"p": 1, "n": 3}, "grid": [8]}, [],
                  "signature.n", id="volume-compare-n-3"),
+    # the curve itself overflows at 1e308; at 1e200 only the frames' volume element does
+    pytest.param("verify", {"family": {"kind": "catenoid", "c": 1e308}}, [], "family.c",
+                 id="catenoid-c-1e308"),
+    pytest.param("verify", {"family": {"kind": "catenoid", "c": 1e200}}, [], "family.c",
+                 id="catenoid-c-1e200"),
 ])
 def test_cli_rejects_malformed_values(tmp_path, capsys, experiment, doc, args, fieldname):
-    # command line overrides and document values pass the same validation
+    # command line overrides and document values pass the same validation;
+    # the error line is all that is printed, with no warning on the way
     path = write_config(tmp_path, {**CATENOID_CONFIG, "samples": 5, **doc})
-    code = main([experiment, "--config", str(path), "--out", str(tmp_path / "o"), *args])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([experiment, "--config", str(path), "--out", str(tmp_path / "o"), *args])
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: {fieldname}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fieldname}: ")
+    assert err.count("\n") == 1
+
+
+def test_catenoid_constant_1e100_stays_valid(tmp_path):
+    doc = {**CATENOID_CONFIG, "family": {"kind": "catenoid", "c": 1e100}, "samples": 5}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "samples.csv", newline="") as handle:
+        assert all(math.isfinite(float(row["dvol"])) for row in csv.DictReader(handle))
+
+
+@pytest.mark.parametrize("signature, family", [
+    pytest.param({"p": 0, "n": 2}, {"kind": "flat"}, id="flat"),
+    pytest.param({"p": 1, "n": 2},
+                 {"kind": "product-null-curves",
+                  "gamma1": {"form": "real-exp", "c1": [0.5, 1], "c2": [0.5, -1],
+                             "interval": [0.05, 1.5]},
+                  "gamma2": {"form": "real-exp", "c1": [-0.5, 1], "c2": [-0.5, -1],
+                             "interval": [-1.5, -0.05]}}, id="product-null-curves"),
+    pytest.param({"p": 0, "n": 2}, {"kind": "hopf", "gamma": {"form": "great-circle"}},
+                 id="hopf"),
+])
+def test_angle_needs_a_family_with_an_angle_law(tmp_path, capsys, signature, family):
+    doc = {"signature": signature, "family": family, "samples": 5}
+    # the family itself is valid
+    assert main(["verify", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "v")]) == 0
+    capsys.readouterr()
+    assert main(["angle", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "a")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: family: the angle experiment needs an angle law")
+    assert err.count("\n") == 1
 
 
 EQUIVARIANT_LINE = {"kind": "equivariant", "epsilon": 1,
@@ -580,7 +625,7 @@ OUTPUT_DIGESTS = {
     "verify": ("27641cb3937a4a1e328f0a53bd4d286a7ae4057a22c55e1a3bc16e1f62896d2f",
                "d9049b6dc92accf6719d21008801dec5c513ac2d7125ef3a6af3c92a2a3a2848"),
     "angle": ("75924409263b482c7c1a24b4307db7e883cd03a732fd2e690a17f63dba79146e",
-              "6742637823834c32a33fafb8513683aa93252b177e248883ec5409fc95098ff9"),
+              "f5b382f8af238ada11fc2180a9ddd282cdd80ef0e447a4c2484d261b46386971"),
     "curvature": ("ef7c303fb4706b6c7fedc86194eba5f4f8d9a875c95ed02965ea152b9d6b5e19",
                   "fb1b890595d524517624c45cc39a2cfd7cb0947164b188518626a0281a8319ba"),
     "calibrate": ("2a14efcdaeb8b79e5433443c959ce7f8abcd529af6b03a8820802efc0e9707e4",

@@ -28,6 +28,7 @@ from lagcal.core import (
     plane_props,
     pseudo_unitary_sample,
     random_complex_plane,
+    random_invertible,
     random_plane,
     random_totally_null_plane,
     special_orthogonal_sample,
@@ -569,3 +570,18 @@ def test_spans_equal_invariant_under_basis_change(seed):
     mixed = np.array([[2.0, 1.0], [0.5, -1.5]]) @ plane
     assert spans_equal(plane, mixed)
     assert not spans_equal(plane, plane + np.array([[0, 10.0], [0, 0]]))
+
+
+def test_random_invertible_draws_like_one_matrix_at_a_time():
+    # each matrix is redrawn until |det| > 0.05; stacked redraws keep the stream
+    def one_at_a_time(rng):
+        while True:
+            m = rng.uniform(-1.0, 1.0, (2, 2))
+            if abs(np.linalg.det(m)) > 0.05:
+                return m
+
+    stacked, single = np.random.default_rng(21), np.random.default_rng(21)
+    for _ in range(200):
+        assert np.array_equal(random_invertible(stacked, 1, 2)[0], one_at_a_time(single))
+    mats = random_invertible(np.random.default_rng(22), 500, 3)
+    assert mats.shape == (500, 3, 3) and np.all(np.abs(np.linalg.det(mats)) > 0.05)

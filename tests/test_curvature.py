@@ -16,6 +16,7 @@ from lagcal.curvature import (
     BETA_STEP,
     MinimalityReport,
     NotLagrangianError,
+    _solve_gram,
     angle_gradient,
     curvature_sample,
     mean_curvature_angle,
@@ -26,6 +27,7 @@ from lagcal.curvature import (
 )
 from lagcal.families import Catenoid, Curve, Equivariant, build_family
 from lagcal.immersion import (
+    DegenerateFrame,
     ImmersionPatch,
     induced_metric,
     interior_samples,
@@ -223,3 +225,13 @@ def test_minimality_residuals():
     report = minimality_residual(build_family(expanding_quadric_spec()),
                                  sample_count=200, seed=7)
     assert report.residual > 0.1
+
+
+def test_gram_solve_judges_the_scaled_determinant():
+    # |det g| < 1e-12 scale^n overflowed in scale^n; |det(g / scale)| does not
+    g = 1e200 * np.eye(2)
+    with np.errstate(all="raise"):
+        coeffs = _solve_gram(g, np.array([1e200, -2e200]))
+    assert np.array_equal(coeffs, [1.0, -2.0])
+    with pytest.raises(DegenerateFrame):
+        _solve_gram(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]), np.ones(2))

@@ -26,6 +26,7 @@ from lagcal.core import (
     circ_spread,
     from_components,
     herm_form,
+    metric,
     plane_props,
     real_components,
     spans_equal,
@@ -323,6 +324,33 @@ def test_equivariant_angle_law_general(family_catalog):
             g, dg = gamma.jets(s, 1)
             expected = np.angle(complex(dg) * complex(g) ** (n - 1))
             assert circ_dist(lagrangian_angle_at(patch, u), expected) < 1e-9, name
+
+
+def test_stacked_angle_laws_match_their_pointwise_closed_forms(family_catalog):
+    # the equivariant law arg(gamma' gamma^(n-1)) is exact; the evolving-quadric
+    # law tr(M) s + arg(c r'/r + i |M x|_p^2) + pi/2 holds up to a constant
+    rng = np.random.default_rng(14)
+    exact = {}
+    for name, patch in family_catalog:
+        law = patch.meta.get("angle_law")
+        if law is None:
+            continue
+        exact[name] = law.exact
+        pts = interior_samples(patch, 40, rng)
+        for u, beta in zip(pts, law.beta(pts)):
+            s = u[-1]
+            if law.exact:
+                g, dg = patch.meta["gamma"].jets(s, 1)
+                expected = np.angle(complex(dg) * complex(g) ** (patch.n - 1))
+            else:
+                chart, r = patch.meta["chart"], patch.meta["r"]
+                mx = chart.M @ chart.jets(u[:-1], 0)[0]
+                rv, rd = map(float, r.jets(s, 1))
+                inner = complex(chart.c * rd / rv, float(metric(mx, mx, patch.sig)))
+                expected = np.trace(chart.M) * s + np.angle(inner) + np.pi / 2.0
+            assert circ_dist(beta, expected) <= 1e-15, name
+    assert exact == {name: not name.startswith("quadric") for name, _ in family_catalog
+                     if name.startswith(("equivariant", "catenoid", "quadric"))}
 
 
 def test_catenoid_curve_satisfies_defining_equation():
