@@ -34,7 +34,7 @@ grid.
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.fft  # NumPy loads it on first use; load it with this module instead
@@ -284,7 +284,8 @@ def hamiltonian_perturb(patch: ImmersionPatch, spec: PerturbationSpec,
     The returned patch evaluates exactly as the input outside the bump
     support; inside, the flowed displacement is interpolated from the
     polar solution grid (not-a-knot bicubic, with the exact zero ring and
-    center values pinned).  Jets are finite differences of the evaluation map.
+    center values pinned).  Jets are finite differences of the evaluation map, and
+    the new patch carries no ``meta``: the input's chart and angle law are not its own.
     """
     if spec.steps == 0 or spec.amplitude == 0.0:
         return patch
@@ -308,7 +309,7 @@ def hamiltonian_perturb(patch: ImmersionPatch, spec: PerturbationSpec,
         out[inside] += planes[:, :2] + 1j * planes[:, 2:]
         return out
 
-    return replace(patch, f=f, d1=None, d2=None)
+    return ImmersionPatch(sig=patch.sig, domain=patch.domain, f=f)
 
 
 # --- volume comparison -----------------------------------------------------------

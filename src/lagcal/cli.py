@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -80,13 +80,13 @@ class ConfigError(ValueError):
 class RunConfig:
     signature: Signature
     experiment: str
-    family: dict | None = None  # the document's family object, echoed in report.json
-    spec: object | None = None  # the family spec parsed from it; None without a family
-    samples: int = 1000
-    seed: int = 42
-    tol: float = 1e-9
-    grid: list = field(default_factory=list)
-    out: str | None = None
+    family: dict | None  # the document's family object, echoed in report.json
+    spec: object | None  # the family spec parsed from it; None without a family
+    samples: int
+    seed: int
+    tol: float
+    grid: list
+    out: str | None
 
 
 @dataclass

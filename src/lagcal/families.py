@@ -199,54 +199,60 @@ def sample_quadric(M, c: float, sig: Signature, count: int, seed) -> np.ndarray:
     return np.asarray(out)
 
 
-@dataclass(frozen=True, eq=False)
 class QuadricChart:
-    """Graph-coordinate chart of { x : <x, M x>_p = c } around a center point.
+    """Oriented graph-coordinate chart of { x : <x, M x>_p = c } around a center point.
 
-    jets(t, order) solves the defining quadratic for the coordinate
-    solve_index once, broadcast over stacked chart coordinates (..., n-1),
-    and differentiates it implicitly up to the order asked.  The signed form
-    q = diag(eps) M and its blocks are built once, with the chart.  The
-    chart is oriented: the stacked real determinant det(tangents, x) is
-    positive at the center.
+    The constructor checks the center and derives the chart in one pass: the
+    coordinate solve_index (the largest gradient component at the center) is
+    solved for and the others, free, stay chart coordinates; branch picks the
+    root through the center, box is the cube of half_width around it, and the
+    signed form q = diag(eps) M and its blocks are built once.  The chart is
+    oriented: flip makes the real determinant det(tangents, x) positive at the
+    center.  jets(t, order) solves the defining quadratic once, broadcast over
+    stacked chart coordinates (..., n-1), and differentiates it implicitly up
+    to the order asked.
     """
 
-    M: np.ndarray
-    c: float
-    sig: Signature
-    center: np.ndarray
-    solve_index: int
-    branch: float
-    box: np.ndarray
-    flip: np.ndarray
-    q: np.ndarray = field(init=False, repr=False)
-    free: np.ndarray = field(init=False, repr=False)
-    center_coords: np.ndarray = field(init=False, repr=False)
-    _q_mf: np.ndarray = field(init=False, repr=False)
-    _q_ff: np.ndarray = field(init=False, repr=False)
-    _q_mm: float = field(init=False, repr=False)
-    _tangents: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        n, m = self.sig.n, self.solve_index
-        q = self.sig.eps[:, None] * self.M
+    def __init__(self, M, c: float, sig: Signature, center, half_width: float = CHART_HALF_WIDTH):
+        if not half_width > 0.0:
+            raise FamilySpecError("the chart half-width must be positive", ("chart_half_width",))
+        if sig.n < 2:
+            raise FamilySpecError("quadric charts need n >= 2", ("sig.n",))
+        n = sig.n
+        M = np.asarray(M, dtype=float)
+        center = np.asarray(center, dtype=float)
+        if center.shape != (n,):
+            raise DimensionMismatch(f"center must have shape ({n},)")
+        residual = float(quadric_rhs(M, sig, center)) - c
+        if abs(residual) > 1e-9 * max(abs(c), float(np.dot(center, center)), 1.0):
+            raise FamilySpecError(f"chart center misses the quadric by {residual:.3e}",
+                                  ("chart_center",))
+        q = sig.eps[:, None] * M
+        grad = 2.0 * q @ center
+        m = int(np.argmax(np.abs(grad)))
+        if abs(grad[m]) < 1e-9 * max(np.linalg.norm(center), 1.0):
+            raise FamilySpecError("chart center has vanishing quadric gradient", ("chart_center",))
         free = np.delete(np.arange(n), m)
+        self.M, self.c, self.sig, self.center = M, float(c), sig, center
+        self.q, self.solve_index, self.free, self.center_coords = q, m, free, center[free]
+        self.box = np.stack([center[free] - half_width, center[free] + half_width], axis=-1)
+        self._q_mf, self._q_ff, self._q_mm = q[m, free], q[np.ix_(free, free)], q[m, m]
+        self.branch = (1.0 if not abs(self._q_mm) > 1e-13
+                       or self._q_mm * center[m] + center[free] @ self._q_mf >= 0.0 else -1.0)
         # Tangent rows without their solved column: flip_a e_{free[a]}.
-        tangents = np.zeros((n - 1, n))
-        tangents[np.arange(n - 1), free] = self.flip
-        constants = {
-            "q": q,
-            "free": free,
-            "center_coords": self.center[free],
-            "_q_mf": q[m, free],
-            "_q_ff": q[np.ix_(free, free)],
-            "_q_mm": q[m, m],
-            "_tangents": tangents,
-        }
-        for name, value in constants.items():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        self.flip = np.ones(n - 1)
+        self._tangents = np.zeros((n - 1, n))
+        self._tangents[np.arange(n - 1), free] = 1.0
+        # Orientation: det(tangent rows, position) > 0 at the center.
+        det = np.linalg.det(np.vstack([self.jets(self.center_coords, 1)[1], center]))
+        if abs(det) < 1e-12:
+            raise FamilySpecError("chart orientation is undefined (position tangent to quadric)",
+                                  ("chart_center",))
+        if det < 0.0:
+            self.flip[0] = self._tangents[0, free[0]] = -1.0
+        for value in (q, free, self.center_coords, self.box, self.flip, self._q_mf, self._q_ff,
+                      self._tangents):
+            value.flags.writeable = False
 
     def jets(self, t, order: int) -> list:
         """[x, dx/dt, d^2x/dt^2][:order + 1] at chart coordinates t (..., n-1), order <= 2.
@@ -291,51 +297,6 @@ class QuadricChart:
         hess = np.zeros(jac.shape[:-1] + jac.shape[-2:])
         hess[..., m] = np.swapaxes(-self.flip * num / qx_m ** 2, -1, -2)
         return [x, jac, hess]
-
-
-def quadric_chart(M, c: float, sig: Signature, center,
-                  half_width: float = CHART_HALF_WIDTH) -> QuadricChart:
-    """Build an oriented graph chart of the quadric around a center point."""
-    if not half_width > 0.0:
-        raise FamilySpecError("the chart half-width must be positive", ("chart_half_width",))
-    if sig.n < 2:
-        raise FamilySpecError("quadric charts need n >= 2", ("sig.n",))
-    M = np.asarray(M, dtype=float)
-    center = np.asarray(center, dtype=float)
-    if center.shape != (sig.n,):
-        raise DimensionMismatch(f"center must have shape ({sig.n},)")
-    q = sig.eps[:, None] * M
-    residual = float(quadric_rhs(M, sig, center)) - c
-    scale = max(abs(c), float(np.dot(center, center)), 1.0)
-    if abs(residual) > 1e-9 * scale:
-        raise FamilySpecError(f"chart center misses the quadric by {residual:.3e}",
-                              ("chart_center",))
-    grad = 2.0 * q @ center
-    m = int(np.argmax(np.abs(grad)))
-    if abs(grad[m]) < 1e-9 * max(np.linalg.norm(center), 1.0):
-        raise FamilySpecError("chart center has vanishing quadric gradient", ("chart_center",))
-    free = np.array([j for j in range(sig.n) if j != m])
-
-    a = q[m, m]
-    branch = 1.0
-    if abs(a) > 1e-13:
-        b = center[free] @ q[m, free]
-        branch = 1.0 if a * center[m] + b >= 0.0 else -1.0
-
-    box = np.stack([center[free] - half_width, center[free] + half_width], axis=-1)
-    chart = QuadricChart(M=M, c=float(c), sig=sig, center=center, solve_index=m,
-                         branch=branch, box=box, flip=np.ones(sig.n - 1))
-    # Orientation: det(tangent rows, position) > 0 at the center.
-    det = np.linalg.det(np.vstack([chart.jets(chart.center_coords, 1)[1], center]))
-    if abs(det) < 1e-12:
-        raise FamilySpecError("chart orientation is undefined (position tangent to quadric)",
-                              ("chart_center",))
-    if det < 0.0:
-        flip = np.ones(sig.n - 1)
-        flip[0] = -1.0
-        chart = QuadricChart(M=M, c=float(c), sig=sig, center=center, solve_index=m,
-                             branch=branch, box=box, flip=flip)
-    return chart
 
 
 def find_quadric_point(M, c: float, sig: Signature) -> np.ndarray:
@@ -417,6 +378,17 @@ FAMILY_KINDS = {
 
 # --- generators ----------------------------------------------------------------
 
+def _finite_frames(patch: ImmersionPatch, probe, fields: tuple) -> ImmersionPatch:
+    """The patch, if the volume element of its frames is finite at the probe points
+    (k, n); else a FamilySpecError naming fields.  The probe draws no random numbers."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dvol = frame_quantities(patch.d1(probe), patch.sig)["dvol"]
+    if not np.isfinite(dvol).all():
+        raise FamilySpecError(f"the volume element of the frames overflows at u = "
+                              f"{probe[~np.isfinite(dvol)][0]}", fields)
+    return patch
+
+
 class AngleLaw(NamedTuple):
     """A family's closed-form Lagrangian angle ``beta(u)`` at stacked points u (..., n):
     exact, or (``exact`` False) up to an additive constant."""
@@ -434,7 +406,8 @@ def make_equivariant(spec: Equivariant) -> ImmersionPatch:
         raise FamilySpecError("the quadric <x,x>_p = 1 is empty for p = n", ("sig", "epsilon"))
     if spec.epsilon == -1 and sig.p == 0:
         raise FamilySpecError("the quadric <x,x>_p = -1 is empty for p = 0", ("sig.p", "epsilon"))
-    values, speeds = map(np.abs, gamma.jets(np.linspace(*gamma.interval, 64), 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing profile fails the probe
+        values, speeds = map(np.abs, gamma.jets(np.linspace(*gamma.interval, 64), 1))
     if np.min(values) < 1e-12:
         raise FamilySpecError("the profile curve must avoid the origin", ("gamma",))
     if np.min(speeds) < 1e-12 * np.max(values):
@@ -445,8 +418,7 @@ def make_equivariant(spec: Equivariant) -> ImmersionPatch:
     else:
         center = np.zeros(sig.n)
         center[0 if spec.epsilon == -1 else sig.n - 1] = 1.0
-    chart = quadric_chart(np.eye(sig.n), float(spec.epsilon), sig, center,
-                          spec.chart_half_width)
+    chart = QuadricChart(np.eye(sig.n), float(spec.epsilon), sig, center, spec.chart_half_width)
     n = sig.n
     domain = np.vstack([chart.box, gamma.interval])
 
@@ -471,12 +443,16 @@ def make_equivariant(spec: Equivariant) -> ImmersionPatch:
         return out
 
     law = AngleLaw(lambda u: equivariant_angle(gamma, n, np.asarray(u)[..., -1]), exact=True)
-    return ImmersionPatch.from_jets(sig, domain, jets, chart=chart, gamma=gamma, angle_law=law)
+    patch = ImmersionPatch.from_jets(sig, domain, jets, chart=chart, gamma=gamma, angle_law=law)
+    # |gamma| and |gamma'| of a catenoid grow toward the sector ends, so its frames
+    # are largest at the corners of the box
+    return _finite_frames(patch, np.stack(np.meshgrid(*domain, indexing="ij"), -1)
+                          .reshape(-1, n), ("gamma",))
 
 
 def equivariant_angle(gamma: Curve, n: int, s) -> np.ndarray:
     """The Lagrangian angle arg(gamma'(s) gamma(s)^(n-1)) of the equivariant family,
-    exact on the charts quadric_chart orients, broadcast over s."""
+    exact on the charts QuadricChart orients, broadcast over s."""
     g, dg = gamma.jets(s, 1)
     return np.angle(dg * g ** (n - 1))
 
@@ -520,21 +496,16 @@ def catenoid_curve(n: int, c: float, sector: int) -> Curve:
 
 
 def make_catenoid(spec: Catenoid) -> ImmersionPatch:
-    sig = spec.sig
-    curve = catenoid_curve(sig.n, spec.c, spec.sector)
-    # |gamma| and |gamma'| grow toward the sector ends, so the frames and their
-    # volume elements are largest at the corners of the parameter box; at the
-    # largest |c| the curve itself overflows, in make_equivariant's checks too
-    with np.errstate(over="ignore", invalid="ignore"):
-        patch = make_equivariant(Equivariant(
-            sig=sig, epsilon=spec.epsilon, gamma=curve,
+    curve = catenoid_curve(spec.sig.n, spec.c, spec.sector)
+    try:
+        return make_equivariant(Equivariant(
+            sig=spec.sig, epsilon=spec.epsilon, gamma=curve,
             chart_center=spec.chart_center, chart_half_width=spec.chart_half_width))
-        corners = np.stack(np.meshgrid(*patch.domain, indexing="ij"), -1).reshape(-1, sig.n)
-        dvol = frame_quantities(patch.d1(corners), sig)["dvol"]
-    if not np.isfinite(dvol).all():
-        raise FamilySpecError(f"|c| = {abs(spec.c):g} is too large: the volume element of "
-                              f"the frames overflows", ("c",))
-    return patch
+    except FamilySpecError as exc:
+        if exc.fields != ("gamma",):
+            raise
+        # c fixes the profile: at the largest |c| it or its frames overflow
+        raise FamilySpecError(f"|c| = {abs(spec.c):g} is too large: {exc}", ("c",)) from exc
 
 
 def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
@@ -555,7 +526,7 @@ def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
         raise FamilySpecError("the radial profile must stay positive on s_interval", ("r",))
     center = (np.asarray(spec.chart_center, dtype=float)
               if spec.chart_center is not None else find_quadric_point(M, spec.c, sig))
-    chart = quadric_chart(M, spec.c, sig, center, spec.chart_half_width)
+    chart = QuadricChart(M, spec.c, sig, center, spec.chart_half_width)
     n = sig.n
     r = spec.r
     domain = np.vstack([chart.box, list(spec.s_interval)])
@@ -589,8 +560,12 @@ def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
         u = np.asarray(u, dtype=float)
         return evolving_quadric_angle(spec, u[..., -1], chart.jets(u[..., :-1], 0)[0])
 
-    return ImmersionPatch.from_jets(sig, domain, jets, chart=chart, r=r,
-                                    angle_law=AngleLaw(law, exact=False))
+    patch = ImmersionPatch.from_jets(sig, domain, jets, chart=chart, r=r,
+                                     angle_law=AngleLaw(law, exact=False))
+    # the corners of the box may lie outside the chart's validity region: probe
+    # the chart center at both ends of s_interval
+    return _finite_frames(patch, np.column_stack([np.tile(chart.center_coords, (2, 1)),
+                                                  spec.s_interval]), ("r",))
 
 
 def evolving_quadric_angle(spec: EvolvingQuadric, s, x):

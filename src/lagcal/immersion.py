@@ -11,7 +11,7 @@ patch and a parameter point.
 import cmath
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -234,7 +234,11 @@ def patch_volume(patch: ImmersionPatch, grid) -> float:
 
 
 def reparametrize(patch: ImmersionPatch, matrix, offset, new_domain) -> ImmersionPatch:
-    """Affine change of parameters u = A v + b with exactly transformed jets."""
+    """Affine change of parameters u = A v + b with exactly transformed jets.
+
+    The new patch carries no ``meta``: the chart, curves and angle law of the
+    input are written in the input's coordinates.
+    """
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(offset, dtype=float)
     if a.shape != (patch.n, patch.n) or b.shape != (patch.n,):
@@ -253,7 +257,7 @@ def reparametrize(patch: ImmersionPatch, matrix, offset, new_domain) -> Immersio
             s = np.asarray(patch.d2(v @ a.T + b))
             return np.einsum("jk,ml,...jmz->...klz", a, a, s)
 
-    return replace(patch, domain=np.asarray(new_domain, dtype=float), f=f, d1=d1, d2=d2)
+    return ImmersionPatch(sig=patch.sig, domain=new_domain, f=f, d1=d1, d2=d2)
 
 
 def interior_samples(patch: ImmersionPatch, count: int, rng: np.random.Generator,

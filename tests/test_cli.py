@@ -271,6 +271,15 @@ def test_curvature_experiment_on_hopf():
                  id="catenoid-c-1e308"),
     pytest.param("verify", {"family": {"kind": "catenoid", "c": 1e200}}, [], "family.c",
                  id="catenoid-c-1e200"),
+    # a profile or radial profile whose frames' volume element overflows
+    pytest.param("verify", {"family": {"kind": "equivariant",
+                                       "gamma": {"form": "line", "z0": 1e200, "z1": [0, 1e200],
+                                                 "interval": [-0.8, 0.8]}}},
+                 [], "family.gamma", id="equivariant-gamma-1e200"),
+    pytest.param("verify", {"signature": {"p": 1, "n": 2},
+                            "family": {"kind": "evolving-quadric", "matrix": [[0, -1], [1, 0]],
+                                       "c": 2, "r": {"form": "constant", "value": 1e308}}},
+                 [], "family.r", id="evolving-quadric-r-1e308"),
 ])
 def test_cli_rejects_malformed_values(tmp_path, capsys, experiment, doc, args, fieldname):
     # command line overrides and document values pass the same validation;
@@ -283,6 +292,7 @@ def test_cli_rejects_malformed_values(tmp_path, capsys, experiment, doc, args, f
     err = capsys.readouterr().err
     assert err.startswith(f"error: {fieldname}: ")
     assert err.count("\n") == 1
+    assert "RuntimeWarning" not in err
 
 
 def test_catenoid_constant_1e100_stays_valid(tmp_path):
@@ -469,6 +479,10 @@ PRODUCT_NULL = {"kind": "product-null-curves",
                  {"kind": "equivariant",
                   "gamma": {"form": "samples", "s": [0, 0.3, 0.6, 1], "values": [1, 1, 1, 1]}},
                  "family.gamma", id="stationary-samples"),
+    # the build probes the box corners, where this chart of the circle has no real root
+    pytest.param({"p": 0, "n": 2},
+                 {**EQUIVARIANT_LINE, "chart_center": [0.7071067811865476, 0.7071067811865476]},
+                 "family.chart_center, family.chart_half_width", id="box-outside-chart"),
 ])
 def test_cli_names_fields_of_other_family_constraints(tmp_path, capsys, signature, family,
                                                       fieldname):
@@ -484,17 +498,19 @@ def test_cli_names_fields_of_other_family_constraints(tmp_path, capsys, signatur
 
 @pytest.mark.parametrize("value", [1e200, 1e308])
 def test_cli_rejects_an_overflowing_frame(tmp_path, capsys, value):
-    # a radial profile this large overflows the tangent frame, and
-    # lagrangian_angle_at raises DegenerateFrame saying so
+    # a radial profile this large overflows the tangent frame: the build's
+    # probe of the frames names it, before any sample and with no warning
     family = {"kind": "evolving-quadric", "matrix": [[0, -1], [1, 0]], "c": 2,
               "r": {"form": "constant", "value": value}}
     doc = {"signature": {"p": 1, "n": 2}, "family": family, "samples": 5}
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(["verify", "--config", str(write_config(tmp_path, doc)),
                      "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: the frame is not finite") and err.count("\n") == 1, err
+    assert err.startswith("error: family.r: the volume element of the frames overflows")
+    assert err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("experiment", ["calibrate", "plane-props"])

@@ -13,12 +13,14 @@ from conftest import (
     circle_equivariant_spec,
     expanding_quadric_spec,
     hyperbola_product_spec,
+    line_equivariant_spec,
     null_reparametrized_spiral,
     rotation_quadric_spec,
     small_circle_hopf_spec,
     spiral_lorentzian_surface,
     varying_profile_quadric_spec,
 )
+from lagcal.calibration import PerturbationSpec, hamiltonian_perturb
 from lagcal.core import (
     Signature,
     apply_J,
@@ -48,7 +50,6 @@ from lagcal.families import (
     evolving_quadric_angle,
     find_quadric_point,
     mat_exp_iMs,
-    quadric_chart,
     quadric_rhs,
     sample_quadric,
 )
@@ -140,7 +141,7 @@ def test_sample_quadric_rejects_cone():
     (np.diag([1.0, -1.0]), 1.0, Signature(0, 2), np.array([1.0, 0.0])),
 ])
 def test_quadric_chart_membership_jets_orientation(m, c, sig, center):
-    chart = quadric_chart(m, c, sig, center, half_width=0.3)
+    chart = QuadricChart(m, c, sig, center, half_width=0.3)
     rng = np.random.default_rng(4)
     n1 = sig.n - 1
     pts = rng.uniform(chart.box[:, 0] + 0.02, chart.box[:, 1] - 0.02, size=(12, n1))
@@ -198,7 +199,7 @@ def _loop_hessian(chart, x):
 def test_quadric_chart_jets_broadcast_over_stacks(m, c, sig, center, flipped):
     if center is None:
         center = find_quadric_point(m, c, sig)
-    chart = quadric_chart(m, c, sig, np.asarray(center), half_width=0.3)
+    chart = QuadricChart(m, c, sig, np.asarray(center), half_width=0.3)
     assert (chart.flip[0] < 0) == flipped
     n = sig.n
     rng = np.random.default_rng(12)
@@ -223,7 +224,7 @@ def test_quadric_chart_jets_broadcast_over_stacks(m, c, sig, center, flipped):
 
 def test_quadric_chart_rejects_off_quadric_center():
     with pytest.raises(FamilySpecError):
-        quadric_chart(np.eye(2), 1.0, Signature(0, 2), np.array([0.5, 0.5]))
+        QuadricChart(np.eye(2), 1.0, Signature(0, 2), np.array([0.5, 0.5]))
 
 
 # --- generators -------------------------------------------------------------------
@@ -351,6 +352,22 @@ def test_stacked_angle_laws_match_their_pointwise_closed_forms(family_catalog):
             assert circ_dist(beta, expected) <= 1e-15, name
     assert exact == {name: not name.startswith("quadric") for name, _ in family_catalog
                      if name.startswith(("equivariant", "catenoid", "quadric"))}
+
+
+def test_transformed_patches_carry_no_meta():
+    # a patch's chart, profile and angle law are written in its own coordinates:
+    # on the sheared line equivariant the base law, flagged exact, is off from
+    # the frame's angle by up to 0.05 rad, and a flowed patch is another surface
+    base = build_family(line_equivariant_spec())
+    assert set(base.meta) == {"chart", "gamma", "angle_law"}
+    c = base.domain.mean(axis=1)
+    shear = np.array([[1.0, 0.3], [0.4, 1.0]])
+    box = np.stack([c - base.widths / 8, c + base.widths / 8], axis=-1)
+    assert reparametrize(base, shear, c - shear @ c, box).meta == {}
+    spec = PerturbationSpec(center=c, radius=0.2, amplitude=0.05, steps=2)
+    assert hamiltonian_perturb(base, spec, grid=(16, 16)).meta == {}
+    # with nothing to flow the input itself comes back, meta and all
+    assert hamiltonian_perturb(base, dataclasses.replace(spec, amplitude=0.0)) is base
 
 
 def test_catenoid_curve_satisfies_defining_equation():

@@ -145,6 +145,15 @@ def test_degenerate_frame_rejected_by_angle():
         lagrangian_angle_at(patch, np.array([0.5, 0.5]))
 
 
+def test_angle_of_a_non_finite_frame_is_named():
+    # the last guard against an overflowing frame that a family's build let through
+    sig = Signature(0, 2)
+    patch = ImmersionPatch(sig=sig, domain=[[0, 1], [0, 1]], f=lambda u: u.astype(complex),
+                           d1=lambda u: np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex))
+    with np.errstate(all="ignore"), pytest.raises(DegenerateFrame, match="not finite"):
+        lagrangian_angle_at(patch, np.array([0.5, 0.5]))
+
+
 def test_dvol_equals_abs_hol_volume_on_lagrangian_patch():
     patch = lagrangian_graph_patch()
     rng = np.random.default_rng(0)
