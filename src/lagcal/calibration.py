@@ -74,6 +74,10 @@ class FlowDegeneracy(GeometryError):
     """The induced metric degenerated somewhere during the flow."""
 
 
+class NotMinimalError(DegenerateInput):
+    """The base patch of a volume comparison has no constant Lagrangian angle."""
+
+
 # --- frames -------------------------------------------------------------------
 
 def random_lagrangian_frames(sig: Signature, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -366,10 +370,12 @@ def volume_compare(base: ImmersionPatch, specs, grid, seed: int = 0,
     k = min(ANGLE_PROBES, int(counts.max()))
     diagonal = np.ravel_multi_index(tuple((np.arange(k)[:, None] * counts // k).T), counts)
     betas = [lagrangian_angle_at(base, u) for u in nodes[diagonal]]
-    base_beta_spread = circ_spread(betas)
-    if base_beta_spread > 1e-6:
-        raise DegenerateInput(
-            f"base patch is not minimal: angle spread {base_beta_spread:.3e}")
+    try:
+        spread = circ_spread(betas)
+    except DegenerateInput as exc:  # e.g. evenly spread angles: far from constant
+        raise NotMinimalError(f"base patch is not minimal: {exc}") from exc
+    if spread > 1e-6:
+        raise NotMinimalError(f"base patch is not minimal: angle spread {spread:.3e}")
 
     seeds = np.random.SeedSequence(seed).spawn(len(specs))
 
@@ -398,7 +404,7 @@ def volume_compare(base: ImmersionPatch, specs, grid, seed: int = 0,
     return VolumeCompareReport(base_volume=base_volume, results=tuple(results))
 
 
-def random_perturbations(patch: ImmersionPatch, count: int, seed) -> list[PerturbationSpec]:
+def random_perturbations(patch: ImmersionPatch, count: int, seed: int) -> list[PerturbationSpec]:
     """Seeded batch of admissible bump specs inside the patch domain.
 
     Amplitudes are uniform in [0.02, 0.2]; steps and step size keep the
@@ -406,7 +412,7 @@ def random_perturbations(patch: ImmersionPatch, count: int, seed) -> list[Pertur
     deformation field scales like 1 / radius^2, so small bumps at fixed
     amplitude push the flow into an under-resolved regime.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     widths = patch.widths
     lo = patch.domain[:, 0]
     specs = []

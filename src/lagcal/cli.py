@@ -43,6 +43,7 @@ from .core import (
 from .curvature import curvature_sample, minimality_residual
 from .families import FAMILY_KINDS, Curve, FamilySpecError, Hopf, build_family
 from .calibration import (
+    NotMinimalError,
     frame_quantities,
     random_lagrangian_frames,
     random_perturbations,
@@ -68,6 +69,10 @@ CURVATURE_SAMPLES = 300
 # Upper bound on samples: 10^7 frames already take gigabytes, and far larger
 # counts make numpy refuse the allocation with a bare ValueError.
 MAX_SAMPLES = 10 ** 7
+# Upper bound on signature.n: frames are n x n complex matrices, 256 KB each at
+# n = 128, and a dimension such as 10^10 makes numpy refuse the allocation with
+# a bare ValueError.
+MAX_N = 128
 
 
 class ConfigError(ValueError):
@@ -140,10 +145,13 @@ def _real(value, where: str) -> float:
     return float(value)
 
 
+def _is_integer(value, lo=-math.inf, hi=math.inf) -> bool:
+    # an int, not a bool (see _is_real) and not an integral float such as 2.0
+    return type(value) is int and lo <= value <= hi
+
+
 def _integer(value, where: str) -> int:
-    if type(value) is float and value.is_integer():
-        return int(value)
-    if type(value) is not int:
+    if not _is_integer(value):
         raise ConfigError(where, "must be an integer")
     return value
 
@@ -299,8 +307,10 @@ def validate_config(raw: dict) -> RunConfig:
     if not isinstance(sig_obj, dict):
         raise ConfigError("signature", "required object with integer keys p and n")
     _check_keys(sig_obj, {"p", "n"}, "signature")
-    p, n = (_integer(_require(sig_obj, key, "signature"), f"signature.{key}")
-            for key in ("p", "n"))
+    p = _integer(_require(sig_obj, "p", "signature"), "signature.p")
+    n = _require(sig_obj, "n", "signature")
+    if not _is_integer(n, 1, MAX_N):
+        raise ConfigError("signature.n", f"must be an integer in [1, {MAX_N}]")
     try:
         sig = Signature(p, n)
     except GeometryError as exc:
@@ -312,15 +322,14 @@ def validate_config(raw: dict) -> RunConfig:
     if experiment == "volume-compare" and n != 2:
         raise ConfigError("signature.n", "volume-compare deforms surfaces: n must be 2")
 
-    # JSON true and false decode to bool, a subclass of int: compare exact types.
     samples = raw.get("samples", 20 if experiment == "volume-compare" else 1000)
-    if type(samples) is not int or not 1 <= samples <= MAX_SAMPLES:
+    if not _is_integer(samples, 1, MAX_SAMPLES):
         raise ConfigError("samples", f"must be an integer in [1, {MAX_SAMPLES}]")
     if experiment == "volume-compare" and samples > 64:
         raise ConfigError("samples", "volume-compare runs at most 64 perturbations")
 
     seed = raw.get("seed", 42)
-    if type(seed) is not int or not 0 <= seed < 2 ** 64:
+    if not _is_integer(seed, 0, 2 ** 64 - 1):
         raise ConfigError("seed", "must fit an unsigned 64-bit integer")
 
     tol = raw.get("tol", 1e-9)
@@ -328,7 +337,7 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError("tol", "must be a positive finite number")
 
     grid = raw.get("grid", [])
-    if not isinstance(grid, list) or not all(type(g) is int and g >= 1 for g in grid):
+    if not isinstance(grid, list) or not all(_is_integer(g, 1) for g in grid):
         raise ConfigError("grid", "must be a list of integers >= 1")
     if len(grid) not in (0, 1, n):
         raise ConfigError("grid", f"must give one cell count or one per axis ({n}), "
@@ -367,12 +376,6 @@ def _config_echo(cfg: RunConfig) -> dict:
     }
 
 
-def _grid_for(cfg: RunConfig, n: int) -> list:
-    if cfg.grid:
-        return cfg.grid if len(cfg.grid) == n else [cfg.grid[0]] * n
-    return [64] * n
-
-
 # --- experiments ------------------------------------------------------------------
 
 def _sample_table(pts: np.ndarray, **columns) -> dict:
@@ -382,8 +385,7 @@ def _sample_table(pts: np.ndarray, **columns) -> dict:
 
 
 def _run_verify(cfg: RunConfig, patch) -> ExperimentReport:
-    rng = np.random.default_rng(cfg.seed)
-    pts = interior_samples(patch, cfg.samples, rng)
+    pts = interior_samples(patch, cfg.samples, np.random.default_rng(cfg.seed))
     defects, betas = np.empty((2, cfg.samples))
     negative, null = np.empty((2, cfg.samples), dtype=int)  # metric signature counts
     frame = tangent_frame(patch, pts)
@@ -393,13 +395,12 @@ def _run_verify(cfg: RunConfig, patch) -> ExperimentReport:
         betas[k] = lagrangian_angle_at(patch, u)
         negative[k], null[k] = metric_signature(g[k])[1:]
     bad_signature = int(np.count_nonzero((negative != cfg.signature.p) | (null != 0)))
-    report = minimality_residual(patch, min(cfg.samples, CURVATURE_SAMPLES),
-                                 np.random.default_rng(cfg.seed + 1))
     max_defect = float(np.max(defects))
     return ExperimentReport(
         passed=max_defect <= cfg.tol and bad_signature == 0,
         max_defect=max_defect, beta_mean=circ_mean(betas),
-        beta_spread=circ_spread(betas), residual=report.residual,
+        beta_spread=circ_spread(betas),
+        residual=minimality_residual(patch, pts[:CURVATURE_SAMPLES]),
         degenerate_count=bad_signature,
         table=_sample_table(pts, defect=defects, beta=betas, dvol=dv,
                             signature_negative=negative, signature_null=null))
@@ -476,7 +477,7 @@ def _run_calibrate(cfg: RunConfig, patch) -> ExperimentReport:
 
 def _run_volume_compare(cfg: RunConfig, patch) -> ExperimentReport:
     specs = random_perturbations(patch, cfg.samples, cfg.seed)
-    report = volume_compare(patch, specs, _grid_for(cfg, patch.n), seed=cfg.seed)
+    report = volume_compare(patch, specs, cfg.grid or [64], seed=cfg.seed)
     results = report.results
     perturbations = [r.spec for r in results]
     centers = np.array([s.center for s in perturbations], dtype=float)
@@ -553,16 +554,17 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     """Run one validated config: build its family, if it has one, run the
     experiment on it and stamp the report.  A family check that names the
     spec fields it reads (``sig.n``, ``sector``, ...) becomes a ConfigError
-    naming them."""
+    naming them, or naming ``family`` when it names none, as does a volume
+    comparison's refusal of a base that is not minimal."""
     try:
         patch = None if cfg.spec is None else build_family(cfg.spec)
         report = _RUNNERS[cfg.experiment](cfg, patch)
     except FamilySpecError as exc:
-        if not exc.fields:
-            raise
         names = ["signature" + f[3:] if f.split(".")[0] == "sig" else "family." + f
-                 for f in exc.fields]
+                 for f in exc.fields] or ["family"]
         raise ConfigError(", ".join(names), str(exc)) from exc
+    except NotMinimalError as exc:  # the base of a volume comparison is the family
+        raise ConfigError("family", str(exc)) from exc
     report.config, report.seed, report.version = _config_echo(cfg), cfg.seed, __version__
     return report
 

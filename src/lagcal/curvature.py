@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeometryError, Signature, circ_mean, circ_spread, metric
+from .core import GeometryError, Signature, circ_spread, metric
 from .immersion import (
     DegenerateFrame,
     ImmersionPatch,
     _frame_metric,
-    interior_samples,
     lagrangian_angle_at,
     lagrangian_defect,
     second_derivatives,
@@ -145,36 +144,11 @@ def curvature_sample(patch: ImmersionPatch, u) -> CurvatureSample:
     )
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
-    """Sampled minimality diagnostics of a Lagrangian patch."""
+def minimality_residual(patch: ImmersionPatch, pts) -> float:
+    """The larger of max |H| on the angle route and the circular spread of beta over pts.
 
-    max_h_norm: float
-    beta_mean: float
-    beta_spread: float
-    residual: float
-    samples: int
-
-
-def minimality_residual(patch: ImmersionPatch, sample_count: int = 1000,
-                        seed=0) -> MinimalityReport:
-    """Max |H| over sampled points together with the circular spread of beta.
-
-    The residual is the larger of the two figures; both vanish exactly
-    on minimal patches, where the angle is constant.
+    Both figures vanish exactly on minimal patches, where the angle is constant.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    pts = interior_samples(patch, sample_count, rng)
-    betas = np.empty(sample_count)
-    max_h = 0.0
-    for k, u in enumerate(pts):
-        betas[k] = lagrangian_angle_at(patch, u)
-        max_h = max(max_h, float(np.linalg.norm(mean_curvature_angle(patch, u))))
-    spread = circ_spread(betas)
-    return MinimalityReport(
-        max_h_norm=max_h,
-        beta_mean=circ_mean(betas),
-        beta_spread=spread,
-        residual=max(max_h, spread),
-        samples=sample_count,
-    )
+    betas = np.array([lagrangian_angle_at(patch, u) for u in pts])
+    max_h = max(float(np.linalg.norm(mean_curvature_angle(patch, u))) for u in pts)
+    return max(max_h, circ_spread(betas))

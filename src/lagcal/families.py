@@ -177,12 +177,12 @@ def quadric_rhs(M, sig: Signature, x) -> np.ndarray:
     return np.einsum("...i,ij,...j->...", x, q, x)
 
 
-def sample_quadric(M, c: float, sig: Signature, count: int, seed) -> np.ndarray:
+def sample_quadric(M, c: float, sig: Signature, count: int, seed: int) -> np.ndarray:
     """Points on <x, M x>_p = c by sphere rejection with radial rescaling."""
     if c == 0.0:
         raise FamilySpecError("sampling the cone c = 0 is unsupported; use explicit linear pieces",
                               ("c",))
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     out = []
     attempts = 0
     while len(out) < count:

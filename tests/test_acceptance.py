@@ -127,9 +127,9 @@ def _minimal_patches():
 def test_criterion_03_minimal_families_are_minimal():
     worst = {}
     for k, (name, patch) in enumerate(_minimal_patches()):
-        report = minimality_residual(patch, sample_count=1000, seed=33 + k)
-        worst[name] = report.residual
-        assert report.residual < 1e-6, (name, report.residual)
+        pts = interior_samples(patch, 1000, np.random.default_rng(33 + k))
+        worst[name] = residual = minimality_residual(patch, pts)
+        assert residual < 1e-6, (name, residual)
     top = max(worst.values())
     _pass(3, f"{len(worst)} minimal generators, residual <= {top:.2e} over 1000 points each")
 
@@ -137,8 +137,8 @@ def test_criterion_03_minimal_families_are_minimal():
 def test_criterion_04_nonminimal_quadric_detected():
     spec = expanding_quadric_spec()
     patch = build_family(spec)
-    report = minimality_residual(patch, sample_count=400, seed=44)
-    assert report.residual > 1e-2
+    residual = minimality_residual(patch, interior_samples(patch, 400, np.random.default_rng(44)))
+    assert residual > 1e-2
 
     chart = patch.meta["chart"]
     slopes = []
@@ -149,7 +149,7 @@ def test_criterion_04_nonminimal_quadric_detected():
         slopes.append(np.polyfit(ss, betas, 1)[0])
     slope_err = max(abs(s - 2.0) for s in slopes)
     assert slope_err < 1e-6
-    _pass(4, f"tr M = 2 quadric: residual {report.residual:.2e} > 1e-2, "
+    _pass(4, f"tr M = 2 quadric: residual {residual:.2e} > 1e-2, "
              f"angle slope 2 within {slope_err:.2e}")
 
 

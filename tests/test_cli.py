@@ -19,7 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from lagcal.cli import (
     CURVE,
+    CURVATURE_SAMPLES,
     FAMILY_KINDS,
+    MAX_N,
     MAX_SAMPLES,
     PAIR,
     PROFILE,
@@ -31,7 +33,8 @@ from lagcal.cli import (
     run_experiment,
 )
 from lagcal.core import STACK_BLOCK
-from lagcal.families import Curve
+from lagcal.curvature import minimality_residual
+from lagcal.families import Curve, FamilySpecError, build_family
 
 CATENOID_CONFIG = {
     "signature": {"p": 0, "n": 2},
@@ -251,6 +254,11 @@ def test_curvature_experiment_on_hopf():
     assert report.residual < 1e-5
 
 
+EQUIVARIANT_LINE = {"kind": "equivariant", "epsilon": 1,
+                    "gamma": {"form": "line", "z0": 1, "z1": [0, 1], "interval": [-0.8, 0.8]}}
+HOPF_GREAT_CIRCLE = {"kind": "hopf", "gamma": {"form": "great-circle"}}
+
+
 @pytest.mark.parametrize("experiment, doc, args, fieldname", [
     pytest.param("verify", {}, ["--samples", "0"], "samples", id="samples-flag-0"),
     pytest.param("volume-compare", {}, ["--samples", "65"], "samples", id="samples-flag-65"),
@@ -266,6 +274,22 @@ def test_curvature_experiment_on_hopf():
     pytest.param("volume-compare", {"grid": [1000000]}, [], "grid", id="grid-too-many-nodes"),
     pytest.param("volume-compare", {"signature": {"p": 1, "n": 3}, "grid": [8]}, [],
                  "signature.n", id="volume-compare-n-3"),
+    # validation refuses the dimension before anything of size n is allocated
+    pytest.param("verify", {"signature": {"p": 0, "n": 10 ** 10}, "family": {"kind": "flat"}},
+                 [], "signature.n", id="n-1e10"),
+    pytest.param("calibrate", {"signature": {"p": 0, "n": 10 ** 10}, "family": None},
+                 [], "signature.n", id="calibrate-n-1e10"),
+    # every integer field takes ints only, not integral floats
+    pytest.param("verify", {"signature": {"p": 0, "n": 2.0}}, [], "signature.n",
+                 id="n-integral-float"),
+    pytest.param("verify", {"family": {**CATENOID_CONFIG["family"], "epsilon": 1.0}}, [],
+                 "family.epsilon", id="epsilon-integral-float"),
+    # the base of a volume comparison must be minimal; the Hopf great circle's
+    # probe angles are evenly spread and have no circular mean
+    pytest.param("volume-compare", {"family": EQUIVARIANT_LINE, "grid": [8]}, [], "family",
+                 id="volume-compare-line-equivariant"),
+    pytest.param("volume-compare", {"family": HOPF_GREAT_CIRCLE, "grid": [8]}, [], "family",
+                 id="volume-compare-hopf"),
     # the curve itself overflows at 1e308; at 1e200 only the frames' volume element does
     pytest.param("verify", {"family": {"kind": "catenoid", "c": 1e308}}, [], "family.c",
                  id="catenoid-c-1e308"),
@@ -284,7 +308,8 @@ def test_curvature_experiment_on_hopf():
 def test_cli_rejects_malformed_values(tmp_path, capsys, experiment, doc, args, fieldname):
     # command line overrides and document values pass the same validation;
     # the error line is all that is printed, with no warning on the way
-    path = write_config(tmp_path, {**CATENOID_CONFIG, "samples": 5, **doc})
+    doc = {**CATENOID_CONFIG, "samples": 5, **doc}  # a None value drops its key
+    path = write_config(tmp_path, {k: v for k, v in doc.items() if v is not None})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main([experiment, "--config", str(path), "--out", str(tmp_path / "o"), *args])
@@ -313,8 +338,7 @@ def test_catenoid_constant_1e100_stays_valid(tmp_path):
                              "interval": [0.05, 1.5]},
                   "gamma2": {"form": "real-exp", "c1": [-0.5, 1], "c2": [-0.5, -1],
                              "interval": [-1.5, -0.05]}}, id="product-null-curves"),
-    pytest.param({"p": 0, "n": 2}, {"kind": "hopf", "gamma": {"form": "great-circle"}},
-                 id="hopf"),
+    pytest.param({"p": 0, "n": 2}, HOPF_GREAT_CIRCLE, id="hopf"),
 ])
 def test_angle_needs_a_family_with_an_angle_law(tmp_path, capsys, signature, family):
     doc = {"signature": signature, "family": family, "samples": 5}
@@ -329,8 +353,6 @@ def test_angle_needs_a_family_with_an_angle_law(tmp_path, capsys, signature, fam
     assert err.count("\n") == 1
 
 
-EQUIVARIANT_LINE = {"kind": "equivariant", "epsilon": 1,
-                    "gamma": {"form": "line", "z0": 1, "z1": [0, 1], "interval": [-0.8, 0.8]}}
 EVOLVING_QUADRIC = {"kind": "evolving-quadric", "matrix": [[1, 0], [0, -1]], "c": 1,
                     "chart_center": [1.0, 0.0], "chart_half_width": 0.3}
 
@@ -388,6 +410,37 @@ def test_cli_names_fields_of_family_constraints(tmp_path, capsys, change, fieldn
     err = capsys.readouterr().err
     assert err.startswith(f"error: {fieldname}: ")
     assert err.count("\n") == 1
+
+
+def test_family_errors_that_name_no_field_name_the_family(tmp_path, capsys, monkeypatch):
+    # e.g. the quadric chart's vanishing-gradient checks, which name no spec field
+    import lagcal.cli as cli
+
+    def degenerate_chart(spec):
+        raise FamilySpecError("quadric chart degenerates (vanishing gradient)")
+
+    monkeypatch.setattr(cli, "build_family", degenerate_chart)
+    code = main(["verify", "--config", str(write_config(tmp_path, CATENOID_CONFIG)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: family: quadric chart degenerates (vanishing gradient)\n")
+
+
+@pytest.mark.parametrize("samples", [20, CURVATURE_SAMPLES + 5])
+def test_verify_residual_scores_its_own_samples(tmp_path, samples):
+    # the residual is minimality_residual on the first min(samples, 300) points
+    # of samples.csv; the line equivariant is not minimal, so it is far from 0
+    doc = {"signature": {"p": 0, "n": 2}, "family": EQUIVARIANT_LINE, "samples": samples}
+    assert main(["verify", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "samples.csv", newline="") as handle:
+        pts = np.array([[float(row["u0"]), float(row["u1"])] for row in csv.DictReader(handle)])
+    assert len(pts) == samples
+    residual = json.loads((tmp_path / "o" / "report.json").read_text())["residual"]
+    spec = parse_config(json.dumps({**doc, "experiment": "verify"})).spec
+    expected = minimality_residual(build_family(spec), pts[:CURVATURE_SAMPLES])
+    assert residual == expected > 0.1
 
 
 @pytest.mark.parametrize("family", [
@@ -638,7 +691,7 @@ def small_config(experiment):
 # state the size of the numerical drift, and another build may round
 # differently and fail here with lagcal unchanged.
 OUTPUT_DIGESTS = {
-    "verify": ("27641cb3937a4a1e328f0a53bd4d286a7ae4057a22c55e1a3bc16e1f62896d2f",
+    "verify": ("06c6126ae7464aba584d62d193aa7b446b44a149e874f64702a704d1a6092bfd",
                "d9049b6dc92accf6719d21008801dec5c513ac2d7125ef3a6af3c92a2a3a2848"),
     "angle": ("75924409263b482c7c1a24b4307db7e883cd03a732fd2e690a17f63dba79146e",
               "f5b382f8af238ada11fc2180a9ddd282cdd80ef0e447a4c2484d261b46386971"),
@@ -795,7 +848,8 @@ NON_INTEGRAL = st.floats(allow_nan=False, allow_infinity=False).filter(
 # by the quadric chart, naming signature.n.
 OUT_OF_RANGE = {
     "signature.p": st.integers(max_value=-1) | st.integers(min_value=3) | NON_INTEGRAL,
-    "signature.n": st.integers(max_value=1) | NON_INTEGRAL,
+    "signature.n": (st.integers(max_value=1) | st.integers(min_value=MAX_N + 1)
+                    | NON_INTEGRAL),
     "family.c": st.sampled_from([0, 0.0, -0.0]),
     "family.epsilon": st.integers().filter(lambda e: e not in (-1, 1)) | NON_INTEGRAL,
     "family.sector": st.integers(max_value=-1) | st.integers(min_value=4) | NON_INTEGRAL,
@@ -867,7 +921,7 @@ KIND_DOCUMENTS = {
     "catenoid": ({"p": 0, "n": 2}, CATENOID_CONFIG["family"]),
     "evolving-quadric": ({"p": 0, "n": 2}, EVOLVING_QUADRIC),
     "product-null-curves": ({"p": 1, "n": 2}, PRODUCT_NULL),
-    "hopf": ({"p": 0, "n": 2}, {"kind": "hopf", "gamma": {"form": "great-circle"}}),
+    "hopf": ({"p": 0, "n": 2}, HOPF_GREAT_CIRCLE),
 }
 
 

@@ -14,7 +14,6 @@ from conftest import (
 from lagcal.core import Signature, metric
 from lagcal.curvature import (
     BETA_STEP,
-    MinimalityReport,
     NotLagrangianError,
     _solve_gram,
     angle_gradient,
@@ -218,13 +217,14 @@ def test_minimality_residuals():
         build_family(hyperbola_product_spec()),
     ]
     for patch in minimal:
-        report = minimality_residual(patch, sample_count=200, seed=6)
-        assert isinstance(report, MinimalityReport)
-        assert report.residual < 1e-6
+        residual = minimality_residual(patch, interior_samples(patch, 200,
+                                                               np.random.default_rng(6)))
+        assert isinstance(residual, float)
+        assert residual < 1e-6
 
-    report = minimality_residual(build_family(expanding_quadric_spec()),
-                                 sample_count=200, seed=7)
-    assert report.residual > 0.1
+    patch = build_family(expanding_quadric_spec())
+    assert minimality_residual(patch, interior_samples(patch, 200,
+                                                       np.random.default_rng(7))) > 0.1
 
 
 def test_gram_solve_judges_the_scaled_determinant():
