@@ -62,7 +62,7 @@ from .spline import NotAKnotBicubic
 
 AMBIENT_BOUND = 1e6
 FLOW_GRID = (128, 128)
-# volume_compare checks that the base angle is constant at this many nodes
+# volume_compare checks that the base angle is constant at this many points of the box diagonal
 ANGLE_PROBES = 64
 
 
@@ -364,12 +364,11 @@ def volume_compare(base: ImmersionPatch, specs, grid, seed: int = 0,
     if np.any(base_flags):
         raise DegenerateInput("base patch is degenerate on the quadrature grid")
     base_volume = float(np.sum(base_dv) * cell)
-    # probe along the grid's diagonal, so that every axis runs through its whole
-    # range; the longest axis advances at every step, so no node repeats
-    counts = np.broadcast_to(np.asarray(grid, dtype=int), (base.n,))
-    k = min(ANGLE_PROBES, int(counts.max()))
-    diagonal = np.ravel_multi_index(tuple((np.arange(k)[:, None] * counts // k).T), counts)
-    betas = [lagrangian_angle_at(base, u) for u in nodes[diagonal]]
+    # probe the midpoints of ANGLE_PROBES cells on the box diagonal, whatever the grid,
+    # so that every axis runs through its whole range
+    lo = base.domain[:, 0]
+    diagonal = lo + base.widths / ANGLE_PROBES * (np.arange(ANGLE_PROBES)[:, None] + 0.5)
+    betas = [lagrangian_angle_at(base, u) for u in diagonal]
     try:
         spread = circ_spread(betas)
     except DegenerateInput as exc:  # e.g. evenly spread angles: far from constant

@@ -184,8 +184,8 @@ def _complex(value, where: str) -> complex:
 
 def _interval(value, where: str) -> tuple[float, float]:
     if (not isinstance(value, list) or len(value) != 2 or not all(map(_is_real, value))
-            or not value[0] < value[1]):
-        raise ConfigError(where, "intervals are [lo, hi] with lo < hi")
+            or not 0.0 < float(value[1]) - float(value[0]) < math.inf):
+        raise ConfigError(where, "intervals are [lo, hi] with lo < hi and a finite width hi - lo")
     return float(value[0]), float(value[1])
 
 

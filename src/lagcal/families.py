@@ -214,8 +214,9 @@ class QuadricChart:
     """
 
     def __init__(self, M, c: float, sig: Signature, center, half_width: float = CHART_HALF_WIDTH):
-        if not half_width > 0.0:
-            raise FamilySpecError("the chart half-width must be positive", ("chart_half_width",))
+        if not 0.0 < 2.0 * float(half_width) < np.inf:
+            raise FamilySpecError("the chart half-width must be positive and the box width "
+                                  "2 half_width finite", ("chart_half_width",))
         if sig.n < 2:
             raise FamilySpecError("quadric charts need n >= 2", ("sig.n",))
         n = sig.n
@@ -223,10 +224,11 @@ class QuadricChart:
         center = np.asarray(center, dtype=float)
         if center.shape != (n,):
             raise DimensionMismatch(f"center must have shape ({n},)")
-        residual = float(quadric_rhs(M, sig, center)) - c
-        if abs(residual) > 1e-9 * max(abs(c), float(np.dot(center, center)), 1.0):
-            raise FamilySpecError(f"chart center misses the quadric by {residual:.3e}",
-                                  ("chart_center",))
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge center misses the quadric
+            residual = float(quadric_rhs(M, sig, center)) - c
+            if not abs(residual) <= 1e-9 * max(abs(c), center @ center, 1.0) < np.inf:
+                raise FamilySpecError(f"chart center misses the quadric by {residual:.3e}",
+                                      ("chart_center",))
         q = sig.eps[:, None] * M
         grad = 2.0 * q @ center
         m = int(np.argmax(np.abs(grad)))
@@ -270,7 +272,7 @@ class QuadricChart:
         x[..., free] = y
         if abs(a) > 1e-13:
             disc = b * b - a * cc
-            if (disc <= 0.0).any():
+            if not (disc > 0.0).all():  # a NaN discriminant, too
                 raise FamilySpecError("quadric chart left its validity region (no real root)",
                                       ("chart_center", "chart_half_width"))
             x[..., m] = (-b + self.branch * np.sqrt(disc)) / a
@@ -379,13 +381,15 @@ FAMILY_KINDS = {
 # --- generators ----------------------------------------------------------------
 
 def _finite_frames(patch: ImmersionPatch, probe, fields: tuple) -> ImmersionPatch:
-    """The patch, if the volume element of its frames is finite at the probe points
-    (k, n); else a FamilySpecError naming fields.  The probe draws no random numbers."""
+    """The patch, if the volume element of its frames at the probe points (k, n) is finite
+    and frame_quantities flags none degenerate; else a FamilySpecError naming fields.  The
+    one build-time check of every curved family's frames; it draws no random numbers."""
     with np.errstate(over="ignore", invalid="ignore"):
-        dvol = frame_quantities(patch.d1(probe), patch.sig)["dvol"]
-    if not np.isfinite(dvol).all():
-        raise FamilySpecError(f"the volume element of the frames overflows at u = "
-                              f"{probe[~np.isfinite(dvol)][0]}", fields)
+        q = frame_quantities(patch.d1(probe), patch.sig)
+    for bad, what in ((~np.isfinite(q["dvol"]), "overflows"), (q["degenerate"], "degenerates")):
+        if bad.any():
+            raise FamilySpecError(f"the volume element of the frames {what} at u = "
+                                  f"{probe[bad][0]}", fields)
     return patch
 
 
@@ -406,13 +410,6 @@ def make_equivariant(spec: Equivariant) -> ImmersionPatch:
         raise FamilySpecError("the quadric <x,x>_p = 1 is empty for p = n", ("sig", "epsilon"))
     if spec.epsilon == -1 and sig.p == 0:
         raise FamilySpecError("the quadric <x,x>_p = -1 is empty for p = 0", ("sig.p", "epsilon"))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing profile fails the probe
-        values, speeds = map(np.abs, gamma.jets(np.linspace(*gamma.interval, 64), 1))
-    if np.min(values) < 1e-12:
-        raise FamilySpecError("the profile curve must avoid the origin", ("gamma",))
-    if np.min(speeds) < 1e-12 * np.max(values):
-        raise FamilySpecError("the profile curve must not be stationary: gamma' vanishes",
-                              ("gamma",))
     if spec.chart_center is not None:
         center = np.asarray(spec.chart_center, dtype=float)
     else:
@@ -444,10 +441,17 @@ def make_equivariant(spec: Equivariant) -> ImmersionPatch:
 
     law = AngleLaw(lambda u: equivariant_angle(gamma, n, np.asarray(u)[..., -1]), exact=True)
     patch = ImmersionPatch.from_jets(sig, domain, jets, chart=chart, gamma=gamma, angle_law=law)
-    # |gamma| and |gamma'| of a catenoid grow toward the sector ends, so its frames
-    # are largest at the corners of the box
-    return _finite_frames(patch, np.stack(np.meshgrid(*domain, indexing="ij"), -1)
-                          .reshape(-1, n), ("gamma",))
+    # 64 profile points at two box points y (t by the chart's flip, which keeps the box):
+    # the corner farthest from 0, and the least root |x_m| = sqrt(disc), per axis the far
+    # end where eps_f eps_m > 0, else the point nearest 0; the box has a root if it has
+    lo, hi = chart.box.T
+    far = np.where(hi >= -lo, hi, lo)
+    least = np.where(sig.eps[chart.free] * sig.eps[chart.solve_index] > 0.0, far,
+                     np.clip(0.0, lo, hi))
+    t = chart.center_coords + chart.flip * (np.stack([least, far]) - chart.center_coords)
+    return _finite_frames(patch, np.column_stack([np.repeat(t, 64, axis=0),
+                                                  np.tile(np.linspace(*gamma.interval, 64), 2)]),
+                          ("gamma",))
 
 
 def equivariant_angle(gamma: Curve, n: int, s) -> np.ndarray:
@@ -504,8 +508,8 @@ def make_catenoid(spec: Catenoid) -> ImmersionPatch:
     except FamilySpecError as exc:
         if exc.fields != ("gamma",):
             raise
-        # c fixes the profile: at the largest |c| it or its frames overflow
-        raise FamilySpecError(f"|c| = {abs(spec.c):g} is too large: {exc}", ("c",)) from exc
+        # c fixes the profile: at the largest |c| its frames overflow
+        raise FamilySpecError(f"the profile of c = {spec.c:g}: {exc}", ("c",)) from exc
 
 
 def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
@@ -562,8 +566,7 @@ def make_evolving_quadric(spec: EvolvingQuadric) -> ImmersionPatch:
 
     patch = ImmersionPatch.from_jets(sig, domain, jets, chart=chart, r=r,
                                      angle_law=AngleLaw(law, exact=False))
-    # the corners of the box may lie outside the chart's validity region: probe
-    # the chart center at both ends of s_interval
+    # the box corners may have no chart root: probe its center at both ends of s_interval
     return _finite_frames(patch, np.column_stack([np.tile(chart.center_coords, (2, 1)),
                                                   spec.s_interval]), ("r",))
 
@@ -615,17 +618,12 @@ def make_product_null_curves(spec: ProductNullCurves) -> ImmersionPatch:
             out.append(second)
         return out
 
-    # Sampled non-degeneracy of the cross pairing <gamma_1', J gamma_2'>.
-    du = embed(spec.gamma1.jets(np.linspace(*spec.gamma1.interval, 12), 1)[1])[:, None, :]
-    dv = embed(spec.gamma2.jets(np.linspace(*spec.gamma2.interval, 12), 1)[1])[None, :, :]
-    pairings = metric(du, 1j * dv, sig)
-    norms = np.linalg.norm(du, axis=-1) * np.linalg.norm(dv, axis=-1)
-    if np.min(np.abs(pairings) / np.maximum(norms, 1e-300)) < 1e-8:
-        raise FamilySpecError("degenerate immersion: the cross pairing <gamma_1', J gamma_2'> "
-                              "vanishes", ("gamma1", "gamma2"))
-
     domain = np.array([list(spec.gamma1.interval), list(spec.gamma2.interval)])
-    return ImmersionPatch.from_jets(sig, domain, jets)
+    # a 12 x 12 grid; the frames degenerate where <gamma_1', J gamma_2'> vanishes
+    u, v = (np.linspace(lo, hi, 12) for lo, hi in domain)
+    return _finite_frames(ImmersionPatch.from_jets(sig, domain, jets),
+                          np.column_stack([np.repeat(u, 12), np.tile(v, 12)]),
+                          ("gamma1", "gamma2"))
 
 
 def make_hopf(spec: Hopf) -> ImmersionPatch:
@@ -636,14 +634,15 @@ def make_hopf(spec: Hopf) -> ImmersionPatch:
     gamma = spec.gamma
     lo, hi = gamma.interval
     ss = np.linspace(lo, hi, 64)
-    vals, ders = map(np.asarray, gamma.jets(ss, 1))
-    norms = np.linalg.norm(vals, axis=-1)
-    if np.max(np.abs(norms - 1.0)) > 1e-9:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing curve fails the probe
+        vals, ders = map(np.asarray, gamma.jets(ss, 1))
+        off_sphere = np.max(np.abs(np.linalg.norm(vals, axis=-1) - 1.0)) > 1e-9
+        # det g cancels at O(1), below what frame_quantities flags as degenerate
+        speed2 = np.sum(np.abs(ders) ** 2, axis=-1)
+        det_g = speed2 - metric(ders, 1j * vals, sig) ** 2
+    if off_sphere:
         raise FamilySpecError(
             "the profile curve must lie on the unit sphere |gamma| = 1", ("gamma",))
-    pairing = metric(ders, 1j * vals, sig)
-    speed2 = np.sum(np.abs(ders) ** 2, axis=-1)
-    det_g = speed2 - pairing ** 2
     if np.min(np.abs(det_g)) < 1e-10 * max(np.max(speed2), 1.0):
         raise FamilySpecError(
             "degenerate immersion: the curve follows the circle action", ("gamma",))
@@ -664,7 +663,8 @@ def make_hopf(spec: Hopf) -> ImmersionPatch:
         return out
 
     domain = np.array([[lo, hi], [0.0, 2.0 * np.pi]])
-    return ImmersionPatch.from_jets(sig, domain, jets)
+    return _finite_frames(ImmersionPatch.from_jets(sig, domain, jets),
+                          np.column_stack([ss, np.zeros_like(ss)]), ("gamma",))
 
 
 GENERATORS = {

@@ -290,6 +290,27 @@ HOPF_GREAT_CIRCLE = {"kind": "hopf", "gamma": {"form": "great-circle"}}
                  id="volume-compare-line-equivariant"),
     pytest.param("volume-compare", {"family": HOPF_GREAT_CIRCLE, "grid": [8]}, [], "family",
                  id="volume-compare-hopf"),
+    # the base angle's probe does not depend on the grid: one cell does not hide it
+    pytest.param("volume-compare", {"family": EQUIVARIANT_LINE, "grid": [1]}, [], "family",
+                 id="volume-compare-line-equivariant-grid-1"),
+    # an interval or a chart box whose width overflows
+    pytest.param("verify", {"family": {**HOPF_GREAT_CIRCLE,
+                                       "gamma": {"form": "great-circle",
+                                                 "interval": [-1e308, 1e308]}}},
+                 [], "family.gamma.interval", id="interval-width-overflows"),
+    pytest.param("verify", {"signature": {"p": 1, "n": 2},
+                            "family": {"kind": "evolving-quadric", "matrix": [[0, -1], [1, 0]],
+                                       "c": 2, "chart_half_width": 1e308}},
+                 [], "family.chart_half_width", id="chart-box-width-overflows"),
+    # a chart center whose residual overflows misses the quadric; a box whose
+    # discriminant is NaN has no chart root
+    pytest.param("verify", {"signature": {"p": 1, "n": 3},
+                            "family": {"kind": "catenoid", "c": 1,
+                                       "chart_center": [1e200, 1e200, 1e200]}},
+                 [], "family.chart_center", id="chart-center-1e200"),
+    pytest.param("verify", {"signature": {"p": 1, "n": 3},
+                            "family": {"kind": "catenoid", "c": 1, "chart_half_width": 1e200}},
+                 [], "family.chart_center, family.chart_half_width", id="chart-half-width-1e200"),
     # the curve itself overflows at 1e308; at 1e200 only the frames' volume element does
     pytest.param("verify", {"family": {"kind": "catenoid", "c": 1e308}}, [], "family.c",
                  id="catenoid-c-1e308"),
@@ -532,10 +553,15 @@ PRODUCT_NULL = {"kind": "product-null-curves",
                  {"kind": "equivariant",
                   "gamma": {"form": "samples", "s": [0, 0.3, 0.6, 1], "values": [1, 1, 1, 1]}},
                  "family.gamma", id="stationary-samples"),
-    # the build probes the box corners, where this chart of the circle has no real root
+    # the build probes the box point of least chart root, where these charts have none
     pytest.param({"p": 0, "n": 2},
                  {**EQUIVARIANT_LINE, "chart_center": [0.7071067811865476, 0.7071067811865476]},
                  "family.chart_center, family.chart_half_width", id="box-outside-chart"),
+    pytest.param({"p": 1, "n": 3},
+                 {"kind": "catenoid", "c": 1, "chart_center": [0, 0.7, 0.714142842854285]},
+                 "family.chart_center, family.chart_half_width", id="box-inside-without-root"),
+    pytest.param({"p": 0, "n": 40}, {"kind": "equivariant", "gamma": {"form": "circle"}},
+                 "family.chart_center, family.chart_half_width", id="equivariant-n-40"),
 ])
 def test_cli_names_fields_of_other_family_constraints(tmp_path, capsys, signature, family,
                                                       fieldname):
@@ -549,20 +575,34 @@ def test_cli_names_fields_of_other_family_constraints(tmp_path, capsys, signatur
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("value", [1e200, 1e308])
-def test_cli_rejects_an_overflowing_frame(tmp_path, capsys, value):
-    # a radial profile this large overflows the tangent frame: the build's
-    # probe of the frames names it, before any sample and with no warning
-    family = {"kind": "evolving-quadric", "matrix": [[0, -1], [1, 0]], "c": 2,
-              "r": {"form": "constant", "value": value}}
-    doc = {"signature": {"p": 1, "n": 2}, "family": family, "samples": 5}
+def product_null(**gamma1):
+    return {**PRODUCT_NULL, "gamma1": {**PRODUCT_NULL["gamma1"], **gamma1}}
+
+
+@pytest.mark.parametrize("signature, family, fieldname", [
+    *(pytest.param({"p": 1, "n": 2},
+                   {"kind": "evolving-quadric", "matrix": [[0, -1], [1, 0]], "c": 2,
+                    "r": {"form": "constant", "value": value}},
+                   "family.r", id=f"{value}") for value in (1e200, 1e308)),
+    pytest.param({"p": 0, "n": 2},
+                 {"kind": "hopf", "gamma": {"form": "torus", "alpha": 0.5, "k1": 1, "k2": 1e300}},
+                 "family.gamma", id="hopf-torus-k2-1e300"),
+    pytest.param({"p": 1, "n": 2}, product_null(interval=[0.05, 800]),
+                 "family.gamma1, family.gamma2", id="product-null-interval-800"),
+    pytest.param({"p": 1, "n": 2}, product_null(c1=[1e200, 1]),
+                 "family.gamma1, family.gamma2", id="product-null-c1-1e200"),
+])
+def test_cli_rejects_an_overflowing_frame(tmp_path, capsys, signature, family, fieldname):
+    # a curve this large overflows the tangent frame: the build's probe of the
+    # frames names it, before any sample and with no warning
+    doc = {"signature": signature, "family": family, "samples": 5}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["verify", "--config", str(write_config(tmp_path, doc)),
                      "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: family.r: the volume element of the frames overflows")
+    assert err.startswith(f"error: {fieldname}: the volume element of the frames overflows")
     assert err.count("\n") == 1, err
 
 

@@ -26,6 +26,7 @@ from lagcal.core import (
     apply_J,
     circ_dist,
     circ_spread,
+    frame_quantities,
     from_components,
     herm_form,
     metric,
@@ -462,6 +463,20 @@ def test_quadric_chart_families_name_a_non_positive_half_width(half_width):
     assert info.value.fields == ("chart_half_width",)
 
 
+def test_build_probes_as_many_frames_at_every_dimension(monkeypatch):
+    # the build probes a fixed set of frames, not the 2^n corners of the box
+    probed = []
+
+    def counted(frames, sig):
+        probed.append(len(frames))
+        return frame_quantities(frames, sig)
+
+    monkeypatch.setattr("lagcal.families.frame_quantities", counted)
+    for n in (4, 16):
+        build_family(Catenoid(sig=Signature(1, n), c=1.0, epsilon=-1))
+    assert len(probed) == 2 and probed[0] == probed[1], probed
+
+
 def test_spline_curves_match_analytic_exponentials():
     # a complex profile gamma and a real coefficient pair, each through 41 samples
     spiral = Curve.exponential(1.0, complex(np.cos(0.6), np.sin(0.6)), (-0.5, 0.5))
@@ -602,7 +617,8 @@ def test_product_null_rejects_non_null_plane():
 
 
 def test_product_null_flags_degenerate_cross_pairing():
-    # parallel coefficient velocities kill <gamma_1', J gamma_2'> identically
+    # parallel coefficient velocities kill <gamma_1', J gamma_2'> identically, so
+    # the build's probe finds the frames degenerate
     same = Curve.exponential([1.0, 1.0], [1.0, 1.0], (-0.5, 0.5))
     with pytest.raises(FamilySpecError) as info:
         build_family(ProductNullCurves(sig=SIG12, gamma1=same, gamma2=same))
