@@ -123,11 +123,13 @@ def frame_quantities(frames, sig: Signature) -> dict:
 
     ``defect`` is the largest symplectic pairing between two frame vectors
     over their Euclidean norms (zero on Lagrangian frames; a zero vector
-    pairs to 0).  ``dvol`` = sqrt|det Re gram| is ``degenerate`` when at
-    most DEGENERACY_TOL times ``scale``, the product of the vector norms.
-    ``omega_det`` = det frame has argument ``beta``.  Its modulus is |det M|
-    of the coefficient matrix M = frame * eps = [<<X_j, e_k>>_p], since
-    |det diag(eps)| = 1, and equals dvol exactly on Lagrangian frames.
+    pairs to 0).  ``dvol`` = sqrt|det Re gram|.  ``omega_det`` = det frame has
+    argument ``beta`` and modulus |det M| of M = frame * eps = [<<X_j, e_k>>_p],
+    since |det diag(eps)| = 1: dvol exactly on Lagrangian frames.  As in
+    lagrangian_angle_at, a frame is ``degenerate`` when min(dvol, |omega_det|)
+    <= DEGENERACY_TOL * ``scale``, the product of the vector norms: a frame that
+    loses rank has |omega_det| ~1e-16 scale, which the square root in dvol
+    lifts to ~1e-8 scale, and a span containing a complex line has no angle.
 
     The stack runs in consecutive blocks of STACK_BLOCK frames, each
     written into one preallocated output per quantity.  Every quantity
@@ -161,7 +163,7 @@ def _frame_block(frames: np.ndarray, sig: Signature) -> dict:
         "beta": np.angle(det),
         "dvol": dvol,
         "scale": scale,
-        "degenerate": dvol <= DEGENERACY_TOL * np.maximum(scale, TINY),
+        "degenerate": np.minimum(dvol, np.abs(det)) <= DEGENERACY_TOL * np.maximum(scale, TINY),
         "omega_det": det,
     }
 

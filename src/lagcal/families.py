@@ -50,6 +50,7 @@ from .spline import cubic_basis, not_a_knot
 
 SELF_ADJOINT_TOL = 1e-10
 CHART_HALF_WIDTH = 0.35
+CHART_FIELDS = ("chart_center", "chart_half_width")  # the spec fields that fix a chart's box
 SECTOR_MARGIN = 0.05
 
 
@@ -202,15 +203,15 @@ def sample_quadric(M, c: float, sig: Signature, count: int, seed: int) -> np.nda
 class QuadricChart:
     """Oriented graph-coordinate chart of { x : <x, M x>_p = c } around a center point.
 
-    The constructor checks the center and derives the chart in one pass: the
-    coordinate solve_index (the largest gradient component at the center) is
-    solved for and the others, free, stay chart coordinates; branch picks the
-    root through the center, box is the cube of half_width around it, and the
-    signed form q = diag(eps) M and its blocks are built once.  The chart is
-    oriented: flip makes the real determinant det(tangents, x) positive at the
-    center.  jets(t, order) solves the defining quadratic once, broadcast over
-    stacked chart coordinates (..., n-1), and differentiates it implicitly up
-    to the order asked.
+    The constructor checks the center and the box, on which the form must not
+    overflow, and derives the chart in one pass: the coordinate solve_index (the
+    largest gradient component at the center) is solved for and the others, free,
+    stay chart coordinates; branch picks the root through the center, box is the
+    cube of half_width around it, and the signed form q = diag(eps) M and its
+    blocks are built once.  The chart is oriented: flip makes the real determinant
+    det(tangents, x) positive at the center.  jets(t, order) solves the defining
+    quadratic once, broadcast over stacked chart coordinates (..., n-1), and
+    differentiates it implicitly up to the order asked.
     """
 
     def __init__(self, M, c: float, sig: Signature, center, half_width: float = CHART_HALF_WIDTH):
@@ -230,6 +231,11 @@ class QuadricChart:
                 raise FamilySpecError(f"chart center misses the quadric by {residual:.3e}",
                                       ("chart_center",))
         q = sig.eps[:, None] * M
+        # |q x| <= n reach on the box, so q x x and (q x)^2 in jets stay below (2 n^1.5 reach)^2
+        reach = (1.0 + float(np.abs(q).max())) * (float(np.abs(center).max()) + half_width)
+        if not np.isfinite(4.0 * n ** 3 * reach * reach):
+            raise FamilySpecError(f"the quadric form overflows on the chart box of half-width "
+                                  f"{half_width:g}", CHART_FIELDS)
         grad = 2.0 * q @ center
         m = int(np.argmax(np.abs(grad)))
         if abs(grad[m]) < 1e-9 * max(np.linalg.norm(center), 1.0):
@@ -273,12 +279,11 @@ class QuadricChart:
         if abs(a) > 1e-13:
             disc = b * b - a * cc
             if not (disc > 0.0).all():  # a NaN discriminant, too
-                raise FamilySpecError("quadric chart left its validity region (no real root)",
-                                      ("chart_center", "chart_half_width"))
+                raise FamilySpecError("quadric chart has no real root on its box", CHART_FIELDS)
             x[..., m] = (-b + self.branch * np.sqrt(disc)) / a
         else:
             if (np.abs(b) < 1e-13).any():
-                raise FamilySpecError("quadric chart degenerates (vanishing gradient)")
+                raise FamilySpecError("quadric chart has a vanishing gradient", CHART_FIELDS)
             x[..., m] = -cc / (2.0 * b)
         if order == 0:
             return [x]
@@ -287,7 +292,7 @@ class QuadricChart:
         gm = grad[..., m]
         scale = np.sqrt((grad * grad).sum(axis=-1))
         if (np.abs(gm) < 1e-12 * np.maximum(scale, 1e-300)).any():
-            raise FamilySpecError("quadric chart degenerates (vanishing gradient component)")
+            raise FamilySpecError("the quadric is not a graph over the chart", CHART_FIELDS)
         jac = np.empty(x.shape[:-1] + self._tangents.shape)
         jac[...] = self._tangents
         jac[..., m] = self.flip * (-grad[..., free] / gm[..., None])
@@ -635,17 +640,8 @@ def make_hopf(spec: Hopf) -> ImmersionPatch:
     lo, hi = gamma.interval
     ss = np.linspace(lo, hi, 64)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing curve fails the probe
-        vals, ders = map(np.asarray, gamma.jets(ss, 1))
-        off_sphere = np.max(np.abs(np.linalg.norm(vals, axis=-1) - 1.0)) > 1e-9
-        # det g cancels at O(1), below what frame_quantities flags as degenerate
-        speed2 = np.sum(np.abs(ders) ** 2, axis=-1)
-        det_g = speed2 - metric(ders, 1j * vals, sig) ** 2
-    if off_sphere:
-        raise FamilySpecError(
-            "the profile curve must lie on the unit sphere |gamma| = 1", ("gamma",))
-    if np.min(np.abs(det_g)) < 1e-10 * max(np.max(speed2), 1.0):
-        raise FamilySpecError(
-            "degenerate immersion: the curve follows the circle action", ("gamma",))
+        if np.max(np.abs(np.linalg.norm(gamma.jets(ss, 0)[0], axis=-1) - 1.0)) > 1e-9:
+            raise FamilySpecError("the profile curve must lie on the unit sphere", ("gamma",))
 
     def jets(u, order):
         u = np.asarray(u, dtype=float)

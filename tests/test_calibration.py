@@ -22,10 +22,12 @@ from lagcal.calibration import (
 from lagcal.core import Signature, hol_volume
 from lagcal.families import Catenoid, Curve, Equivariant, build_family
 from lagcal.immersion import (
+    DegenerateFrame,
     ImmersionPatch,
     _central_frames,
     dvol,
     interior_samples,
+    lagrangian_angle_at,
     lagrangian_defect,
     make_flat_patch,
 )
@@ -176,6 +178,7 @@ def test_identity_fails_on_non_lagrangian_witness():
     assert q["dvol"] == pytest.approx(1.0)
     assert abs(q["omega_det"]) == pytest.approx(0.0, abs=1e-15)
     assert q["defect"] == pytest.approx(1.0)
+    assert q["degenerate"]  # a complex line has no Lagrangian angle
 
 
 def linear_patch(frame, sig):
@@ -185,13 +188,17 @@ def linear_patch(frame, sig):
 
 
 def frames_with_degenerate_tail(sig):
-    """200 random Lagrangian frames, then one with a zero row and one with a repeated row."""
+    """200 random Lagrangian frames, then one with a zero row, one with a repeated row
+    and one whose last row is 3 times its first."""
     frames = random_lagrangian_frames(sig, 200, np.random.default_rng(5))
     zero_row = frames[0].copy()
     zero_row[-1] = 0.0
     repeated_row = frames[1].copy()  # still Lagrangian, but rank-deficient
     repeated_row[-1] = repeated_row[0]
-    return np.concatenate([frames, [zero_row, repeated_row]])
+    # rank-deficient too; its sqrt|det Re gram| is rounding noise lifted to ~1e-9 scale
+    scaled_row = frames[2].copy()
+    scaled_row[-1] = 3.0 * scaled_row[0]
+    return np.concatenate([frames, [zero_row, repeated_row, scaled_row]])
 
 
 @pytest.mark.parametrize("p, n", [(0, 2), (1, 2), (1, 3), (2, 4)])
@@ -205,9 +212,18 @@ def test_batched_frame_quantities_match_pointwise_calls(p, n):
         assert q["defect"][k] == lagrangian_defect(patch, u)
         assert q["dvol"][k] == dvol(patch, u)
         assert q["degenerate"][k] == frame_quantities(frame, sig)["degenerate"]
-    assert np.isfinite(q["defect"][-2])
-    assert list(np.flatnonzero(q["degenerate"])) == [len(frames) - 2, len(frames) - 1]
-    assert q["defect"][-1] <= 1e-9  # the Lagrangian check passes, the degeneracy check trips
+        # the kernel's flag and the pointwise angle apply one rule
+        try:
+            lagrangian_angle_at(patch, u)
+        except DegenerateFrame:
+            assert q["degenerate"][k]
+        else:
+            assert not q["degenerate"][k]
+    assert np.isfinite(q["defect"][-3])
+    assert list(np.flatnonzero(q["degenerate"])) == [len(frames) - 3, len(frames) - 2,
+                                                     len(frames) - 1]
+    # the Lagrangian check passes, the degeneracy check trips
+    assert q["defect"][-2] <= 1e-9 and q["defect"][-1] <= 1e-9
 
 
 @pytest.mark.parametrize("block", [7, 10**6])
@@ -231,9 +247,10 @@ def test_frame_quantities_do_not_depend_on_the_block_size(monkeypatch, p, n, blo
     for key, value in expected.items():
         assert q[key].dtype == value.dtype and np.array_equal(q[key], value), key
         assert np.array_equal(stacked[key], value[:10].reshape(2, 5)), key
-    assert list(np.flatnonzero(q["degenerate"])) == [len(frames) - 2, len(frames) - 1]
-    # a regular frame, the zero-row frame and the repeated-row frame on their own
-    for k in (0, len(frames) - 2, len(frames) - 1):
+    assert list(np.flatnonzero(q["degenerate"])) == [len(frames) - 3, len(frames) - 2,
+                                                     len(frames) - 1]
+    # a regular frame and the three rank-deficient frames on their own
+    for k in (0, len(frames) - 3, len(frames) - 2, len(frames) - 1):
         single = frame_quantities(frames[k], sig)
         assert all(np.ndim(v) == 0 and v == expected[key][k] for key, v in single.items())
     assert pointwise() == expected_pointwise

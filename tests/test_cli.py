@@ -302,6 +302,11 @@ HOPF_GREAT_CIRCLE = {"kind": "hopf", "gamma": {"form": "great-circle"}}
                             "family": {"kind": "evolving-quadric", "matrix": [[0, -1], [1, 0]],
                                        "c": 2, "chart_half_width": 1e308}},
                  [], "family.chart_half_width", id="chart-box-width-overflows"),
+    pytest.param("verify", {"signature": {"p": 1, "n": 2},
+                            "family": {"kind": "evolving-quadric", "matrix": [[0, -1], [1, 0]],
+                                       "c": 2, "chart_half_width": 1e200}},
+                 [], "family.chart_center, family.chart_half_width",
+                 id="chart-box-form-overflows"),
     # a chart center whose residual overflows misses the quadric; a box whose
     # discriminant is NaN has no chart root
     pytest.param("verify", {"signature": {"p": 1, "n": 3},
@@ -325,6 +330,10 @@ HOPF_GREAT_CIRCLE = {"kind": "hopf", "gamma": {"form": "great-circle"}}
                             "family": {"kind": "evolving-quadric", "matrix": [[0, -1], [1, 0]],
                                        "c": 2, "r": {"form": "constant", "value": 1e308}}},
                  [], "family.r", id="evolving-quadric-r-1e308"),
+    # a torus curve with k1 = k2 follows the circle action: its frames lose rank everywhere
+    pytest.param("verify", {"family": {"kind": "hopf", "gamma": {"form": "torus", "alpha": 0.5,
+                                                                  "k1": 1.7, "k2": 1.7}}},
+                 [], "family.gamma", id="hopf-torus-along-the-circle-action"),
 ])
 def test_cli_rejects_malformed_values(tmp_path, capsys, experiment, doc, args, fieldname):
     # command line overrides and document values pass the same validation;
@@ -434,18 +443,18 @@ def test_cli_names_fields_of_family_constraints(tmp_path, capsys, change, fieldn
 
 
 def test_family_errors_that_name_no_field_name_the_family(tmp_path, capsys, monkeypatch):
-    # e.g. the quadric chart's vanishing-gradient checks, which name no spec field
+    # e.g. the evolving-quadric angle law's check, which names no spec field
     import lagcal.cli as cli
 
-    def degenerate_chart(spec):
-        raise FamilySpecError("quadric chart degenerates (vanishing gradient)")
+    def degenerate_law(spec):
+        raise FamilySpecError("angle law undefined at a degenerate quadric point")
 
-    monkeypatch.setattr(cli, "build_family", degenerate_chart)
+    monkeypatch.setattr(cli, "build_family", degenerate_law)
     code = main(["verify", "--config", str(write_config(tmp_path, CATENOID_CONFIG)),
                  "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err == (
-        "error: family: quadric chart degenerates (vanishing gradient)\n")
+        "error: family: angle law undefined at a degenerate quadric point\n")
 
 
 @pytest.mark.parametrize("samples", [20, CURVATURE_SAMPLES + 5])

@@ -703,12 +703,23 @@ def test_hopf_patch_validation_and_defect():
     off_sphere = Curve(lambda s, order: [1.1 * v for v in circle.jets(s, order)], (0.0, 1.0))
     with pytest.raises(FamilySpecError):
         build_family(Hopf(sig=Signature(0, 2), gamma=off_sphere))
-    fiber = Curve.exponential([np.cos(np.pi / 4), np.sin(np.pi / 4)], [1j, 1j], (0.0, 1.0))
-    with pytest.raises(FamilySpecError):
-        build_family(Hopf(sig=Signature(0, 2), gamma=fiber))
     with pytest.raises(FamilySpecError) as info:
         build_family(Hopf(sig=Signature(1, 3), gamma=Curve.great_circle()))
     assert info.value.fields == ("sig",)
+
+
+@pytest.mark.parametrize("a", [0.4, 1.1])
+@pytest.mark.parametrize("k", [1.0, 1.7, 3.0, 0.3])
+def test_hopf_rejects_a_curve_along_the_circle_action(k, a):
+    # gamma' = i k gamma: the frame (gamma', i gamma) is rank-deficient at every s
+    fiber = Curve.exponential([np.cos(a), np.sin(a)], [1j * k, 1j * k], (0.0, 1.0))
+    with pytest.raises(FamilySpecError) as info:
+        build_family(Hopf(sig=Signature(0, 2), gamma=fiber))
+    assert info.value.fields == ("gamma",)
+    # the build probe: the 64 profile points at t = 0, each frame flagged
+    value, velocity = fiber.jets(np.linspace(0.0, 1.0, 64), 1)
+    frames = np.stack([velocity, 1j * value], axis=-2)
+    assert frame_quantities(frames, Signature(0, 2))["degenerate"].all()
 
 
 def test_equivariance_orbit_membership():
