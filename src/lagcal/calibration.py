@@ -160,8 +160,7 @@ class _PolarFlow:
         self.patch = patch
         self.spec = spec
         margin = 4.0 * patch.steps(1)
-        lo = patch.domain[:, 0] + margin
-        hi = patch.domain[:, 1] - margin
+        lo, hi = patch.lo + margin, patch.hi - margin
         c, r = spec.center, spec.radius
         if np.any(c - r < lo) or np.any(c + r > hi):
             raise DegenerateInput(
@@ -366,8 +365,7 @@ def volume_compare(base: ImmersionPatch, specs, grid, seed: int = 0,
     base_volume = float(np.sum(base_dv) * cell)
     # probe the midpoints of ANGLE_PROBES cells on the box diagonal, whatever the grid,
     # so that every axis runs through its whole range
-    lo = base.domain[:, 0]
-    diagonal = lo + base.widths / ANGLE_PROBES * (np.arange(ANGLE_PROBES)[:, None] + 0.5)
+    diagonal = base.lo + base.widths / ANGLE_PROBES * (np.arange(ANGLE_PROBES)[:, None] + 0.5)
     betas = [lagrangian_angle_at(base, u) for u in diagonal]
     try:
         spread = circ_spread(betas)
@@ -412,8 +410,7 @@ def random_perturbations(patch: ImmersionPatch, count: int, seed: int) -> list[P
     amplitude push the flow into an under-resolved regime.
     """
     rng = np.random.default_rng(seed)
-    widths = patch.widths
-    lo = patch.domain[:, 0]
+    lo, widths = patch.lo, patch.widths
     specs = []
     for _ in range(count):
         center = lo + rng.uniform(0.42, 0.58, patch.n) * widths

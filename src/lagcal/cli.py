@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    DegenerateInput,
     GeometryError,
     NULL_PLANE_BASIS,
     STACK_BLOCK,
@@ -43,13 +44,13 @@ from .core import (
 from .curvature import curvature_sample, minimality_residual
 from .families import FAMILY_KINDS, Curve, FamilySpecError, Hopf, build_family
 from .calibration import (
-    NotMinimalError,
     frame_quantities,
     random_lagrangian_frames,
     random_perturbations,
     volume_compare,
 )
 from .immersion import (
+    DegenerateFrame,
     _frame_metric,
     interior_samples,
     lagrangian_angle_at,
@@ -554,8 +555,8 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     """Run one validated config: build its family, if it has one, run the
     experiment on it and stamp the report.  A family check that names the
     spec fields it reads (``sig.n``, ``sector``, ...) becomes a ConfigError
-    naming them, or naming ``family`` when it names none, as does a volume
-    comparison's refusal of a base that is not minimal."""
+    naming them, or naming ``family`` when it names none, as does a degenerate
+    frame or input met on a family (say, a base that is not minimal)."""
     try:
         patch = None if cfg.spec is None else build_family(cfg.spec)
         report = _RUNNERS[cfg.experiment](cfg, patch)
@@ -563,7 +564,9 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
         names = ["signature" + f[3:] if f.split(".")[0] == "sig" else "family." + f
                  for f in exc.fields] or ["family"]
         raise ConfigError(", ".join(names), str(exc)) from exc
-    except NotMinimalError as exc:  # the base of a volume comparison is the family
+    except (DegenerateFrame, DegenerateInput) as exc:
+        if cfg.spec is None:
+            raise
         raise ConfigError("family", str(exc)) from exc
     report.config, report.seed, report.version = _config_echo(cfg), cfg.seed, __version__
     return report

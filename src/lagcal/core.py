@@ -131,17 +131,21 @@ def frame_quantities(frames, sig: Signature) -> dict:
     loses rank has |omega_det| ~1e-16 scale, which the square root in dvol
     lifts to ~1e-8 scale, and a span containing a complex line has no angle.
 
-    The stack runs in consecutive blocks of STACK_BLOCK frames, each
+    A stack of at most STACK_BLOCK frames is one block, whose outputs are
+    returned as they are; a larger one runs in consecutive blocks, each
     written into one preallocated output per quantity.  Every quantity
     of a frame depends on that frame alone, so the results do not depend
     on the block size.  A single frame gives numpy scalars.
     """
     frames = np.asarray(frames, dtype=complex)
     stack = frames.reshape(-1, *frames.shape[-2:])
-    out = {key: np.empty(len(stack), dtype) for key, dtype in _FRAME_QUANTITIES.items()}
-    for start in range(0, len(stack), STACK_BLOCK):
-        for key, value in _frame_block(stack[start:start + STACK_BLOCK], sig).items():
-            out[key][start:start + STACK_BLOCK] = value
+    if len(stack) <= STACK_BLOCK:
+        out = _frame_block(stack, sig)
+    else:
+        out = {key: np.empty(len(stack), dtype) for key, dtype in _FRAME_QUANTITIES.items()}
+        for start in range(0, len(stack), STACK_BLOCK):
+            for key, value in _frame_block(stack[start:start + STACK_BLOCK], sig).items():
+                out[key][start:start + STACK_BLOCK] = value
     return {key: value.reshape(frames.shape[:-2])[()] for key, value in out.items()}
 
 

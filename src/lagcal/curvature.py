@@ -53,6 +53,18 @@ def normal_projection(vector: np.ndarray, frame: np.ndarray, g: np.ndarray,
     return vector - coeffs @ frame
 
 
+def _unwrap(angles: list) -> list:
+    """np.unwrap of a short list of angles, bit for bit: the same arithmetic on Python floats."""
+    lifted, shift = [angles[0]], 0.0
+    for prev, cur in zip(angles, angles[1:]):
+        d = cur - prev
+        if abs(d) >= np.pi:  # mod(d + pi, 2 pi) - pi, or pi where that is -pi and d > 0
+            dmod = (d + np.pi) % (2.0 * np.pi) - np.pi
+            shift += (np.pi if dmod == -np.pi and d > 0 else dmod) - d
+        lifted.append(cur + shift)
+    return lifted
+
+
 def angle_gradient(patch: ImmersionPatch, u) -> np.ndarray:
     """Partial derivatives of the Lagrangian angle by a 5-point stencil of step BETA_STEP.
 
@@ -65,8 +77,7 @@ def angle_gradient(patch: ImmersionPatch, u) -> np.ndarray:
     for j in range(patch.n):
         e = np.zeros(patch.n)
         e[j] = h[j]
-        betas = np.array([lagrangian_angle_at(patch, u + k * e) for k in (-2, -1, 0, 1, 2)])
-        b = np.unwrap(betas)
+        b = _unwrap([lagrangian_angle_at(patch, p) for p in u + np.arange(-2.0, 3.0)[:, None] * e])
         grad[j] = (b[0] - 8.0 * b[1] + 8.0 * b[3] - b[4]) / (12.0 * h[j])
     return grad
 

@@ -287,19 +287,18 @@ class QuadricChart:
             x[..., m] = -cc / (2.0 * b)
         if order == 0:
             return [x]
-        qx = x @ self.q.T
-        grad = 2.0 * qx
-        gm = grad[..., m]
-        scale = np.sqrt((grad * grad).sum(axis=-1))
-        if (np.abs(gm) < 1e-12 * np.maximum(scale, 1e-300)).any():
+        qx = x @ self.q.T  # half the gradient of the form
+        qx_m = qx[..., m, None]
+        if (np.abs(qx_m) < 1e-12 * np.maximum(np.sqrt((qx * qx).sum(axis=-1, keepdims=True)),
+                                              5e-301)).any():
             raise FamilySpecError("the quadric is not a graph over the chart", CHART_FIELDS)
         jac = np.empty(x.shape[:-1] + self._tangents.shape)
         jac[...] = self._tangents
-        jac[..., m] = self.flip * (-grad[..., free] / gm[..., None])
+        jac[..., m] = self.flip * (-qx[..., free] / qx_m)
         if order == 1:
             return [x, jac]
         qv = jac @ self.q.T  # row b is q @ (dx/dt_b)
-        qx_m = qx[..., m, None, None]
+        qx_m = qx_m[..., None]
         num = qv[..., free] * qx_m - qx[..., None, free] * qv[..., m, None]
         hess = np.zeros(jac.shape[:-1] + jac.shape[-2:])
         hess[..., m] = np.swapaxes(-self.flip * num / qx_m ** 2, -1, -2)
@@ -490,9 +489,10 @@ def catenoid_curve(n: int, c: float, sector: int) -> Curve:
         phi = np.asarray(phi, dtype=float)
         if order == 0:  # the flow calls values on large stacks: keep no factor alive
             return [(c / np.sin(n * phi)) ** (1.0 / n) * np.exp(1j * phi)]
-        sin_n = np.sin(n * phi)
+        n_phi = n * phi
+        sin_n = np.sin(n_phi)
         rho = (c / sin_n) ** (1.0 / n)
-        cot = np.cos(n * phi) / sin_n
+        cot = np.cos(n_phi) / sin_n
         turn = np.exp(1j * phi)
         drho = -rho * cot
         out = [rho * turn, (drho + 1j * rho) * turn]

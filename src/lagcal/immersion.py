@@ -23,7 +23,6 @@ from .core import (
     Signature,
     frame_quantities,
     herm_gram,
-    hol_volume,
 )
 
 FD_STEP = 1e-5
@@ -46,7 +45,8 @@ class ImmersionPatch:
     over the leading axes: f returns points of C^n, shape (..., n), d1 the
     rows df/du_j, shape (..., n, n), and d2 the second partials, shape
     (..., n, n, n).  Absent jets fall back to central finite differences
-    with the fixed relative steps FD_STEP and FD_STEP2.
+    with the fixed relative steps FD_STEP and FD_STEP2.  The box is copied
+    and read-only, with its bounds lo and hi and its widths hi - lo.
     """
 
     sig: Signature
@@ -55,15 +55,22 @@ class ImmersionPatch:
     d1: Callable[[np.ndarray], np.ndarray] | None = None
     d2: Callable[[np.ndarray], np.ndarray] | None = None
     meta: dict = field(default_factory=dict)
+    lo: np.ndarray = field(init=False, repr=False)
+    hi: np.ndarray = field(init=False, repr=False)
+    widths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        dom = np.asarray(self.domain, dtype=float)
+        dom = np.array(self.domain, dtype=float)
         if dom.ndim != 2 or dom.shape != (self.sig.n, 2):
             raise DimensionMismatch(
                 f"domain must be an ({self.sig.n}, 2) box, got shape {dom.shape}")
         if np.any(dom[:, 1] <= dom[:, 0]):
             raise DimensionMismatch("domain intervals must have positive width")
-        object.__setattr__(self, "domain", dom)
+        widths = dom[:, 1] - dom[:, 0]
+        dom.flags.writeable = widths.flags.writeable = False
+        for name, value in (("domain", dom), ("lo", dom[:, 0]), ("hi", dom[:, 1]),
+                            ("widths", widths)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_jets(cls, sig: Signature, domain, jets: Callable, **meta) -> "ImmersionPatch":
@@ -76,24 +83,21 @@ class ImmersionPatch:
     def n(self) -> int:
         return self.sig.n
 
-    @property
-    def widths(self) -> np.ndarray:
-        return self.domain[:, 1] - self.domain[:, 0]
-
     def steps(self, order: int = 1) -> np.ndarray:
         return (FD_STEP if order == 1 else FD_STEP2) * self.widths
 
 
-def _check_point(patch: ImmersionPatch, u, margin: np.ndarray | float = 0.0) -> np.ndarray:
+def _check_point(patch: ImmersionPatch, u, margin: np.ndarray | float | None = None) -> np.ndarray:
+    """Points u (..., n) as floats, if all lie in the box shrunk by margin per axis."""
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (patch.n,):
         raise DimensionMismatch(
             f"parameter points must have shape (..., {patch.n}), got {u.shape}")
-    lo = patch.domain[:, 0] + margin
-    hi = patch.domain[:, 1] - margin
-    if (u < lo).any() or (u > hi).any():
-        outside = ((u < lo) | (u > hi)).any(axis=-1)
-        raise BoundaryError(f"point {u[outside][0]} outside domain (margin {margin})")
+    lo, hi = (patch.lo, patch.hi) if margin is None else (patch.lo + margin, patch.hi - margin)
+    outside = (u < lo) | (u > hi)
+    if outside.any():
+        raise BoundaryError(f"point {u[outside.any(axis=-1)][0]} outside domain "
+                            f"(margin {0.0 if margin is None else margin})")
     return u
 
 
@@ -180,15 +184,18 @@ def lagrangian_defect(patch: ImmersionPatch, u) -> float | np.ndarray:
 
 
 def lagrangian_angle_at(patch: ImmersionPatch, u) -> float:
-    """Principal argument of the holomorphic volume of the tangent frame."""
+    """arg det X of the tangent frame X at one point u (n,): frame_quantities' ``beta`` to the
+    bit.  DegenerateFrame where X is not finite or |det X| <= DEGENERACY_TOL * its scale."""
     frame = tangent_frame(patch, u)
-    det = hol_volume(frame)
-    scale = float(np.prod(np.linalg.norm(frame, axis=1)))
+    if frame.ndim != 2:
+        raise DimensionMismatch(f"the angle is taken at one point, got shape {np.shape(u)}")
+    det = np.linalg.det(frame)
+    scale = math.prod(np.sqrt(np.add.reduce((frame.conj() * frame).real, axis=1)).tolist())
     if not (cmath.isfinite(det) and math.isfinite(scale)):
         raise DegenerateFrame(f"the frame is not finite at {u}")
     if abs(det) <= DEGENERACY_TOL * max(scale, TINY):
         raise DegenerateFrame(f"holomorphic volume {abs(det):.3e} below tolerance at {u}")
-    return float(np.angle(det))
+    return float(np.arctan2(det.imag, det.real))
 
 
 def dvol(patch: ImmersionPatch, u) -> float | np.ndarray:
@@ -202,11 +209,8 @@ def midpoint_grid(patch: ImmersionPatch, grid) -> tuple[np.ndarray, float]:
     counts = np.broadcast_to(np.asarray(grid, dtype=int), (patch.n,))
     if np.any(counts < 1):
         raise DimensionMismatch("need at least one quadrature cell per axis")
-    axes = []
-    for j in range(patch.n):
-        lo, hi = patch.domain[j]
-        step = (hi - lo) / counts[j]
-        axes.append(lo + step * (np.arange(counts[j]) + 0.5))
+    axes = [lo + width / k * (np.arange(k) + 0.5)
+            for lo, width, k in zip(patch.lo, patch.widths, counts)]
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=-1)
     cell = float(np.prod(patch.widths / counts))
@@ -267,9 +271,8 @@ def interior_samples(patch: ImmersionPatch, count: int, rng: np.random.Generator
     The margin keeps finite-difference stencils (including the angle
     stencils used by curvature routines) inside the domain.
     """
-    lo = patch.domain[:, 0] + margin * patch.widths
-    hi = patch.domain[:, 1] - margin * patch.widths
-    return rng.uniform(lo, hi, size=(count, patch.n))
+    return rng.uniform(patch.lo + margin * patch.widths, patch.hi - margin * patch.widths,
+                       size=(count, patch.n))
 
 
 def make_flat_patch(sig: Signature) -> ImmersionPatch:

@@ -43,6 +43,12 @@ CATENOID_CONFIG = {
 }
 
 
+# the (1, 2) rotation quadric on a chart box so wide that most samples degenerate
+WIDE_QUADRIC = {"signature": {"p": 1, "n": 2},
+                "family": {"kind": "evolving-quadric", "matrix": [[0, -1], [1, 0]], "c": 2,
+                           "chart_half_width": 1e6}}
+
+
 def write_config(tmp_path, obj, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -334,6 +340,14 @@ HOPF_GREAT_CIRCLE = {"kind": "hopf", "gamma": {"form": "great-circle"}}
     pytest.param("verify", {"family": {"kind": "hopf", "gamma": {"form": "torus", "alpha": 0.5,
                                                                   "k1": 1.7, "k2": 1.7}}},
                  [], "family.gamma", id="hopf-torus-along-the-circle-action"),
+    # a quadric box that builds but whose samples degenerate while verify runs: at
+    # half-width 1e20 the induced metric of the minimality residual, at 1e6 on 20
+    # samples the circular mean of the angles
+    pytest.param("verify", {**WIDE_QUADRIC, "samples": None,
+                            "family": {**WIDE_QUADRIC["family"], "chart_half_width": 1e20}},
+                 [], "family", id="quadric-box-1e20-degenerate-metric"),
+    pytest.param("verify", {**WIDE_QUADRIC, "samples": 20}, [], "family",
+                 id="quadric-box-1e6-no-circular-mean"),
 ])
 def test_cli_rejects_malformed_values(tmp_path, capsys, experiment, doc, args, fieldname):
     # command line overrides and document values pass the same validation;
@@ -348,6 +362,18 @@ def test_cli_rejects_malformed_values(tmp_path, capsys, experiment, doc, args, f
     assert err.startswith(f"error: {fieldname}: ")
     assert err.count("\n") == 1
     assert "RuntimeWarning" not in err
+
+
+def test_wide_quadric_box_counts_its_degenerate_samples(tmp_path):
+    # at the default 1000 samples the angles keep a circular mean and the
+    # metric residual is computable: the degenerate signatures are counted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--config", str(write_config(tmp_path, WIDE_QUADRIC)),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["degenerate_count"] == 975
 
 
 def test_catenoid_constant_1e100_stays_valid(tmp_path):

@@ -11,11 +11,12 @@ from conftest import (
     null_reparametrized_spiral,
     rotation_quadric_spec,
 )
-from lagcal.core import Signature, metric
+from lagcal.core import Signature, metric, wrap_angle
 from lagcal.curvature import (
     BETA_STEP,
     NotLagrangianError,
     _solve_gram,
+    _unwrap,
     angle_gradient,
     curvature_sample,
     mean_curvature_angle,
@@ -79,6 +80,24 @@ def test_angle_gradient_across_the_branch_cut():
     above = lagrangian_angle_at(patch, u + [0.0, h])
     assert below > 3.0 and above < -3.0
     assert np.allclose(angle_gradient(patch, u), [0.0, 2.0], atol=1e-8)
+
+
+def test_stencil_lift_is_numpy_unwrap_to_the_bit():
+    # 10^4 stencils of five principal angles: a third anywhere on the circle,
+    # a third of small steps, a third of small steps straddling +-pi (where the
+    # README catenoid's law sits), and differences of exactly +-pi
+    rng = np.random.default_rng(27)
+    anywhere = rng.uniform(-np.pi, np.pi, (3334, 5))
+    walk = rng.uniform(-np.pi, np.pi, (3333, 1)) + np.cumsum(rng.normal(0, 0.3, (3333, 5)), axis=1)
+    straddle = np.pi + rng.choice([-1.0, 1.0], (3333, 1)) * rng.uniform(0, 1e-3, (3333, 1)) \
+        + np.cumsum(rng.normal(0, 1e-3, (3333, 5)), axis=1)
+    stencils = np.vstack([anywhere, wrap_angle(walk), wrap_angle(straddle),
+                          [[0.0, np.pi, 0.0, -np.pi, 0.0], [-np.pi / 2, np.pi / 2, -np.pi / 2,
+                                                            np.pi, 0.0]]])
+    assert len(stencils) >= 10 ** 4
+    assert np.count_nonzero(np.abs(np.diff(stencils[6667:10000])) > np.pi) > 1000
+    for betas in stencils:
+        assert np.array(_unwrap(betas.tolist())).tobytes() == np.unwrap(betas).tobytes()
 
 
 def test_two_routes_agree_on_every_family(family_catalog):

@@ -1,13 +1,20 @@
 """Immersion-patch geometry: frames, metric, defect, angle, volume."""
 
+import dataclasses
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from lagcal.core import NULL_PLANE_BASIS, Signature, herm_gram, hol_volume
+from lagcal.core import NULL_PLANE_BASIS, Signature, frame_quantities, herm_gram, hol_volume
+from lagcal.curvature import angle_gradient
 from lagcal.immersion import (
     BoundaryError,
     DegenerateFrame,
     ImmersionPatch,
+    _central_frames,
+    _check_point,
     dvol,
     finite_difference_frame,
     induced_metric,
@@ -91,6 +98,62 @@ def test_boundary_stencil_error():
         tangent_frame(bare, np.array([0.0, 0.5]))
     # analytic jets are fine on the boundary itself
     tangent_frame(patch, np.array([0.0, 0.5]))
+
+
+def test_stored_bounds_accept_the_faces_and_name_the_point_outside():
+    domain = np.array([[0.0, 1.0], [-2.0, 0.5]])
+    patch = dataclasses.replace(lagrangian_graph_patch(), domain=domain)
+    domain[0, 0] = 0.5  # the patch keeps its own copy of the box
+    np.testing.assert_array_equal(patch.lo, [0.0, -2.0])
+    np.testing.assert_array_equal(patch.hi, [1.0, 0.5])
+    np.testing.assert_array_equal(patch.widths, [1.0, 2.5])
+    for bounds in (patch.domain, patch.lo, patch.hi, patch.widths):
+        with pytest.raises(ValueError, match="read-only"):
+            bounds[0] = 0.25
+    faces = np.array([[0.0, -2.0], [1.0, 0.5], [0.0, 0.5], [1.0, -2.0], [0.3, -2.0], [1.0, 0.1]])
+    np.testing.assert_array_equal(_check_point(patch, faces), faces)
+    assert tangent_frame(patch, faces).shape == (6, 2, 2)
+    for outside in ([1.0 + 1e-12, 0.0], [0.5, -2.0 - 1e-12], [-1e-300, 0.0], [0.5, np.inf]):
+        stack = np.array([[0.2, 0.1], outside, [0.9, -1.0]])
+        with pytest.raises(BoundaryError, match=re.escape(f"point {stack[1]} outside domain")):
+            _check_point(patch, stack)
+    # with a margin, the box shrinks by it: the finite-difference frame's stencil
+    bare = ImmersionPatch(sig=patch.sig, domain=domain, f=patch.f)
+    h = bare.steps(1)
+    inner = bare.lo + h
+    np.testing.assert_array_equal(finite_difference_frame(bare, inner),
+                                  _central_frames(bare, inner, h))
+    with pytest.raises(BoundaryError, match=re.escape(f"(margin {h})")):
+        finite_difference_frame(bare, bare.lo + h / 2)
+
+
+def test_one_point_evaluates_its_first_jet_once(family_catalog):
+    for name, base in family_catalog:
+        calls = Counter()
+
+        def counted(jet, fn):
+            def wrapped(u):
+                calls[jet] += 1
+                return fn(u)
+            return wrapped
+
+        patch = dataclasses.replace(base, d1=counted("d1", base.d1), d2=counted("d2", base.d2))
+        u = interior_samples(patch, 1, np.random.default_rng(7), margin=0.08)[0]
+        for quantity in (lagrangian_angle_at, lagrangian_defect, tangent_frame):
+            calls.clear()
+            quantity(patch, u)
+            assert calls == {"d1": 1}, (name, quantity.__name__)
+        calls.clear()
+        angle_gradient(patch, u)
+        assert calls == {"d1": 5 * patch.n}, name
+
+
+def test_pointwise_angle_is_the_frame_kernel_beta_to_the_bit(family_catalog):
+    rng = np.random.default_rng(11)
+    for name, patch in family_catalog:
+        for u in interior_samples(patch, 8, rng):
+            beta = frame_quantities(tangent_frame(patch, u), patch.sig)["beta"]
+            assert lagrangian_angle_at(patch, u) == beta, name
 
 
 def test_metric_signature_frozen_cases():
