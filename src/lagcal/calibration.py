@@ -57,6 +57,7 @@ from .immersion import (
     lagrangian_angle_at,
     lagrangian_defect,
     midpoint_grid,
+    tangent_frame,
 )
 from .spline import NotAKnotBicubic
 
@@ -366,7 +367,8 @@ def volume_compare(base: ImmersionPatch, specs, grid, seed: int = 0,
     # probe the midpoints of ANGLE_PROBES cells on the box diagonal, whatever the grid,
     # so that every axis runs through its whole range
     diagonal = base.lo + base.widths / ANGLE_PROBES * (np.arange(ANGLE_PROBES)[:, None] + 0.5)
-    betas = [lagrangian_angle_at(base, u) for u in diagonal]
+    betas = [lagrangian_angle_at(base, u, frame)
+             for u, frame in zip(diagonal, tangent_frame(base, diagonal))]
     try:
         spread = circ_spread(betas)
     except DegenerateInput as exc:  # e.g. evenly spread angles: far from constant

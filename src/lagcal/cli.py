@@ -392,8 +392,8 @@ def _run_verify(cfg: RunConfig, patch) -> ExperimentReport:
     frame = tangent_frame(patch, pts)
     g, dv = _frame_metric(frame, patch.sig), frame_quantities(frame, patch.sig)["dvol"]
     for k, u in enumerate(pts):
-        defects[k] = lagrangian_defect(patch, u)
-        betas[k] = lagrangian_angle_at(patch, u)
+        defects[k] = lagrangian_defect(patch, u, frame[k])
+        betas[k] = lagrangian_angle_at(patch, u, frame[k])
         negative[k], null[k] = metric_signature(g[k])[1:]
     bad_signature = int(np.count_nonzero((negative != cfg.signature.p) | (null != 0)))
     max_defect = float(np.max(defects))
@@ -413,7 +413,8 @@ def _run_angle(cfg: RunConfig, patch) -> ExperimentReport:
         raise ConfigError("family", "the angle experiment needs an angle law "
                           "(equivariant, catenoid or evolving-quadric family)")
     pts = interior_samples(patch, cfg.samples, np.random.default_rng(cfg.seed))
-    betas = np.array([lagrangian_angle_at(patch, u) for u in pts])
+    betas = np.array([lagrangian_angle_at(patch, u, frame)
+                      for u, frame in zip(pts, tangent_frame(patch, pts))])
     laws = law.beta(pts)
     offsets = wrap_angle(betas - laws)
     # an exact law must hold pointwise; one up to a constant must keep its offset

@@ -114,6 +114,14 @@ def herm_gram(frame, sig: Signature) -> np.ndarray:
     return frame * sig.eps @ frame.conj().swapaxes(-1, -2)
 
 
+@lru_cache(maxsize=64)
+def _upper_pairs(n: int) -> tuple:
+    """np.triu_indices(n, k=1), read-only and shared."""
+    iu = np.triu_indices(n, k=1)
+    iu[0].flags.writeable = iu[1].flags.writeable = False
+    return iu
+
+
 _FRAME_QUANTITIES = {"defect": float, "beta": float, "dvol": float, "scale": float,
                      "degenerate": bool, "omega_det": complex}
 
@@ -156,7 +164,7 @@ def _frame_block(frames: np.ndarray, sig: Signature) -> dict:
     denom = norms[..., :, None] * norms[..., None, :]
     denom[denom == 0.0] = 1.0
     pairs = np.abs(gram.imag) / denom
-    iu = np.triu_indices(sig.n, k=1)
+    iu = _upper_pairs(sig.n)
     defect = (pairs[..., iu[0], iu[1]].max(axis=-1) if iu[0].size
               else np.zeros(frames.shape[:-2]))
     det = np.linalg.det(frames)

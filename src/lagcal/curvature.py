@@ -68,16 +68,17 @@ def _unwrap(angles: list) -> list:
 def angle_gradient(patch: ImmersionPatch, u) -> np.ndarray:
     """Partial derivatives of the Lagrangian angle by a 5-point stencil of step BETA_STEP.
 
-    Stencil values are unwrapped to a continuous branch before the
-    fourth-order central difference is applied.
+    One tangent_frame call evaluates all 5n stencil frames, and each goes to its own
+    lagrangian_angle_at call.  Stencil values are unwrapped to a continuous branch before
+    the fourth-order central difference is applied.
     """
     u = np.asarray(u, dtype=float)
     h = BETA_STEP * patch.widths
+    pts = u + np.arange(-2.0, 3.0)[:, None, None] * np.diag(h)  # pts[i, j] = u + (i - 2) h_j e_j
+    frames = tangent_frame(patch, pts)
     grad = np.empty(patch.n)
     for j in range(patch.n):
-        e = np.zeros(patch.n)
-        e[j] = h[j]
-        b = _unwrap([lagrangian_angle_at(patch, p) for p in u + np.arange(-2.0, 3.0)[:, None] * e])
+        b = _unwrap([lagrangian_angle_at(patch, pts[i, j], frames[i, j]) for i in range(5)])
         grad[j] = (b[0] - 8.0 * b[1] + 8.0 * b[3] - b[4]) / (12.0 * h[j])
     return grad
 
@@ -85,11 +86,11 @@ def angle_gradient(patch: ImmersionPatch, u) -> np.ndarray:
 def mean_curvature_angle(patch: ImmersionPatch, u) -> np.ndarray:
     """Mean curvature from the angle formula H = (1/n) J grad(beta)."""
     u = np.asarray(u, dtype=float)
-    defect = lagrangian_defect(patch, u)
+    frame = tangent_frame(patch, u)
+    defect = lagrangian_defect(patch, u, frame)
     if defect > DEFECT_TOL:
         raise NotLagrangianError(
             f"defect {defect:.3e} above {DEFECT_TOL:.1e}: angle route needs a Lagrangian patch")
-    frame = tangent_frame(patch, u)
     g = _frame_metric(frame, patch.sig)
     dbeta = angle_gradient(patch, u)
     coeffs = _solve_gram(g, dbeta)
@@ -160,6 +161,7 @@ def minimality_residual(patch: ImmersionPatch, pts) -> float:
 
     Both figures vanish exactly on minimal patches, where the angle is constant.
     """
-    betas = np.array([lagrangian_angle_at(patch, u) for u in pts])
+    betas = np.array([lagrangian_angle_at(patch, u, frame)
+                      for u, frame in zip(pts, tangent_frame(patch, pts))])
     max_h = max(float(np.linalg.norm(mean_curvature_angle(patch, u))) for u in pts)
     return max(max_h, circ_spread(betas))

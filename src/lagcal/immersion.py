@@ -177,16 +177,31 @@ def metric_signature(g) -> tuple[int, int, int]:
     return pos, neg, len(vals) - pos - neg
 
 
-def lagrangian_defect(patch: ImmersionPatch, u) -> float | np.ndarray:
-    """Largest normalized symplectic pairing among tangent vectors at points u (..., n)."""
-    defect = frame_quantities(tangent_frame(patch, u), patch.sig)["defect"]
+def _held_frame(patch: ImmersionPatch, u, frame) -> np.ndarray:
+    """tangent_frame(patch, u), or the frame a caller already holds for u, shape checked."""
+    if frame is None:
+        return tangent_frame(patch, u)
+    if np.shape(frame) != np.shape(u)[:-1] + (patch.n, patch.n):
+        raise DimensionMismatch(f"frames {np.shape(frame)} do not fit points {np.shape(u)}")
+    return np.asarray(frame)
+
+
+def lagrangian_defect(patch: ImmersionPatch, u, frame=None) -> float | np.ndarray:
+    """Largest normalized symplectic pairing among tangent vectors at points u (..., n).
+
+    A caller holding tangent_frame(patch, u) passes it as frame: one call per point, which the
+    benchmark counts, without a second jet; the argument goes once the benchmark counts points."""
+    defect = frame_quantities(_held_frame(patch, u, frame), patch.sig)["defect"]
     return float(defect) if np.ndim(defect) == 0 else defect
 
 
-def lagrangian_angle_at(patch: ImmersionPatch, u) -> float:
+def lagrangian_angle_at(patch: ImmersionPatch, u, frame=None) -> float:
     """arg det X of the tangent frame X at one point u (n,): frame_quantities' ``beta`` to the
-    bit.  DegenerateFrame where X is not finite or |det X| <= DEGENERACY_TOL * its scale."""
-    frame = tangent_frame(patch, u)
+    bit.  DegenerateFrame where X is not finite or |det X| <= DEGENERACY_TOL * its scale.
+
+    A caller holding tangent_frame(patch, u) passes it as frame: one call per point, which the
+    benchmark counts, without a second jet; the argument goes once the benchmark counts points."""
+    frame = _held_frame(patch, u, frame)
     if frame.ndim != 2:
         raise DimensionMismatch(f"the angle is taken at one point, got shape {np.shape(u)}")
     det = np.linalg.det(frame)

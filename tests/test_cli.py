@@ -767,11 +767,11 @@ def small_config(experiment):
 # differently and fail here with lagcal unchanged.
 OUTPUT_DIGESTS = {
     "verify": ("06c6126ae7464aba584d62d193aa7b446b44a149e874f64702a704d1a6092bfd",
-               "d9049b6dc92accf6719d21008801dec5c513ac2d7125ef3a6af3c92a2a3a2848"),
+               "b3052ea39957f47a8b6d9a943543ca2bc0c1eb3e5ba69b1584889c3b1a6152c2"),
     "angle": ("75924409263b482c7c1a24b4307db7e883cd03a732fd2e690a17f63dba79146e",
-              "f5b382f8af238ada11fc2180a9ddd282cdd80ef0e447a4c2484d261b46386971"),
-    "curvature": ("ef7c303fb4706b6c7fedc86194eba5f4f8d9a875c95ed02965ea152b9d6b5e19",
-                  "fb1b890595d524517624c45cc39a2cfd7cb0947164b188518626a0281a8319ba"),
+              "332d37a346fcb04f2f3250700d38c0a0d29e690898011e910a5ff2c972871156"),
+    "curvature": ("0db42bc553a9f4d14c430821960baeb711c6b48e77d3d80d8535842b87d48da9",
+                  "03c94b4584a268ebc628dc7e913919c7496a2cc8d89c399f8357d4f406997ad5"),
     "calibrate": ("2a14efcdaeb8b79e5433443c959ce7f8abcd529af6b03a8820802efc0e9707e4",
                   "37207470f16629e2097df1271e9e5da18f04f467aa0587ecc46af19417f14355"),
     "plane-props": ("af0e81604e0eaf8dc7cf587a8e25f178b2e0308a5ca40dc254c94ba1996cdbaa",

@@ -46,10 +46,10 @@ def circle_patch():
         return np.exp(1j * u)
 
     def d1(u):
-        return np.array([[1j * np.exp(1j * u[0])]])
+        return (1j * np.exp(1j * u))[..., None]
 
     def d2(u):
-        return np.array([[[-np.exp(1j * u[0])]]])
+        return -np.exp(1j * u)[..., None, None]
 
     return ImmersionPatch(sig=sig, domain=[[0.0, 2.0 * np.pi]], f=f, d1=d1, d2=d2)
 
