@@ -41,7 +41,7 @@ from .core import (
     symplectic_orthogonal,
     wrap_angle,
 )
-from .curvature import curvature_sample, minimality_residual
+from .curvature import angle_stencil, curvature_sample, minimality_residual, stencil_block
 from .families import FAMILY_KINDS, Curve, FamilySpecError, Hopf, build_family
 from .calibration import (
     frame_quantities,
@@ -56,6 +56,7 @@ from .immersion import (
     lagrangian_angle_at,
     lagrangian_defect,
     metric_signature,
+    second_derivatives,
     tangent_frame,
 )
 
@@ -401,7 +402,7 @@ def _run_verify(cfg: RunConfig, patch) -> ExperimentReport:
         passed=max_defect <= cfg.tol and bad_signature == 0,
         max_defect=max_defect, beta_mean=circ_mean(betas),
         beta_spread=circ_spread(betas),
-        residual=minimality_residual(patch, pts[:CURVATURE_SAMPLES]),
+        residual=minimality_residual(patch, pts[:CURVATURE_SAMPLES], frame[:CURVATURE_SAMPLES]),
         degenerate_count=bad_signature,
         table=_sample_table(pts, defect=defects, beta=betas, dvol=dv,
                             signature_negative=negative, signature_null=null))
@@ -434,11 +435,17 @@ def _run_curvature(cfg: RunConfig, patch) -> ExperimentReport:
     count = min(cfg.samples, CURVATURE_SAMPLES)
     pts = interior_samples(patch, count, rng, margin=0.08)
     h_angle, h_sff, discrepancy = np.empty((3, count))
-    for k, u in enumerate(pts):
-        sample = curvature_sample(patch, u)
-        h_angle[k] = np.linalg.norm(sample.H_angle)
-        h_sff[k] = np.linalg.norm(sample.H_sff)
-        discrepancy[k] = sample.discrepancy
+    step = stencil_block(patch)
+    for start in range(0, count, step):  # each block's jets in one stacked call apiece
+        block = pts[start:start + step]
+        frames = tangent_frame(patch, block)
+        stencils = tangent_frame(patch, angle_stencil(patch, block))
+        d2 = second_derivatives(patch, block)
+        for k, (u, frame, stencil, sec) in enumerate(zip(block, frames, stencils, d2), start):
+            sample = curvature_sample(patch, u, frame, stencil, sec)
+            h_angle[k] = np.linalg.norm(sample.H_angle)
+            h_sff[k] = np.linalg.norm(sample.H_sff)
+            discrepancy[k] = sample.discrepancy
     worst = float(np.max(discrepancy))
     return ExperimentReport(
         passed=worst <= CURVATURE_GATE, residual=worst,

@@ -10,6 +10,12 @@ coordinates: H = (f_uv)^perp / <f_u, f_v>.
 
 Angle differentiation lifts stencil values to a continuous branch
 before differencing, since beta lives on the circle.
+
+The per-point routes take optional held jets (a frame, an angle
+stencil's frames, second derivatives), each shape checked and used as
+it is.  They exist only so that a caller evaluating the jets of many
+points in a few stacked calls can still make the per-point calls the
+benchmark counts; they go with those calls (ROADMAP items 1 and 2).
 """
 
 from dataclasses import dataclass
@@ -21,6 +27,7 @@ from .immersion import (
     DegenerateFrame,
     ImmersionPatch,
     _frame_metric,
+    _held_jet,
     lagrangian_angle_at,
     lagrangian_defect,
     second_derivatives,
@@ -29,6 +36,8 @@ from .immersion import (
 
 DEFECT_TOL = 1e-8
 BETA_STEP = 1e-4
+# complex entries (8 MB) of the stencil frames that one stacked jet call may hold
+STENCIL_ENTRIES = 2 ** 19
 
 
 class NotLagrangianError(GeometryError):
@@ -65,17 +74,32 @@ def _unwrap(angles: list) -> list:
     return lifted
 
 
-def angle_gradient(patch: ImmersionPatch, u) -> np.ndarray:
+def angle_stencil(patch: ImmersionPatch, u) -> np.ndarray:
+    """The angle_gradient stencils of points u (..., n), shape (..., 5, n, n): entry
+    [..., i, j, :] is u + (i - 2) h_j e_j with h = BETA_STEP * patch.widths."""
+    offsets = np.arange(-2.0, 3.0)[:, None, None] * np.diag(BETA_STEP * patch.widths)
+    return np.asarray(u, dtype=float)[..., None, None, :] + offsets
+
+
+def stencil_block(patch: ImmersionPatch) -> int:
+    """Points per stacked jet call of a stencil-holding caller: as many as keep the frames of
+    their 5n stencil points within STENCIL_ENTRIES (at least one), so that the held stencil
+    frames and their temporaries scale with one block, not with all the points."""
+    return max(1, STENCIL_ENTRIES // (5 * patch.n ** 3))
+
+
+def angle_gradient(patch: ImmersionPatch, u, frames=None) -> np.ndarray:
     """Partial derivatives of the Lagrangian angle by a 5-point stencil of step BETA_STEP.
 
-    One tangent_frame call evaluates all 5n stencil frames, and each goes to its own
+    One tangent_frame call evaluates all 5n stencil frames, unless the caller holds them as
+    frames = tangent_frame(patch, angle_stencil(patch, u)); each goes to its own
     lagrangian_angle_at call.  Stencil values are unwrapped to a continuous branch before
     the fourth-order central difference is applied.
     """
     u = np.asarray(u, dtype=float)
     h = BETA_STEP * patch.widths
-    pts = u + np.arange(-2.0, 3.0)[:, None, None] * np.diag(h)  # pts[i, j] = u + (i - 2) h_j e_j
-    frames = tangent_frame(patch, pts)
+    pts = angle_stencil(patch, u)
+    frames = _held_jet(patch, pts, frames)
     grad = np.empty(patch.n)
     for j in range(patch.n):
         b = _unwrap([lagrangian_angle_at(patch, pts[i, j], frames[i, j]) for i in range(5)])
@@ -83,27 +107,34 @@ def angle_gradient(patch: ImmersionPatch, u) -> np.ndarray:
     return grad
 
 
-def mean_curvature_angle(patch: ImmersionPatch, u) -> np.ndarray:
-    """Mean curvature from the angle formula H = (1/n) J grad(beta)."""
+def mean_curvature_angle(patch: ImmersionPatch, u, frame=None,
+                         stencil_frames=None) -> np.ndarray:
+    """Mean curvature from the angle formula H = (1/n) J grad(beta).
+
+    Held jets: the frame at u and stencil_frames, angle_gradient's frames.
+    """
     u = np.asarray(u, dtype=float)
-    frame = tangent_frame(patch, u)
+    frame = _held_jet(patch, u, frame)
     defect = lagrangian_defect(patch, u, frame)
     if defect > DEFECT_TOL:
         raise NotLagrangianError(
             f"defect {defect:.3e} above {DEFECT_TOL:.1e}: angle route needs a Lagrangian patch")
     g = _frame_metric(frame, patch.sig)
-    dbeta = angle_gradient(patch, u)
+    dbeta = angle_gradient(patch, u, stencil_frames)
     coeffs = _solve_gram(g, dbeta)
     grad_beta = coeffs @ frame
     return 1j * grad_beta / patch.n
 
 
-def mean_curvature_sff(patch: ImmersionPatch, u) -> np.ndarray:
-    """Mean curvature as the metric trace of the second fundamental form."""
+def mean_curvature_sff(patch: ImmersionPatch, u, frame=None, d2=None) -> np.ndarray:
+    """Mean curvature as the metric trace of the second fundamental form.
+
+    Held jets: the frame at u and d2 = second_derivatives(patch, u).
+    """
     u = np.asarray(u, dtype=float)
-    frame = tangent_frame(patch, u)
+    frame = _held_jet(patch, u, frame)
     g = _frame_metric(frame, patch.sig)
-    sec = second_derivatives(patch, u)
+    sec = _held_jet(patch, u, d2, order=2)
     ginv = _solve_gram(g, np.eye(patch.n))
     traced = np.einsum("jk,jkz->z", ginv, sec)
     return normal_projection(traced, frame, g, patch.sig) / patch.n
@@ -143,25 +174,39 @@ class CurvatureSample:
     discrepancy: float
 
 
-def curvature_sample(patch: ImmersionPatch, u) -> CurvatureSample:
+def curvature_sample(patch: ImmersionPatch, u, frame=None, stencil_frames=None,
+                     d2=None) -> CurvatureSample:
+    """Both routes at one point u (n,), from one frame, one set of stencil frames and one d2,
+    each evaluated here unless held, as mean_curvature_angle and mean_curvature_sff take them.
+    """
     u = np.asarray(u, dtype=float)
-    h_angle = mean_curvature_angle(patch, u)
-    h_sff = mean_curvature_sff(patch, u)
+    frame = _held_jet(patch, u, frame)
+    stencil_frames = _held_jet(patch, angle_stencil(patch, u), stencil_frames)
+    h_angle = mean_curvature_angle(patch, u, frame, stencil_frames)
+    h_sff = mean_curvature_sff(patch, u, frame, d2)
     return CurvatureSample(
         u=u,
         H_angle=h_angle,
         H_sff=h_sff,
-        beta_gradient=angle_gradient(patch, u),
+        beta_gradient=angle_gradient(patch, u, stencil_frames),
         discrepancy=float(np.linalg.norm(h_angle - h_sff)),
     )
 
 
-def minimality_residual(patch: ImmersionPatch, pts) -> float:
+def minimality_residual(patch: ImmersionPatch, pts, frames=None) -> float:
     """The larger of max |H| on the angle route and the circular spread of beta over pts.
 
-    Both figures vanish exactly on minimal patches, where the angle is constant.
+    Both figures vanish exactly on minimal patches, where the angle is constant.  The frames
+    at pts (m, n), unless held as frames, are one stacked call, and those of their angle
+    stencils one per stencil_block of points.
     """
-    betas = np.array([lagrangian_angle_at(patch, u, frame)
-                      for u, frame in zip(pts, tangent_frame(patch, pts))])
-    max_h = max(float(np.linalg.norm(mean_curvature_angle(patch, u))) for u in pts)
-    return max(max_h, circ_spread(betas))
+    pts = np.asarray(pts, dtype=float)
+    frames = _held_jet(patch, pts, frames)
+    betas = np.array([lagrangian_angle_at(patch, u, frame) for u, frame in zip(pts, frames)])
+    norms, step = [], stencil_block(patch)
+    for start in range(0, len(pts), step):
+        block = slice(start, start + step)
+        stencils = tangent_frame(patch, angle_stencil(patch, pts[block]))
+        norms += [float(np.linalg.norm(mean_curvature_angle(patch, u, frame, stencil)))
+                  for u, frame, stencil in zip(pts[block], frames[block], stencils)]
+    return max(max(norms), circ_spread(betas))

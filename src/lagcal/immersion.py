@@ -177,13 +177,15 @@ def metric_signature(g) -> tuple[int, int, int]:
     return pos, neg, len(vals) - pos - neg
 
 
-def _held_frame(patch: ImmersionPatch, u, frame) -> np.ndarray:
-    """tangent_frame(patch, u), or the frame a caller already holds for u, shape checked."""
-    if frame is None:
-        return tangent_frame(patch, u)
-    if np.shape(frame) != np.shape(u)[:-1] + (patch.n, patch.n):
-        raise DimensionMismatch(f"frames {np.shape(frame)} do not fit points {np.shape(u)}")
-    return np.asarray(frame)
+def _held_jet(patch: ImmersionPatch, u, held, order: int = 1) -> np.ndarray:
+    """tangent_frame(patch, u) for order 1, second_derivatives(patch, u) for order 2, or the
+    value a caller already holds for points u, shape checked."""
+    if held is None:
+        return tangent_frame(patch, u) if order == 1 else second_derivatives(patch, u)
+    if np.shape(held) != np.shape(u)[:-1] + (patch.n,) * (order + 1):
+        raise DimensionMismatch(f"{'frames' if order == 1 else 'second derivatives'} "
+                                f"{np.shape(held)} do not fit points {np.shape(u)}")
+    return np.asarray(held)
 
 
 def lagrangian_defect(patch: ImmersionPatch, u, frame=None) -> float | np.ndarray:
@@ -191,7 +193,7 @@ def lagrangian_defect(patch: ImmersionPatch, u, frame=None) -> float | np.ndarra
 
     A caller holding tangent_frame(patch, u) passes it as frame: one call per point, which the
     benchmark counts, without a second jet; the argument goes once the benchmark counts points."""
-    defect = frame_quantities(_held_frame(patch, u, frame), patch.sig)["defect"]
+    defect = frame_quantities(_held_jet(patch, u, frame), patch.sig)["defect"]
     return float(defect) if np.ndim(defect) == 0 else defect
 
 
@@ -201,7 +203,7 @@ def lagrangian_angle_at(patch: ImmersionPatch, u, frame=None) -> float:
 
     A caller holding tangent_frame(patch, u) passes it as frame: one call per point, which the
     benchmark counts, without a second jet; the argument goes once the benchmark counts points."""
-    frame = _held_frame(patch, u, frame)
+    frame = _held_jet(patch, u, frame)
     if frame.ndim != 2:
         raise DimensionMismatch(f"the angle is taken at one point, got shape {np.shape(u)}")
     det = np.linalg.det(frame)

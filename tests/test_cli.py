@@ -35,6 +35,7 @@ from lagcal.cli import (
 from lagcal.core import STACK_BLOCK
 from lagcal.curvature import minimality_residual
 from lagcal.families import Curve, FamilySpecError, build_family
+from lagcal.immersion import interior_samples
 
 CATENOID_CONFIG = {
     "signature": {"p": 0, "n": 2},
@@ -483,6 +484,55 @@ def test_family_errors_that_name_no_field_name_the_family(tmp_path, capsys, monk
         "error: family: angle law undefined at a degenerate quadric point\n")
 
 
+def test_curvature_routes_take_their_jets_in_stacked_calls(monkeypatch):
+    # over m points: one d1 call for their frames, one for their 5n-point angle stencils and,
+    # for the curvature experiment, one d2 call; verify's residual reuses verify's frames.
+    # Past stencil_block points, the stencils (and curvature's frames and d2) go in blocks,
+    # with the same outputs
+    import lagcal.cli as cli
+
+    calls = []
+
+    def counted(spec):
+        patch = build_family(spec)
+
+        def wrap(jet, fn):
+            def wrapped(u):
+                calls.append((jet, math.prod(np.shape(u)[:-1])))
+                return fn(u)
+            return wrapped
+        return dataclasses.replace(patch, d1=wrap("d1", patch.d1), d2=wrap("d2", patch.d2))
+
+    monkeypatch.setattr(cli, "build_family", counted)
+    m, n = 12, 3
+    doc = {"signature": {"p": 1, "n": n}, "family": CATENOID_CONFIG["family"], "samples": m}
+    blocks = (5, 5, 2)  # of at most 5 points once STENCIL_ENTRIES holds 5 stencils' frames
+    expected = {
+        "curvature": ([("d1", m), ("d1", 5 * n * m), ("d2", m)],
+                      sorted([("d1", k) for k in blocks] + [("d1", 5 * n * k) for k in blocks]
+                             + [("d2", k) for k in blocks])),
+        "verify": ([("d1", m), ("d1", 5 * n * m)],
+                   sorted([("d1", m)] + [("d1", 5 * n * k) for k in blocks])),
+    }
+    for experiment, (whole, blocked) in expected.items():
+        config = parse_config(json.dumps({**doc, "experiment": experiment}))
+        calls.clear()
+        report = run_experiment(config)
+        assert report.passed and sorted(calls) == whole, experiment
+        with monkeypatch.context() as patched:
+            patched.setattr("lagcal.curvature.STENCIL_ENTRIES", 5 * 5 * n ** 3)
+            calls.clear()
+            in_blocks = run_experiment(config)
+        assert sorted(calls) == blocked, experiment
+        assert in_blocks.residual == report.residual, experiment
+        for name, column in report.table.items():
+            assert np.array_equal(in_blocks.table[name], column), (experiment, name)
+    patch = counted(parse_config(json.dumps({**doc, "experiment": "verify"})).spec)
+    calls.clear()
+    minimality_residual(patch, interior_samples(patch, m, np.random.default_rng(3)))
+    assert sorted(calls) == [("d1", m), ("d1", 5 * n * m)]
+
+
 @pytest.mark.parametrize("samples", [20, CURVATURE_SAMPLES + 5])
 def test_verify_residual_scores_its_own_samples(tmp_path, samples):
     # the residual is minimality_residual on the first min(samples, 300) points
@@ -770,8 +820,8 @@ OUTPUT_DIGESTS = {
                "b3052ea39957f47a8b6d9a943543ca2bc0c1eb3e5ba69b1584889c3b1a6152c2"),
     "angle": ("75924409263b482c7c1a24b4307db7e883cd03a732fd2e690a17f63dba79146e",
               "332d37a346fcb04f2f3250700d38c0a0d29e690898011e910a5ff2c972871156"),
-    "curvature": ("0db42bc553a9f4d14c430821960baeb711c6b48e77d3d80d8535842b87d48da9",
-                  "03c94b4584a268ebc628dc7e913919c7496a2cc8d89c399f8357d4f406997ad5"),
+    "curvature": ("fd524adbd6e69b6abfb9428e98b75e78cfb3a06e2782e3e35ab2ae6faa6b7dd4",
+                  "8f38d9c887b6f7d04102a0e7f672223924537e2bd30e857deb648d437a41d945"),
     "calibrate": ("2a14efcdaeb8b79e5433443c959ce7f8abcd529af6b03a8820802efc0e9707e4",
                   "37207470f16629e2097df1271e9e5da18f04f467aa0587ecc46af19417f14355"),
     "plane-props": ("af0e81604e0eaf8dc7cf587a8e25f178b2e0308a5ca40dc254c94ba1996cdbaa",

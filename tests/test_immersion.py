@@ -16,7 +16,12 @@ from lagcal.core import (
     herm_gram,
     hol_volume,
 )
-from lagcal.curvature import angle_gradient, mean_curvature_angle
+from lagcal.curvature import (
+    angle_gradient,
+    angle_stencil,
+    curvature_sample,
+    mean_curvature_angle,
+)
 from lagcal.immersion import (
     BoundaryError,
     DegenerateFrame,
@@ -158,16 +163,29 @@ def test_one_point_evaluates_its_first_jet_once(family_catalog):
             calls.clear()
             quantity(patch, u, frame)
             assert calls == {}, (name, quantity.__name__)
-        # one stacked call for the 5n stencil frames
+        # one stacked call for the 5n stencil frames, none when the caller holds them
         calls.clear()
         points.clear()
         angle_gradient(patch, u)
         assert calls == {"d1": 1} and points == {"d1": 5 * patch.n}, name
+        stencil = tangent_frame(patch, angle_stencil(patch, u))
+        calls.clear()
+        angle_gradient(patch, u, stencil)
+        assert calls == {}, name
         # one call for the frame at u, which the defect reuses, and the stencil's
         calls.clear()
         points.clear()
         mean_curvature_angle(patch, u)
         assert calls == {"d1": 2} and points == {"d1": 1 + 5 * patch.n}, name
+        # both routes share the frame, the stencil frames and d2, or take the caller's
+        calls.clear()
+        points.clear()
+        curvature_sample(patch, u)
+        assert calls == {"d1": 2, "d2": 1} and points == {"d1": 1 + 5 * patch.n, "d2": 1}, name
+        d2 = second_derivatives(patch, u)
+        calls.clear()
+        curvature_sample(patch, u, frame, stencil, d2)
+        assert calls == {}, name
 
 
 def test_held_frames_give_the_frame_kernel_quantities_to_the_bit(family_catalog):
@@ -193,6 +211,14 @@ def test_a_held_frame_is_checked():
     with np.errstate(all="ignore"), \
             pytest.raises(DegenerateFrame, match=re.escape(f"not finite at {u}")):
         lagrangian_angle_at(patch, u, np.where(np.eye(2), np.inf, frame))
+    # the curvature routes check the stencil frames and second derivatives they are handed
+    stencil = tangent_frame(patch, angle_stencil(patch, u))
+    d2 = second_derivatives(patch, u)
+    for held, points in (({"stencil_frames": stencil[:1]}, (5, 2, 2)),
+                         ({"stencil_frames": frame}, (5, 2, 2)), ({"d2": d2[..., :1]}, (2,)),
+                         ({"d2": frame}, (2,)), ({"frame": d2}, (2,))):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"do not fit points {points}")):
+            curvature_sample(patch, u, **held)
 
 
 def test_stacked_and_one_point_jets_agree_to_rounding(family_catalog):
@@ -206,6 +232,24 @@ def test_stacked_and_one_point_jets_agree_to_rounding(family_catalog):
         for jet in (patch.f, patch.d1, patch.d2):
             alone = np.stack([np.asarray(jet(u)) for u in pts])
             np.testing.assert_allclose(alone, jet(pts), rtol=2e-15, atol=0, err_msg=name)
+
+
+def test_held_stacked_jets_give_the_curvature_sample_to_rounding(family_catalog):
+    # the stacked jets may differ from one point's in the last bits (see the test above); the
+    # mean curvature of a minimal patch is rounding noise in terms the size of d2, so every
+    # field is compared relative to the larger of itself and |d2|: at most 1.1e-16 here
+    rng = np.random.default_rng(14)
+    for name, patch in family_catalog:
+        pts = interior_samples(patch, 40, rng, margin=0.08)
+        frames, d2 = tangent_frame(patch, pts), second_derivatives(patch, pts)
+        stencils = tangent_frame(patch, angle_stencil(patch, pts))
+        for k, u in enumerate(pts):
+            alone = curvature_sample(patch, u)
+            held = curvature_sample(patch, u, frames[k], stencils[k], d2[k])
+            for field in ("H_angle", "H_sff", "beta_gradient", "discrepancy"):
+                np.testing.assert_allclose(getattr(held, field), getattr(alone, field),
+                                           rtol=2e-15, atol=2e-15 * np.linalg.norm(d2[k]),
+                                           err_msg=f"{name} {field}")
 
 
 def test_pointwise_angle_is_the_frame_kernel_beta_to_the_bit(family_catalog):
